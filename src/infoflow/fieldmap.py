@@ -21,6 +21,7 @@ Grid storage is a plain-text trio:
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import DtMismatch, GridFormatError, LengthMismatch, NumericalError
 from .estimator import covariances, fisher_ci, fit_mle
-from .series import TimeSeries, align
+from .series import TimeSeries, _data_lines, _read_table, align
 
 MISSING = float("nan")
 
@@ -131,19 +132,46 @@ def map_flows(index: TimeSeries, field: GridField, alpha: float = 0.05) -> FlowM
 # --- grid I/O ----------------------------------------------------------------
 
 
-def _read_rows(path) -> list[list[str]]:
+def _open(path):
     try:
-        with open(path, newline="") as fh:
-            lines = [ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+        return open(path, newline="")
     except OSError as exc:
         raise GridFormatError(f"cannot read {path}: {exc}")
-    return list(csv.reader(lines))
+
+
+def _csv_rows(path) -> list[list[str]]:
+    with _open(path) as fh:
+        return list(csv.reader(_data_lines(fh)))
+
+
+def _scan_values(values_path, n_cells: int, lines, first_row: int) -> np.ndarray:
+    """Row-by-row reference parse of grid value rows (first_row is not reported)."""
+    out: list[float] = []
+    for row in csv.reader(lines):
+        try:
+            out.extend([float(cell) for cell in row])
+        except ValueError as exc:
+            raise GridFormatError(f"{values_path}: non-numeric cell: {exc}")
+        if len(row) != n_cells:
+            raise GridFormatError(f"{values_path}: expected {n_cells} columns, found {len(row)}")
+    return np.array(out, dtype=float).reshape(-1, n_cells)
+
+
+def _read_mask(mask_path, n_lat: int, n_lon: int) -> np.ndarray:
+    rows = [[cell.strip() for cell in row] for row in _csv_rows(mask_path)]
+    if len(rows) != n_lat or any(len(r) != n_lon for r in rows):
+        raise GridFormatError(f"mask file must be {n_lat} rows of {n_lon} flags")
+    for i, row in enumerate(rows, start=1):
+        for flag in row:
+            if flag not in ("0", "1"):
+                raise GridFormatError(f"{mask_path}: mask row {i}: flag {flag!r} is not 0 or 1")
+    return np.array(rows, dtype=str).reshape(n_lat, n_lon) == "1"
 
 
 def load_grid(manifest_path) -> GridField:
     """Load a GridField from its manifest CSV."""
     entries: dict[str, str] = {}
-    for row in _read_rows(manifest_path):
+    for row in _csv_rows(manifest_path):
         if len(row) < 2:
             raise GridFormatError(f"{manifest_path}: malformed manifest row {row!r}")
         entries[row[0].strip()] = row[1].strip()
@@ -161,24 +189,16 @@ def load_grid(manifest_path) -> GridField:
 
     base = os.path.dirname(os.path.abspath(manifest_path))
     values_path = os.path.join(base, entries["values_file"])
-    rows = _read_rows(values_path)
-    if len(rows) != n_time:
-        raise GridFormatError(f"{values_path}: expected {n_time} rows, found {len(rows)}")
-    try:
-        flat = np.array([[float(cell) for cell in row] for row in rows])
-    except ValueError as exc:
-        raise GridFormatError(f"{values_path}: non-numeric cell: {exc}")
-    if flat.shape[1] != n_lat * n_lon:
-        raise GridFormatError(
-            f"{values_path}: expected {n_lat * n_lon} columns, found {flat.shape[1]}"
-        )
+    n_cells = n_lat * n_lon
+    scan = functools.partial(_scan_values, values_path, n_cells)
+    with _open(values_path) as fh:
+        flat = _read_table(fh, None, n_cells, scan, finite=False)
+    if len(flat) != n_time:
+        raise GridFormatError(f"{values_path}: expected {n_time} rows, found {len(flat)}")
     values = flat.reshape(n_time, n_lat, n_lon)
 
     if "mask_file" in entries:
-        mask_rows = _read_rows(os.path.join(base, entries["mask_file"]))
-        if len(mask_rows) != n_lat or any(len(r) != n_lon for r in mask_rows):
-            raise GridFormatError(f"mask file must be {n_lat} rows of {n_lon} flags")
-        mask = np.array([[cell.strip() == "1" for cell in row] for row in mask_rows])
+        mask = _read_mask(os.path.join(base, entries["mask_file"]), n_lat, n_lon)
     else:
         mask = np.ones((n_lat, n_lon), dtype=bool)
     return GridField(values=values, dt=dt, mask=mask, t0=t0)

@@ -7,6 +7,8 @@ objects and is safe to share across concurrent tasks.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -124,35 +126,84 @@ class StationaryWindow:
         return self.end_index - self.start_index
 
 
-def _data_lines(path):
-    """Yield non-comment, non-blank lines of a CSV file."""
-    with open(path, newline="") as fh:
-        for line in fh:
-            if line.lstrip().startswith("#") or not line.strip():
-                continue
-            yield line
+# Data lines are parsed in chunks of at most CHUNK_ROWS lines read from about
+# CHUNK_CHARS characters of text; the text cap bounds a chunk of grid rows,
+# which run to tens of kilobytes each.
+CHUNK_ROWS = 8192
+CHUNK_CHARS = 1 << 19
 
 
-def load_csv(path, column_x1: str, column_x2: str, dt: float) -> tuple[TimeSeries, TimeSeries]:
-    """Read two named columns from a headered CSV into TimeSeries.
+def _data_lines(lines):
+    """The data lines among `lines`: neither blank nor a whole-line '#' comment."""
+    return (line for line in lines if (text := line.strip()) and text[0] != "#")
 
-    Lines starting with '#' are ignored. Every cell of the requested columns
-    must parse as a finite real; missing cells and absent columns are errors.
-    """
-    reader = csv.reader(_data_lines(path))
+
+def _chunks(fh):
+    """Yield the remaining data lines of an open text file as lists of lines."""
+    while raw := fh.readlines(CHUNK_CHARS):
+        lines = list(_data_lines(raw))
+        for start in range(0, len(lines), CHUNK_ROWS):
+            yield lines[start : start + CHUNK_ROWS]
+
+
+def _loadtxt(chunk, usecols):
+    """Convert a chunk with one np.loadtxt call, or None if numpy rejects it."""
+    if '"' in "".join(chunk):
+        return None  # csv quoting: a quoted cell may hold a comma or a line break
     try:
-        header = next(reader)
-    except StopIteration:
+        return np.loadtxt(chunk, delimiter=",", usecols=usecols, comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _read_table(fh, usecols, ncols: int, scan, finite: bool) -> np.ndarray:
+    """Parse the remaining data lines of fh into a float array of ncols columns.
+
+    Each chunk is converted by one np.loadtxt call. The first chunk that holds
+    a quote, that numpy rejects, whose result has the wrong shape or (if
+    finite) a non-finite value goes, with every line after it, to
+    scan(lines, first_row): the reference row-by-row parser, which returns the
+    rest of the table or raises the error for the first bad row. Both routes
+    convert text with CPython's correctly rounded string-to-double, so they
+    give the same bits.
+    """
+    blocks, row = [], 1
+    chunks = _chunks(fh)
+    for chunk in chunks:
+        block = _loadtxt(chunk, usecols)
+        if (
+            block is None
+            or block.shape != (len(chunk), ncols)
+            or (finite and not np.isfinite(block).all())
+        ):
+            blocks.append(scan(itertools.chain(chunk, itertools.chain.from_iterable(chunks)), row))
+            break
+        blocks.append(block)
+        row += len(chunk)
+    return np.concatenate(blocks) if blocks else np.empty((0, ncols))
+
+
+def _header_columns(path, fh, names) -> dict[str, int]:
+    """Read the header of an open CSV file; map each requested name to its index."""
+    header = next(csv.reader(_data_lines(fh)), None)
+    if header is None:
         raise EmptyFile(f"{path}: no header row")
     header = [h.strip() for h in header]
     cols = {}
-    for name in (column_x1, column_x2):
+    for name in names:
         if name not in header:
             raise MissingColumn(f"{path}: column {name!r} not in header {header}")
         cols[name] = header.index(name)
+    return cols
 
-    out: dict[str, list[float]] = {column_x1: [], column_x2: []}
-    for i, row in enumerate(reader, start=1):
+
+def _scan_rows(path, cols: dict[str, int], lines, first_row: int) -> np.ndarray:
+    """Row-by-row reference parse of the columns `cols` of data rows `lines`.
+
+    Returns one column per entry of cols; rows are numbered from first_row.
+    """
+    out: list[float] = []
+    for i, row in enumerate(csv.reader(lines), start=first_row):
         for name, j in cols.items():
             if j >= len(row):
                 raise LengthMismatch(f"{path}: row {i} has no cell for column {name!r}")
@@ -163,12 +214,26 @@ def load_csv(path, column_x1: str, column_x2: str, dt: float) -> tuple[TimeSerie
                 raise NonFiniteValue(f"{path}: row {i}, column {name!r}: {cell!r}", row=i)
             if not math.isfinite(value):
                 raise NonFiniteValue(f"{path}: row {i}, column {name!r}: {cell!r}", row=i)
-            out[name].append(value)
-    if not out[column_x1]:
+            out.append(value)
+    return np.array(out, dtype=float).reshape(-1, len(cols))
+
+
+def load_csv(path, column_x1: str, column_x2: str, dt: float) -> tuple[TimeSeries, TimeSeries]:
+    """Read two named columns from a headered CSV into TimeSeries.
+
+    Lines starting with '#' are ignored. Every cell of the requested columns
+    must parse as a finite real; missing cells and absent columns are errors.
+    """
+    with open(path, newline="") as fh:
+        cols = _header_columns(path, fh, (column_x1, column_x2))
+        scan = functools.partial(_scan_rows, path, cols)
+        table = _read_table(fh, list(cols.values()), len(cols), scan, finite=True)
+    if not len(table):
         raise EmptyFile(f"{path}: no data rows")
+    names = list(cols)
     return (
-        TimeSeries(out[column_x1], dt, label=column_x1),
-        TimeSeries(out[column_x2], dt, label=column_x2),
+        TimeSeries(table[:, names.index(column_x1)], dt, label=column_x1),
+        TimeSeries(table[:, names.index(column_x2)], dt, label=column_x2),
     )
 
 

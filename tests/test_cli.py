@@ -226,12 +226,27 @@ class TestMap:
         (tmp_path / "mask.csv").unlink()
         index_csv = tmp_path / "index.csv"
         index_csv.write_text("index\n" + "\n".join(str(float(i)) for i in range(10)) + "\n")
-        rc = main(
-            ["map", "--index", str(index_csv), "--index-col", "index",
-             "--grid-manifest", manifest, "--out-dir", str(tmp_path / "o")]
-        )
+        argv = ["map", "--index", str(index_csv), "--index-col", "index",
+                "--grid-manifest", manifest, "--out-dir", str(tmp_path / "o")]
+        rc = main(argv)
         assert rc == 2
         capsys.readouterr()
+
+        # malformed values files exit 2 as well, with the loader's message
+        (tmp_path / "grid.csv").write_text(
+            "n_lat,1\nn_lon,2\nn_time,10\ndt,1.0\nvalues_file,vals.csv\n"
+        )
+        good = [f"{i}.0,{i}.5" for i in range(10)]
+        broken = {
+            "non-numeric cell: could not convert string to float: 'abc'":
+                good[:6] + ["6.0,abc"] + good[7:],
+            "expected 2 columns, found 1": good[:6] + ["6.0"] + good[7:],
+            "expected 10 rows, found 9": good[:9],
+        }
+        for message, rows in broken.items():
+            (tmp_path / "vals.csv").write_text("\n".join(rows) + "\n")
+            assert main(argv) == 2
+            assert f"GridFormatError: {tmp_path / 'vals.csv'}: {message}" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -17,6 +17,7 @@ from infoflow import (
     map_flows,
     write_grid,
 )
+from infoflow import series
 
 DT = 0.05
 N_TIME = 3000
@@ -142,13 +143,28 @@ class TestMapFlows:
 
 
 class TestGridIO:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self, tmp_path, monkeypatch):
         _, field, _ = coupled_fixture(seed=7)
         manifest = write_grid(field, tmp_path, "fixture")
         loaded = load_grid(manifest)
         assert np.array_equal(loaded.values, field.values)
         assert np.array_equal(loaded.mask, field.mask)
         assert loaded.dt == field.dt
+
+        # CRLF line ends, a '#' line mid-file and NaN in the masked cell, read
+        # in chunks of a few rows: still bit for bit
+        values = field.values.copy()
+        values[:, ~field.mask] = np.nan
+        with_nan = GridField(values=values, dt=DT, mask=field.mask)
+        manifest = write_grid(with_nan, tmp_path, "crlf")
+        values_file = tmp_path / "crlf_values.csv"
+        lines = values_file.read_text().splitlines()
+        lines.insert(N_TIME // 2, "# mid-file comment")
+        values_file.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        monkeypatch.setattr(series, "CHUNK_CHARS", 1000)
+        loaded = load_grid(manifest)
+        assert loaded.values.tobytes() == with_nan.values.tobytes()
+        assert np.isnan(loaded.values[:, ~field.mask]).all()
 
     def test_missing_manifest_keys(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -162,6 +178,19 @@ class TestGridIO:
         (tmp_path / "fixture_mask.csv").unlink()
         with pytest.raises(GridFormatError):
             load_grid(manifest)
+
+    @pytest.mark.parametrize("flag", ["2", "true", "", "yes", "1.0", "-1", "O", "l"])
+    def test_mask_flags_other_than_0_or_1_rejected(self, tmp_path, flag):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "n_lat,2\nn_lon,2\nn_time,3\ndt,1.0\nvalues_file,v.csv\nmask_file,mask.csv\n"
+        )
+        (tmp_path / "v.csv").write_text("1,2,3,4\n5,6,7,8\n9,1,2,4\n")
+        (tmp_path / "mask.csv").write_text(" 1 ,0\n# comment\n1,0\n")
+        assert load_grid(str(path)).mask.tolist() == [[True, False], [True, False]]
+        (tmp_path / "mask.csv").write_text(f"1,0\n# comment\n1,{flag}\n")
+        with pytest.raises(GridFormatError, match=f"mask row 2: flag {flag!r} is not 0 or 1"):
+            load_grid(str(path))
 
     def test_bad_cell_count(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -5,6 +5,7 @@ import pytest
 
 from infoflow import (
     EmptyFile,
+    InputError,
     LengthMismatch,
     MissingColumn,
     NonFiniteValue,
@@ -17,6 +18,7 @@ from infoflow import (
     load_csv,
     subsample,
 )
+from infoflow import series
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -67,6 +69,87 @@ class TestLoadCsv:
             load_csv(write_csv(tmp_path, ""), "x1", "x2", dt=1.0)
         with pytest.raises(EmptyFile):
             load_csv(write_csv(tmp_path, "x1,x2\n", name="d2.csv"), "x1", "x2", dt=1.0)
+
+
+def _planted(token, row, column="x2", n_rows=10):
+    """Header plus n_rows rows of `t,x1,x2`, with `token` in `column` of data row `row`."""
+    rows = [[f"{i}", f"{0.1 * i!r}", f"{-0.3 * i!r}"] for i in range(1, n_rows + 1)]
+    rows[row - 1][("t", "x1", "x2").index(column)] = token
+    return "t,x1,x2\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+# With CHUNK_ROWS = 3 the ten data rows fall in chunks 1-3, 4-6, 7-9 and 10.
+DIFFERENTIAL_BODIES = {
+    "quoted cells": 'x1,x2\n1,2\n"3.5",4\n5,"6"\n7,8\n9,10\n',
+    "quoted comma in another column": 't,x1,note,x2\n0,1,a,2\n1,3,"b,c",4\n2,5,d,6\n3,7,e,8\n',
+    # numpy, which has no quoting, would read 7 and 8 as x1 and x2 of row 2
+    "quoted commas before the columns": 't,note,x1,x2\n0,a,1,2\n1,"a,7,8,b",3,4\n2,c,5,6\n3,d,7,8\n',
+    "quoted line break": 't,note,x1,x2\n0,a,1,2\n1,"two\n5,6 lines",3,4\n2,c,5,6\n3,d,n/a,8\n',
+    "quote late in the file": 'x1,x2\n1,2\n3,4\n5,6\n7,8\n"9",10\n11,12\n13,14\n',
+    "underscore digits": "x1,x2\n1,2\n3,4\n1_000,5\n6,7\n8,9\n",
+    "non-ASCII digits": "x1,x2\n1,2\n3,4\n5,6\n\u0661\u0662,7\n8,9\n",
+    "trailing comment rejected": "x1,x2\n1,2\n3,4\n5,6\n1.5 # note,7\n8,9\n",
+    "blank, whitespace and CRLF lines": "x1,x2\r\n1,2\r\n   \r\n3,4\r\n\t\n5,6\r\n\r\n7,8\r\n9,10\r\n",
+    "comment lines mid-file": "x1,x2\n1,2\n3,4\n# mid\n5,6\n  # indented\n7,8\n9,10\n",
+    "ragged row": "x1,x2\n1,2\n3,4\n5,6\n7\n8,9\n",
+    "extra cells": "x1,x2\n1,2,3\n4,5\n6,7,8,9\n10,11\n",
+    "swapped header order": "x2,t,x1\n1,0,2\n3,1,4\n5,2,6\n7,3,8\n9,4,10\n",
+    "padded cells": "x1,x2\n 1 ,\t2\n3 , 4\n\u00a05,6\u00a0\n7,8\n",
+    "empty cell": "x1,x2\n1,2\n3,4\n5,6\n,8\n9,10\n",
+    "many chunks": "x1,x2\n" + "".join(f"{i * 0.37!r},{i * -1.1e-7!r}\n" for i in range(50)),
+}
+for _token in ("nan", "inf", "n/a"):
+    for _where, _row in (("first chunk", 2), ("middle chunk", 5), ("last chunk", 10),
+                         ("first row of a chunk", 7)):
+        DIFFERENTIAL_BODIES[f"{_token} in {_where}"] = _planted(_token, _row)
+DIFFERENTIAL_BODIES["-inf in x1 of the first row"] = _planted("-inf", 1, column="x1")
+
+
+def _row_scan(path, x1, x2):
+    """The retained reference parse: every data row through series._scan_rows."""
+    with open(path, newline="") as fh:
+        cols = series._header_columns(path, fh, (x1, x2))
+        table = series._scan_rows(path, cols, series._data_lines(fh), 1)
+    names = list(cols)
+    return table[:, names.index(x1)], table[:, names.index(x2)]
+
+
+def _outcome(load):
+    """Bit patterns of the loaded arrays, or the class, message and row of the error."""
+    try:
+        return [np.asarray(a, dtype=float).tobytes() for a in load()]
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+
+
+class TestChunkedIngest:
+    @pytest.mark.parametrize("columns", [("x1", "x2"), ("x1", "x1")], ids=["x1,x2", "x1=x2"])
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_BODIES))
+    def test_matches_row_scan(self, tmp_path, monkeypatch, name, columns):
+        path = write_csv(tmp_path, DIFFERENTIAL_BODIES[name])
+        monkeypatch.setattr(series, "CHUNK_ROWS", 3)
+        x1, x2 = columns
+        chunked = _outcome(lambda: [s.values for s in load_csv(path, x1, x2, dt=1.0)])
+        assert chunked == _outcome(lambda: _row_scan(path, x1, x2))
+
+    def test_planted_errors_name_their_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(series, "CHUNK_ROWS", 3)
+        for row in (1, 4, 5, 10):
+            path = write_csv(tmp_path, _planted("n/a", row), name=f"r{row}.csv")
+            with pytest.raises(NonFiniteValue, match=f"row {row}, column 'x2': 'n/a'") as exc:
+                load_csv(path, "x1", "x2", dt=1.0)
+            assert exc.value.row == row
+
+    def test_clean_file_never_reaches_row_scan(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path, DIFFERENTIAL_BODIES["comment lines mid-file"])
+        monkeypatch.setattr(series, "CHUNK_ROWS", 2)
+
+        def no_scan(*args):
+            pytest.fail("a clean file fell back to the row scan")
+
+        monkeypatch.setattr(series, "_scan_rows", no_scan)
+        s1, s2 = load_csv(path, "x1", "x2", dt=1.0)
+        assert s1.values.tolist() == [1, 3, 5, 7, 9] and s2.values.tolist() == [2, 4, 6, 8, 10]
 
 
 class TestTimeSeries:

@@ -47,7 +47,6 @@ from .estimator import (
     fisher_ci,
     fit_mle,
     flow,
-    flow_nonstationary,
     observed_information,
 )
 from .fieldmap import FlowMap, GridField, load_grid, map_flows, write_flow_maps, write_grid
@@ -58,9 +57,11 @@ from .series import (
     align,
     detrend_linear,
     load_csv,
+    star_window_from_times,
     subsample,
+    window,
 )
-from .simulator import SimConfig, simulate, window
+from .simulator import SimConfig, simulate
 from .theory import (
     LinearModel2D,
     MomentState,
@@ -73,7 +74,6 @@ from .validate import (
     noise_dominated_model,
     reference_model,
     run_validation,
-    star_window_from_times,
 )
 
 __version__ = "0.1.0"
@@ -119,7 +119,6 @@ __all__ = [
     "fisher_ci",
     "fit_mle",
     "flow",
-    "flow_nonstationary",
     "integrate_moments",
     "load_csv",
     "load_grid",

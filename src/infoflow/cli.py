@@ -31,10 +31,10 @@ from .estimator import (
     fit_mle,
 )
 from .fieldmap import load_grid, map_flows, write_flow_maps
-from .series import align, load_csv, subsample
-from .simulator import SimConfig, simulate, window
+from .series import align, load_csv, star_window_from_times, subsample, window
+from .simulator import SimConfig, simulate
 from .theory import LinearModel2D, MomentState, analytic_flows, integrate_moments, stationary_covariance
-from .validate import FIXTURE_SEEDS, run_validation, star_window_from_times
+from .validate import FIXTURE_SEEDS, run_validation
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -151,6 +151,12 @@ def _summary_line(direction: str, t: float, significant: bool, alpha: float, uni
 
 def cmd_analyze(args) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
+    if args.detrend_star and not args.star_window:
+        raise InputError("--detrend-star needs --star-window")
+    if args.star_window and args.ci == "bootstrap":
+        raise InputError(
+            "bootstrap intervals are not defined for the star variant; use --ci fisher"
+        )
     x1, x2 = load_csv(args.input, args.x1, args.x2, args.dt)
     if args.window:
         t_start, t_end = _parse_window(args.window, "--window")
@@ -165,10 +171,6 @@ def cmd_analyze(args) -> int:
     if args.star_window:
         t_start, t_end = _parse_window(args.star_window, "--star-window")
         star = star_window_from_times(x1, t_start, t_end)
-        if args.ci == "bootstrap":
-            raise InputError(
-                "bootstrap intervals are not defined for the star variant; use --ci fisher"
-            )
     if args.ci == "bootstrap":
         est = bootstrap_ci(
             pair, alpha=args.alpha, n_boot=args.n_boot, block_len=args.block_len, seed=seed

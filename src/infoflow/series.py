@@ -21,9 +21,14 @@ from .errors import (
     MissingColumn,
     NonFiniteValue,
     TooShortAfterSubsample,
+    WindowOutOfRange,
+    WindowTooShort,
 )
 
 _MIN_LENGTH = 3  # two aligned difference points + nondegenerate covariance
+
+# slack for float time-to-index conversion in _time_span()
+_TIME_EPS = 1e-9
 
 
 def _freeze(values) -> np.ndarray:
@@ -247,6 +252,44 @@ def subsample(s: TimeSeries, delta_n: int) -> TimeSeries:
             f"subsampling by {delta_n} leaves {values.size} points (need {_MIN_LENGTH})"
         )
     return TimeSeries(values, s.dt * delta_n, s.t0, s.label)
+
+
+def _time_span(s: TimeSeries, t_start: float, t_end: float) -> tuple[int, int]:
+    """Indices of the first and last sample inside user times [t_start, t_end]."""
+    i0 = math.ceil((t_start - s.t0) / s.dt - _TIME_EPS)
+    i1 = math.floor((t_end - s.t0) / s.dt + _TIME_EPS)
+    return i0, i1
+
+
+def window(series: TimeSeries, t_start: float, t_end: float) -> TimeSeries:
+    """Contiguous slice covering user times [t_start, t_end]; t0 is updated."""
+    if not t_start < t_end:
+        raise WindowOutOfRange(f"empty window: t_start={t_start}, t_end={t_end}")
+    i0, i1 = _time_span(series, t_start, t_end)
+    if i0 < 0 or i1 > len(series) - 1:
+        raise WindowOutOfRange(
+            f"window [{t_start}, {t_end}] outside series extent "
+            f"[{series.t0}, {series.t_end}]"
+        )
+    if i1 - i0 + 1 < _MIN_LENGTH:
+        raise WindowOutOfRange(f"window [{t_start}, {t_end}] covers fewer than 3 samples")
+    return TimeSeries(
+        series.values[i0 : i1 + 1], series.dt, series.t0 + i0 * series.dt, series.label
+    )
+
+
+def star_window_from_times(
+    series: TimeSeries, t_start: float, t_end: float
+) -> StationaryWindow:
+    """Convert user times to a StationaryWindow over the aligned sample of series."""
+    start, last = _time_span(series, t_start, t_end)
+    end = min(len(series) - 1, last + 1)
+    if start < 0 or end - start < _MIN_LENGTH:
+        raise WindowTooShort(
+            f"star window [{t_start}, {t_end}] does not select >= 3 aligned samples "
+            f"of the analyzed window [{series.t0}, {series.t_end}]"
+        )
+    return StationaryWindow(start, end)
 
 
 def align(x1: TimeSeries, x2: TimeSeries) -> AlignedPair:

@@ -1,5 +1,5 @@
 """Sample-path generation for 2-D linear SDEs (forward Euler with Gaussian
-increments of variance dt) and time-window extraction."""
+increments of variance dt)."""
 
 from __future__ import annotations
 
@@ -8,15 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState, WindowOutOfRange
+from .errors import NonFiniteState
 from .kernels import BACKEND, euler_path_2d
 from .series import TimeSeries
 from .theory import LinearModel2D
 
-__all__ = ["SimConfig", "simulate", "window", "BACKEND"]
-
-# slack for float time-to-index conversion in window()
-_TIME_EPS = 1e-9
+__all__ = ["SimConfig", "simulate", "BACKEND"]
 
 
 @dataclass(frozen=True)
@@ -76,20 +73,3 @@ def simulate(cfg: SimConfig) -> tuple[TimeSeries, TimeSeries]:
         TimeSeries(out2, cfg.dt, 0.0, "x2"),
     )
 
-
-def window(series: TimeSeries, t_start: float, t_end: float) -> TimeSeries:
-    """Contiguous slice covering user times [t_start, t_end]; t0 is updated."""
-    if not t_start < t_end:
-        raise WindowOutOfRange(f"empty window: t_start={t_start}, t_end={t_end}")
-    i0 = math.ceil((t_start - series.t0) / series.dt - _TIME_EPS)
-    i1 = math.floor((t_end - series.t0) / series.dt + _TIME_EPS)
-    if i0 < 0 or i1 > len(series) - 1:
-        raise WindowOutOfRange(
-            f"window [{t_start}, {t_end}] outside series extent "
-            f"[{series.t0}, {series.t_end}]"
-        )
-    if i1 - i0 + 1 < 3:
-        raise WindowOutOfRange(f"window [{t_start}, {t_end}] covers fewer than 3 samples")
-    return TimeSeries(
-        series.values[i0 : i1 + 1], series.dt, series.t0 + i0 * series.dt, series.label
-    )

@@ -16,15 +16,13 @@ time spans and sampling intervals, and checks them against reference bands.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WindowTooShort
 from .estimator import FlowEstimate, covariances, fisher_ci, fit_mle, flow
-from .series import StationaryWindow, TimeSeries, align, subsample
-from .simulator import SimConfig, simulate, window
+from .series import TimeSeries, align, star_window_from_times, subsample, window
+from .simulator import SimConfig, simulate
 from .theory import LinearModel2D, analytic_flows, stationary_covariance
 
 
@@ -86,38 +84,23 @@ def _band_row(name, value, reference, lo, hi, scale) -> CheckRow:
     return CheckRow(name, value, reference, lo_s, hi_s, bool(lo_s <= value <= hi_s))
 
 
-def star_window_from_times(
-    series: TimeSeries, t_start: float, t_end: float
-) -> StationaryWindow:
-    """Convert user times to a StationaryWindow over the aligned sample."""
-    eps = 1e-9
-    m = len(series) - 1
-    start = math.ceil((t_start - series.t0) / series.dt - eps)
-    end = min(m, math.floor((t_end - series.t0) / series.dt + eps) + 1)
-    if start < 0 or end - start < 3:
-        raise WindowTooShort(
-            f"star window [{t_start}, {t_end}] does not select >= 3 aligned samples "
-            f"of the analyzed window [{series.t0}, {series.t_end}]"
-        )
-    return StationaryWindow(start, end)
-
-
-def _pair_flows(x1: TimeSeries, x2: TimeSeries, delta_n: int = 1):
+def _prepared(x1: TimeSeries, x2: TimeSeries, delta_n: int):
+    """Subsample both series by delta_n, align them and take their covariances."""
     if delta_n > 1:
         x1, x2 = subsample(x1, delta_n), subsample(x2, delta_n)
     pair = align(x1, x2)
-    cov = covariances(pair)
-    return pair, cov, flow(cov)
+    return x1, pair, covariances(pair)
+
+
+def _pair_flows(x1: TimeSeries, x2: TimeSeries, delta_n: int = 1) -> tuple[float, float]:
+    _, _, cov = _prepared(x1, x2, delta_n)
+    return flow(cov)
 
 
 def _pair_ci(x1, x2, delta_n=1, alpha=0.05, star_times=None) -> FlowEstimate:
-    if delta_n > 1:
-        x1, x2 = subsample(x1, delta_n), subsample(x2, delta_n)
-    pair = align(x1, x2)
-    cov = covariances(pair)
-    model = fit_mle(pair, cov)
+    x1, pair, cov = _prepared(x1, x2, delta_n)
     star = star_window_from_times(x1, *star_times) if star_times else None
-    return fisher_ci(pair, model, cov, alpha, star_window=star)
+    return fisher_ci(pair, fit_mle(pair, cov), cov, alpha, star_window=star)
 
 
 def run_table1(seed: int, band_scale: float = 1.0) -> list[CheckRow]:
@@ -126,7 +109,7 @@ def run_table1(seed: int, band_scale: float = 1.0) -> list[CheckRow]:
     rows: list[CheckRow] = []
 
     w1, w2 = window(x1, 5.0, 100.0), window(x2, 5.0, 100.0)
-    _, _, (t21, t12) = _pair_flows(w1, w2)
+    t21, t12 = _pair_flows(w1, w2)
     rows.append(_band_row("t=5-100 dn=1 t21", t21, 0.11, 0.08, 0.14, band_scale))
     rows.append(
         CheckRow(
@@ -138,9 +121,9 @@ def run_table1(seed: int, band_scale: float = 1.0) -> list[CheckRow]:
             bool(abs(t12) <= 0.02 * band_scale),
         )
     )
-    _, _, (t21, _) = _pair_flows(w1, w2, delta_n=20)
+    t21, _ = _pair_flows(w1, w2, delta_n=20)
     rows.append(_band_row("t=5-100 dn=20 t21", t21, 0.10, 0.07, 0.13, band_scale))
-    _, _, (t21, _) = _pair_flows(w1, w2, delta_n=100)
+    t21, _ = _pair_flows(w1, w2, delta_n=100)
     rows.append(_band_row("t=5-100 dn=100 t21", t21, 0.09, 0.06, 0.12, band_scale))
 
     s1, s2 = window(x1, 10.0, 20.0), window(x2, 10.0, 20.0)
@@ -158,7 +141,7 @@ def run_table1(seed: int, band_scale: float = 1.0) -> list[CheckRow]:
     rows.append(CheckRow("t=10-20 dn=10 t12", est10.t12, 0.20))
 
     n1, n2 = window(x1, 0.0, 10.0), window(x2, 0.0, 10.0)
-    _, _, (t21_plain, t12_plain) = _pair_flows(n1, n2)
+    t21_plain, t12_plain = _pair_flows(n1, n2)
     rows.append(CheckRow("t=0-10 dn=1 t21 (no star)", t21_plain, 0.74))
     rows.append(CheckRow("t=0-10 dn=1 t12 (no star)", t12_plain, 0.10))
     for dn, ref in ((1, 0.29), (10, 0.28)):

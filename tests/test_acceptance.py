@@ -167,6 +167,29 @@ def test_criterion_5_invariance_suite():
             assert swapped == (base[1], base[0])
 
 
+def test_criterion_5_fisher_se_invariance(reference_path):
+    # The Fisher standard errors, like the flows, must not see a constant
+    # offset or a change of units. At offset 1e7 the input itself is rounded
+    # to ~1e-9, which moves t21 by a few 1e-9 relative; 1e-7 leaves a margin
+    # over that and over the ~1e-15 of the unshifted arithmetic.
+    with criterion(5, "Fisher SE offset/unit invariance, seed-149 t=10-20"):
+        x1, x2 = reference_path
+        w1, w2 = window(x1, 10.0, 20.0), window(x2, 10.0, 20.0)
+
+        def estimate(v1, v2):
+            pair = make_pair(v1, v2, dt=w1.dt)
+            cov = covariances(pair)
+            return fisher_ci(pair, fit_mle(pair, cov), cov)
+
+        base = estimate(w1.values, w2.values)
+        variants = {f"offset {c:g}": (w1.values + c, w2.values + c) for c in (1e3, 1e6, 1e7)}
+        variants["units x1*1e3, x2*-1e-2"] = (1e3 * w1.values, -1e-2 * w2.values)
+        for name, (v1, v2) in variants.items():
+            est = estimate(v1, v2)
+            for key in ("t21", "t12", "se21", "se12"):
+                assert getattr(est, key) == pytest.approx(getattr(base, key), rel=1e-7), (name, key)
+
+
 def _log_likelihood_component1(pair, theta):
     """Independent restatement of the summed per-step log transition density
     for component 1 (theta-independent constants dropped)."""

@@ -78,6 +78,23 @@ class TestAnalyze:
         assert rc == 2
         assert "bootstrap" in captured.err
 
+    def test_detrend_star_without_star_window_rejected(self, capsys, path_csv, tmp_path):
+        # --detrend-star acts only on a star slab; alone it must not pass as
+        # a stationary run whose manifest claims detrending
+        rc, captured = run_analyze(capsys, path_csv, "--window", "0:10", "--detrend-star")
+        assert rc == 2
+        assert captured.out == ""
+        assert "InputError" in captured.err and "--star-window" in captured.err
+        # flag conflicts are reported before the input file is read
+        absent = str(tmp_path / "absent.csv")
+        for extra, word in (
+            (["--detrend-star"], "--detrend-star"),
+            (["--star-window", "5:10", "--ci", "bootstrap"], "bootstrap"),
+        ):
+            rc, captured = run_analyze(capsys, absent, *extra)
+            assert rc == 2
+            assert word in captured.err and "FileNotFoundError" not in captured.err
+
     def test_collinear_input_exit_code(self, capsys, tmp_path):
         path = tmp_path / "collinear.csv"
         rows = "\n".join(f"{v},{v}" for v in np.linspace(0, 1, 32))

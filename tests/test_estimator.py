@@ -17,7 +17,6 @@ from infoflow import (
     fisher_ci,
     fit_mle,
     flow,
-    flow_nonstationary,
     observed_information,
     reference_model,
     simulate,
@@ -164,11 +163,18 @@ class TestFlow:
 
 
 class TestFlowNonstationary:
+    @staticmethod
+    def star_ci(pair, star, detrend_star=False):
+        cov = covariances(pair)
+        model = fit_mle(pair, cov)
+        return fisher_ci(pair, model, cov, star_window=star, detrend_star=detrend_star)
+
     def test_full_window_reduces_to_flow(self, reference_path):
         x1, x2 = reference_path
         pair = align(window(x1, 0.0, 10.0), window(x2, 0.0, 10.0))
         star = StationaryWindow(0, pair.m)
-        assert flow_nonstationary(pair, star) == flow(covariances(pair))
+        est = self.star_ci(pair, star)
+        assert (est.t21, est.t12) == flow(covariances(pair))
 
     def test_star_window_shrinks_transient_inflation(self, reference_path):
         # the spin-down from (1, 2) inflates the plain ratio; the starred
@@ -176,7 +182,7 @@ class TestFlowNonstationary:
         x1, x2 = reference_path
         pair = align(window(x1, 0.0, 10.0), window(x2, 0.0, 10.0))
         t21_plain, _ = flow(covariances(pair))
-        t21_star, _ = flow_nonstationary(pair, StationaryWindow(5000, pair.m))
+        t21_star = self.star_ci(pair, StationaryWindow(5000, pair.m)).t21
         assert abs(t21_star - 0.1111) < abs(t21_plain - 0.1111)
 
     def test_detrend_star_uses_detrended_slab_ratio(self, reference_path):
@@ -192,9 +198,9 @@ class TestFlowNonstationary:
         c11 = float(np.var(s1, ddof=1))
         c22 = float(np.var(s2, ddof=1))
         c12 = float(((s1 - s1.mean()) * (s2 - s2.mean())).sum()) / (len(s1) - 1)
-        t21, t12 = flow_nonstationary(pair, star, detrend_star=True)
-        assert t21 == pytest.approx(c12 / c11 * model.a12_hat, rel=1e-12)
-        assert t12 == pytest.approx(c12 / c22 * model.a21_hat, rel=1e-12)
+        est = self.star_ci(pair, star, detrend_star=True)
+        assert est.t21 == pytest.approx(c12 / c11 * model.a12_hat, rel=1e-12)
+        assert est.t12 == pytest.approx(c12 / c22 * model.a21_hat, rel=1e-12)
 
     def test_detrend_star_ignores_linear_ramps(self, reference_path):
         # detrending is a projection: a linear-in-index ramp added to the
@@ -223,7 +229,7 @@ class TestFlowNonstationary:
         rng = np.random.default_rng(4)
         pair = random_walk_pair(rng, n=20)
         with pytest.raises(WindowTooShort):
-            flow_nonstationary(pair, StationaryWindow(0, pair.m + 5))
+            self.star_ci(pair, StationaryWindow(0, pair.m + 5))
 
     def test_window_must_have_three_points(self):
         with pytest.raises(ValueError):
@@ -241,6 +247,23 @@ class TestFisherCi:
         gram = design.T @ design
         expected = pair.dt / model.b1_hat**2 * gram
         assert np.allclose(ni[:3, :3], expected, rtol=1e-8)
+
+    def test_closed_form_se_is_inverse_information(self):
+        # the Schur-form SEs equal the cross-drift entries of the inverted
+        # observed information, the matrix criterion 6 checks against an
+        # FD Hessian of the log-likelihood
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            pair = random_walk_pair(rng)
+            cov = covariances(pair)
+            model = fit_mle(pair, cov)
+            est = fisher_ci(pair, model, cov)
+            inv1 = np.linalg.inv(observed_information(pair, model, component=1))
+            inv2 = np.linalg.inv(observed_information(pair, model, component=2))
+            se21 = abs(cov.c12 / cov.c11) * np.sqrt(inv1[2, 2])
+            se12 = abs(cov.c12 / cov.c22) * np.sqrt(inv2[1, 1])
+            assert est.se21 == pytest.approx(se21, rel=1e-12)
+            assert est.se12 == pytest.approx(se12, rel=1e-12)
 
     def test_interval_width_invariant(self):
         rng = np.random.default_rng(13)

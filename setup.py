@@ -1,33 +1,13 @@
-"""Build script: compiles the optional Euler-path accelerator.
+"""Build script: compiles the optional Euler-path accelerator, src/infoflow/_kernels.c.
 
-The package installs and works without the extension; the simulator falls
-back to a pure-Python kernel selected at import time (see infoflow.kernels).
+The package installs and works without the extension; infoflow.kernels falls
+back to the pure-Python kernel when it does not import.
 """
 
 import warnings
 
-from setuptools import setup
+from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
-
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-    from setuptools.extension import Extension
-
-    # -ffp-contract=off: no FMA contraction, so the compiled kernel stays
-    # bit-identical to the pure-Python fallback.
-    ext_modules = cythonize(
-        [
-            Extension(
-                "infoflow._kernels",
-                ["src/infoflow/_kernels.pyx"],
-                extra_compile_args=["-O3", "-ffp-contract=off"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    warnings.warn("Cython not available; installing with the pure-Python kernel only")
 
 
 class OptionalBuildExt(build_ext):
@@ -46,4 +26,15 @@ class OptionalBuildExt(build_ext):
             warnings.warn(f"compiled kernel build failed ({exc}); using pure-Python fallback")
 
 
-setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[
+        # -ffp-contract=off: no FMA contraction, so the compiled kernel stays
+        # bit-identical to the pure-Python fallback.
+        Extension(
+            "infoflow._kernels",
+            ["src/infoflow/_kernels.c"],
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+        )
+    ],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

@@ -1,6 +1,6 @@
 """Pure-Python fallback for the path-generation hot loop.
 
-Keep the update expressions byte-for-byte identical to _kernels.pyx so both
+Keep the update expressions byte-for-byte identical to _kernels.c so both
 backends produce bit-identical paths for the same increments.
 """
 

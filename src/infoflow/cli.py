@@ -157,20 +157,18 @@ def cmd_analyze(args) -> int:
         raise InputError(
             "bootstrap intervals are not defined for the star variant; use --ci fisher"
         )
+    span = _parse_window(args.window, "--window") if args.window else None
+    star_span = _parse_window(args.star_window, "--star-window") if args.star_window else None
     x1, x2 = load_csv(args.input, args.x1, args.x2, args.dt)
-    if args.window:
-        t_start, t_end = _parse_window(args.window, "--window")
-        x1, x2 = window(x1, t_start, t_end), window(x2, t_start, t_end)
+    if span:
+        x1, x2 = window(x1, *span), window(x2, *span)
     if args.subsample > 1:
         x1, x2 = subsample(x1, args.subsample), subsample(x2, args.subsample)
     pair = align(x1, x2)
     cov = covariances(pair)
     model = fit_mle(pair, cov)
 
-    star = None
-    if args.star_window:
-        t_start, t_end = _parse_window(args.star_window, "--star-window")
-        star = star_window_from_times(x1, t_start, t_end)
+    star = star_window_from_times(x1, *star_span) if star_span else None
     if args.ci == "bootstrap":
         est = bootstrap_ci(
             pair, alpha=args.alpha, n_boot=args.n_boot, block_len=args.block_len, seed=seed

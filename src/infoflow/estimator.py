@@ -214,20 +214,15 @@ def _star_ratios(
             f"star window [{star_window.start_index}, {star_window.end_index}) "
             f"exceeds the aligned sample of {pair.m} points"
         )
-    s1 = pair.x1w[star_window.start_index : star_window.end_index]
-    s2 = pair.x2w[star_window.start_index : star_window.end_index]
+    slab = slice(star_window.start_index, star_window.end_index)
+    w1, w2, d1, d2 = (np.array(a[slab]) for a in (pair.x1w, pair.x2w, pair.d1, pair.d2))
     if detrend_star:
-        s1 = detrend_values(s1)
-        s2 = detrend_values(s2)
-    c1 = s1 - s1.mean()
-    c2 = s2 - s2.mean()
-    denom = len(star_window) - 1
-    c11s = float(c1 @ c1) / denom
-    c22s = float(c2 @ c2) / denom
-    c12s = float(c1 @ c2) / denom
-    if c11s < _VAR_FLOOR or c22s < _VAR_FLOOR:
-        raise DegenerateSeries(f"degenerate star-window variance: c11*={c11s}, c22*={c22s}")
-    return c12s / c11s, c12s / c22s
+        w1, w2 = detrend_values(w1), detrend_values(w2)
+    try:
+        cov = _covariances(w1, w2, d1, d2)
+    except DegenerateSeries as exc:
+        raise DegenerateSeries(f"star window: {exc}") from None
+    return cov.c12 / cov.c11, cov.c12 / cov.c22
 
 
 def z_quantile(alpha: float) -> float:

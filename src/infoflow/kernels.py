@@ -1,27 +1,21 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when present; setting the environment
-variable INFOFLOW_PURE_PYTHON=1 forces the pure-Python fallback (used by the
-benchmark and the backend-equivalence tests).
+The compiled extension (built from _kernels.c) is used whenever it imports;
+otherwise the pure-Python fallback in _kernels_py runs. Both produce
+bit-identical paths.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _kernels_py
 
-if os.environ.get("INFOFLOW_PURE_PYTHON"):
+try:
+    from . import _kernels as _impl  # type: ignore[no-redef]
+
+    BACKEND = "compiled"
+except ImportError:
     _impl = _kernels_py
     BACKEND = "python"
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _kernels_py
-        BACKEND = "python"
 
 euler_path_2d = _impl.euler_path_2d
 
@@ -29,10 +23,6 @@ euler_path_2d = _impl.euler_path_2d
 def available_backends() -> dict[str, object]:
     """Map backend name -> kernel function, for benchmarks and tests."""
     backends: dict[str, object] = {"python": _kernels_py.euler_path_2d}
-    try:
-        from . import _kernels
-
-        backends["compiled"] = _kernels.euler_path_2d
-    except ImportError:
-        pass
+    if BACKEND == "compiled":
+        backends["compiled"] = euler_path_2d
     return backends

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteState
-from .kernels import BACKEND, euler_path_2d
+from .kernels import euler_path_2d
 from .series import TimeSeries
 from .theory import LinearModel2D
 
-__all__ = ["SimConfig", "simulate", "BACKEND"]
+__all__ = ["SimConfig", "simulate"]
 
 
 @dataclass(frozen=True)

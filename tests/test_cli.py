@@ -85,11 +85,14 @@ class TestAnalyze:
         assert rc == 2
         assert captured.out == ""
         assert "InputError" in captured.err and "--star-window" in captured.err
-        # flag conflicts are reported before the input file is read
+        # flag conflicts and malformed windows are reported before the input
+        # file is read
         absent = str(tmp_path / "absent.csv")
         for extra, word in (
             (["--detrend-star"], "--detrend-star"),
             (["--star-window", "5:10", "--ci", "bootstrap"], "bootstrap"),
+            (["--window", "5-10"], "--window"),
+            (["--star-window", "5-10"], "--star-window"),
         ):
             rc, captured = run_analyze(capsys, absent, *extra)
             assert rc == 2

@@ -46,6 +46,36 @@ def test_backends_bit_identical():
     assert np.array_equal(c2, p2)
 
 
+@pytest.mark.parametrize("defect", ["short_out", "short_dw2", "float32_dw1", "strided_out1"])
+def test_compiled_kernel_rejects_bad_buffers(defect):
+    backends = available_backends()
+    if "compiled" not in backends:
+        pytest.skip("compiled kernel not built")
+    n = 8
+    sentinel = -7.0
+    # out1 is a view into a larger sentinel-filled array, so a write past its
+    # end would show in the tail
+    store = np.full(2 * n + 2, sentinel)
+    out1 = store[: n + 1]
+    out2 = np.full(n + 1, sentinel)
+    dw1 = np.ones(n)
+    dw2 = np.ones(n)
+    if defect == "short_out":
+        out1 = store[:n]
+    elif defect == "short_dw2":
+        dw2 = np.ones(n - 1)
+    elif defect == "float32_dw1":
+        dw1 = np.ones(n, dtype=np.float32)
+    else:
+        out1 = store[::2]
+    with pytest.raises((ValueError, TypeError)):
+        backends["compiled"](
+            out1, out2, dw1, dw2, 0.0, 0.0, -1.0, 0.5, 0.0, -1.0, 0.1, 0.1, 1e-3, 1.0, 2.0
+        )
+    assert np.all(store == sentinel)
+    assert np.all(out2 == sentinel)
+
+
 def test_python_kernel_matches_reference_recursion():
     # independent NumPy re-statement of the update rule
     fn = available_backends()["python"]

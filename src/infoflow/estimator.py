@@ -17,9 +17,14 @@ covariances,
     se21 = |C12 / C11| * b1_hat * sqrt(C11 / (dt * (m-1) * (C11 * C22 - C12**2)))
 
 with b1_hat the residual noise level of the x1 equation, so it does not depend
-on a constant offset of either series. The pair pipeline, the field map, the
-bootstrap resamples and the validation harness all go through covariances()
-and the one drift closed form in _drift().
+on a constant offset of either series. The pair pipeline, the field map and
+the validation harness go through covariances() and the one drift closed form
+in _drift(), with the floors in _degenerate() and _collinear().
+
+The moving-block bootstrap takes each resample's covariances from prefix sums
+of the centred series and their products, in O(m/L) per resample for block
+length L (see bootstrap_ci); the same floors and _drift() then act
+elementwise on arrays of resamples.
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ import numpy as np
 from .errors import (
     CollinearSeries,
     DegenerateSeries,
-    NumericalError,
     SingularFisher,
     WindowTooShort,
 )
@@ -54,7 +58,10 @@ class Variant(str, Enum):
 
 @dataclass(frozen=True)
 class CovarianceStats:
-    """The sample covariances and means on the aligned window (divisor m-1)."""
+    """The sample covariances and means on the aligned window (divisor m-1).
+
+    The bootstrap fills the fields with arrays, one entry per resample.
+    """
 
     c11: float
     c12: float
@@ -152,20 +159,37 @@ def _covariances(w1, w2, d1, d2) -> CovarianceStats:
         mean_d2=mean_d2,
         m=m,
     )
-    if stats.c11 < _VAR_FLOOR or stats.c22 < _VAR_FLOOR:
+    if _degenerate(stats):
         raise DegenerateSeries(f"degenerate variance: c11={stats.c11}, c22={stats.c22}")
     return stats
+
+
+def _degenerate(cov: CovarianceStats):
+    """Whether a variance is below the floor (elementwise over a batch)."""
+    return (cov.c11 < _VAR_FLOOR) | (cov.c22 < _VAR_FLOOR)
+
+
+def _collinear(cov: CovarianceStats):
+    """Whether det is below the collinearity floor (elementwise over a batch)."""
+    return cov.det <= DET_FLOOR * cov.c11 * cov.c22
+
+
+def _checked_drift(cov: CovarianceStats) -> tuple[float, float, float, float, float]:
+    """_drift() of one sample; raises CollinearSeries below the floor."""
+    if _collinear(cov):
+        raise CollinearSeries(f"covariance determinant {cov.det} below the collinearity floor")
+    return _drift(cov)
 
 
 def _drift(cov: CovarianceStats) -> tuple[float, float, float, float, float]:
     """(det, a11, a12, a21, a22): the drift-matrix closed forms.
 
-    flow() and fit_mle() both take the drift from here, so that
-    t21 == (c12/c11) * a12_hat holds bitwise.
+    flow(), fit_mle(), fisher_ci() and the bootstrap all take the drift from
+    here, so that t21 == (c12/c11) * a12_hat holds bitwise. It is elementwise
+    over a batch of covariances; collinear entries must be excluded first
+    (_checked_drift for one sample, a mask for a batch).
     """
     det = cov.det
-    if det <= DET_FLOOR * cov.c11 * cov.c22:
-        raise CollinearSeries(f"covariance determinant {det} below the collinearity floor")
     a11 = (cov.c22 * cov.c1d1 - cov.c12 * cov.c2d1) / det
     a12 = (-cov.c12 * cov.c1d1 + cov.c11 * cov.c2d1) / det
     a21 = (-cov.c12 * cov.c2d2 + cov.c22 * cov.c1d2) / det
@@ -175,7 +199,7 @@ def _drift(cov: CovarianceStats) -> tuple[float, float, float, float, float]:
 
 def fit_mle(pair: AlignedPair, cov: CovarianceStats) -> ModelEstimate:
     """Closed-form MLE of (f, A, B) from the decoupled normal equations."""
-    _, a11, a12, a21, a22 = _drift(cov)
+    _, a11, a12, a21, a22 = _checked_drift(cov)
     f1 = cov.mean_d1 - a11 * cov.mean_x1 - a12 * cov.mean_x2
     f2 = cov.mean_d2 - a21 * cov.mean_x1 - a22 * cov.mean_x2
     r1 = pair.d1 - (f1 + a11 * pair.x1w + a12 * pair.x2w)
@@ -199,10 +223,13 @@ def fit_mle(pair: AlignedPair, cov: CovarianceStats) -> ModelEstimate:
 
 def flow(cov: CovarianceStats) -> tuple[float, float]:
     """Information-flow rates (t21, t12) in nats per unit time."""
-    _, _, a12, a21, _ = _drift(cov)
-    t21 = (cov.c12 / cov.c11) * a12
-    t12 = (cov.c12 / cov.c22) * a21
-    return t21, t12
+    _, _, a12, a21, _ = _checked_drift(cov)
+    return _rates(cov, a12, a21)
+
+
+def _rates(cov: CovarianceStats, a12, a21) -> tuple[float, float]:
+    """(t21, t12) = ((c12/c11) * a12, (c12/c22) * a21), elementwise over a batch."""
+    return (cov.c12 / cov.c11) * a12, (cov.c12 / cov.c22) * a21
 
 
 def _star_ratios(
@@ -298,7 +325,7 @@ def fisher_ci(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    det, _, a12, a21, _ = _drift(cov)
+    det, _, a12, a21, _ = _checked_drift(cov)
     denom = pair.dt * (cov.m - 1) * det
     sigma_a12 = _checked_noise(model.b1_hat) * math.sqrt(cov.c11 / denom)
     sigma_a21 = _checked_noise(model.b2_hat) * math.sqrt(cov.c22 / denom)
@@ -343,8 +370,24 @@ def bootstrap_ci(
     """Moving-block bootstrap percentile intervals for both flow rates.
 
     Rows (x1, x2, d1, d2) are resampled jointly in contiguous blocks of
-    block_len aligned indices. Collinear resamples are discarded and redrawn;
-    the count is reported in n_discarded. Deterministic for a fixed seed.
+    block_len aligned indices; a resample is n_blocks = ceil(m / block_len)
+    blocks with uniformly drawn starts, the last one cut to the m-th row.
+    Resamples with a degenerate variance or collinear series are discarded
+    and redrawn; the count is reported in n_discarded. Deterministic for a
+    fixed seed.
+
+    A resample's covariances need only its sums S_a of the four series,
+    centred on the full-sample means, and Q_ab of their seven products:
+    c_ab = (Q_ab - S_a * S_b / m) / (m - 1). Each sum is a sum of n_blocks
+    block sums, and each block sum a difference of two prefix sums, so a
+    resample costs O(m / block_len) instead of O(m). Resamples go in chunks
+    of at least m gathered block sums, each chunk building its prefix sums
+    once in O(m): O(m + n_boot * m / block_len) in all, in O(m) memory. The
+    covariances then go through the floors and the drift closed form of
+    covariances() and flow(), elementwise. The random draws are those of
+    one rng.integers(0, m - block_len + 1, size=n_blocks) call per resample,
+    in order, and only as many are drawn as resamples are still missing.
+    With block_len == m every resample is the sample itself.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -359,40 +402,42 @@ def bootstrap_ci(
     cov = covariances(pair)
     t21, t12 = flow(cov)
 
-    data = pair.x1w, pair.x2w, pair.d1, pair.d2
-    # Each resample is gathered into the same four buffers. Arrays allocated
-    # and freed whole on every resample let malloc hand the heap top back to
-    # the system, and every resample then faults its pages in again (about
-    # 2.5x slower at m = 100k).
-    rows = [np.empty(m) for _ in data]
-    n_blocks = -(-m // block_len)
-    n_starts = m - block_len + 1
-    offsets = np.arange(block_len)
-    rng = np.random.default_rng(seed)
-
     t21s = np.empty(n_boot)
     t12s = np.empty(n_boot)
     n_discarded = 0
-    max_draws = 10 * n_boot
-    draws = 0
-    i = 0
-    while i < n_boot:
-        if draws >= max_draws:
-            raise CollinearSeries(
-                f"{n_discarded} of {draws} bootstrap resamples were collinear; giving up"
-            )
-        draws += 1
-        starts = rng.integers(0, n_starts, size=n_blocks)
-        idx = (starts[:, None] + offsets[None, :]).ravel()[:m]
-        for src, row in zip(data, rows):
-            # idx is in range, so "clip" changes no index; "raise" would buffer out
-            np.take(src, idx, out=row, mode="clip")
-        try:
-            t21s[i], t12s[i] = flow(_covariances(*rows))
-        except NumericalError:
-            n_discarded += 1
-            continue
-        i += 1
+    n_blocks = -(-m // block_len)
+    if n_blocks == 1:
+        # block_len == m: every resample is the sample itself
+        t21s[:] = t21
+        t12s[:] = t12
+    else:
+        chunk = max(1, max(m, _GATHER_ELEMS) // n_blocks)
+        sums = _BlockSums(pair, cov, block_len, n_blocks, min(chunk, n_boot))
+        n_starts = m - block_len + 1
+        rng = np.random.default_rng(seed)
+        max_draws = 10 * n_boot
+        draws = 0
+        i = 0
+        while i < n_boot:
+            if draws >= max_draws:
+                raise CollinearSeries(
+                    f"{n_discarded} of {draws} bootstrap resamples were collinear; giving up"
+                )
+            # draw only the deficit: one (k, n_blocks) draw is the same
+            # stream as k draws of n_blocks starts
+            k = min(n_boot - i, max_draws - draws, chunk)
+            starts = rng.integers(0, n_starts, size=(k, n_blocks))
+            draws += k
+            boot = sums.covariances(starts)
+            keep = ~(_degenerate(boot) | _collinear(boot))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                _, _, a12, a21, _ = _drift(boot)
+                b21, b12 = _rates(boot, a12, a21)
+            n_keep = int(keep.sum())
+            t21s[i : i + n_keep] = b21[keep]
+            t12s[i : i + n_keep] = b12[keep]
+            n_discarded += k - n_keep
+            i += n_keep
 
     lo = 100.0 * alpha / 2.0
     hi = 100.0 * (1.0 - alpha / 2.0)
@@ -411,3 +456,83 @@ def bootstrap_ci(
         dt=pair.dt,
         n_discarded=n_discarded,
     )
+
+
+# A chunk of resamples gathers about max(m, _GATHER_ELEMS) block sums, so that
+# building its prefix columns, O(m) per chunk, costs no more than its gathers;
+# memory stays a few columns of m, independent of n_boot.
+_GATHER_ELEMS = 1 << 16
+
+
+class _BlockSums:
+    """Covariances of moving-block resamples from prefix sums of per-row terms.
+
+    A block of L rows starting at s sums a term to P[s + L] - P[s], with P
+    the term's prefix sums; the last block of a resample is cut to `tail`
+    rows. One prefix column is built at a time, into buffers allocated once.
+    """
+
+    def __init__(self, pair, cov, block_len, n_blocks, chunk):
+        m = pair.m
+        self.series = (
+            (pair.x1w, cov.mean_x1),
+            (pair.x2w, cov.mean_x2),
+            (pair.d1, cov.mean_d1),
+            (pair.d2, cov.mean_d2),
+        )
+        self.block_len = block_len
+        self.tail = m - (n_blocks - 1) * block_len
+        self.prefix = np.zeros(m + 1)
+        self.work = np.empty(m)
+        self.blocks = np.empty(m - block_len + 1)
+        self.gathered = np.empty((chunk, n_blocks))
+
+    def _centred(self, a, out):
+        x, mean = self.series[a]
+        return np.subtract(x, mean, out=out)
+
+    def _totals(self, starts):
+        """Sums over each resample's blocks of the term in prefix[1:].
+
+        Turns prefix into the term's prefix sums (prefix[0] stays 0).
+        """
+        prefix, blocks, n = self.prefix, self.blocks, self.blocks.size
+        np.cumsum(prefix[1:], out=prefix[1:])
+        np.subtract(prefix[self.block_len : self.block_len + n], prefix[:n], out=blocks)
+        gathered = self.gathered[: len(starts)]
+        # starts are in range, so "clip" changes no index; "raise" would buffer out
+        np.take(blocks, starts, out=gathered, mode="clip")
+        last = starts[:, -1]
+        gathered[:, -1] = prefix[last + self.tail] - prefix[last]
+        return gathered.sum(axis=1)
+
+    def covariances(self, starts) -> CovarianceStats:
+        """CovarianceStats of the resamples with block starts (k, n_blocks)."""
+        m = self.work.size
+        term = self.prefix[1:]
+        sums = []
+        for a in range(4):
+            self._centred(a, term)
+            sums.append(self._totals(starts))
+
+        def cov(a, b):
+            np.multiply(self._centred(a, term), self._centred(b, self.work), out=term)
+            return (self._totals(starts) - sums[a] * sums[b] / m) / (m - 1)
+
+        mean_x1, mean_x2, mean_d1, mean_d2 = (
+            mean + s / m for (_, mean), s in zip(self.series, sums)
+        )
+        return CovarianceStats(
+            c11=cov(0, 0),
+            c12=cov(0, 1),
+            c22=cov(1, 1),
+            c1d1=cov(0, 2),
+            c2d1=cov(1, 2),
+            c1d2=cov(0, 3),
+            c2d2=cov(1, 3),
+            mean_x1=mean_x1,
+            mean_x2=mean_x2,
+            mean_d1=mean_d1,
+            mean_d2=mean_d2,
+            m=m,
+        )

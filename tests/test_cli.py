@@ -44,7 +44,9 @@ class TestAnalyze:
         assert abs(payload["t12"]) <= 0.02
         assert payload["variant"] == "stationary"
         assert payload["m"] == 95_000
+        assert payload["n_discarded"] == 0
         assert payload["manifest"]["command"] == "analyze"
+        assert payload["manifest"]["parameters"]["block_len"] is None
         assert "->" in captured.err  # human summary with direction arrows
 
     def test_star_window_variant(self, capsys, path_csv, schema):
@@ -70,6 +72,32 @@ class TestAnalyze:
         rc2, cap2 = run_analyze(capsys, path_csv, *args)
         assert rc1 == rc2 == 0
         assert cap1.out == cap2.out
+
+    def test_bootstrap_payload_matches_schema(self, capsys, path_csv, schema):
+        args = ["--window", "10:12", "--ci", "bootstrap", "--n-boot", "150", "--seed", "7"]
+        for extra, block_len in (([], 13), (["--block-len", "5"], 5)):
+            rc, captured = run_analyze(capsys, path_csv, *args, *extra)
+            assert rc == 0
+            payload = json.loads(captured.out)
+            jsonschema.validate(payload, schema)
+            assert payload["m"] == 2000  # default block length ceil(2000 ** (1/3)) == 13
+            assert payload["n_discarded"] == 0
+            assert payload["manifest"]["parameters"]["block_len"] == block_len
+
+    def test_bootstrap_give_up_exit_code(self, capsys, tmp_path):
+        # x1 varies only on its first row: 976 of the 1000 draws allowed for
+        # 100 resamples are degenerate
+        rng = np.random.default_rng(24)
+        x2 = np.cumsum(rng.standard_normal(101))
+        path = tmp_path / "degenerate.csv"
+        rows = "\n".join(f"{1.0 if i == 0 else 0.0},{v:.17g}" for i, v in enumerate(x2))
+        path.write_text("x1,x2\n" + rows + "\n")
+        extra = ["--ci", "bootstrap", "--n-boot", "100", "--block-len", "50", "--seed", "1"]
+        rc, captured = run_analyze(capsys, str(path), *extra)
+        assert rc == 3
+        assert captured.out == ""
+        assert "CollinearSeries" in captured.err
+        assert "976 of 1000 bootstrap resamples were collinear" in captured.err
 
     def test_bootstrap_with_star_rejected(self, capsys, path_csv):
         rc, captured = run_analyze(

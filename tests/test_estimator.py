@@ -6,6 +6,7 @@ import pytest
 from infoflow import (
     AlignedPair,
     CollinearSeries,
+    NumericalError,
     SimConfig,
     SingularFisher,
     StationaryWindow,
@@ -22,7 +23,8 @@ from infoflow import (
     simulate,
     window,
 )
-from infoflow.estimator import Variant, z_quantile
+from infoflow import estimator
+from infoflow.estimator import Variant, _covariances, default_block_len, z_quantile
 
 from conftest import make_pair, random_walk_pair
 
@@ -350,7 +352,59 @@ class TestFisherCi:
             fisher_ci(pair, model, cov, alpha=1.5)
 
 
+def direct_bootstrap(pair, alpha=0.05, n_boot=100, block_len=None, seed=0):
+    """Reference moving-block bootstrap: gather each resample's rows and run
+    the scalar covariances and flow on them, with bootstrap_ci's draws."""
+    m = pair.m
+    block_len = default_block_len(m) if block_len is None else block_len
+    n_blocks = -(-m // block_len)
+    rng = np.random.default_rng(seed)
+    t21s, t12s = [], []
+    n_discarded = 0
+    while len(t21s) < n_boot:
+        starts = rng.integers(0, m - block_len + 1, size=n_blocks)
+        idx = (starts[:, None] + np.arange(block_len)).ravel()[:m]
+        rows = (np.take(a, idx) for a in (pair.x1w, pair.x2w, pair.d1, pair.d2))
+        try:
+            t21, t12 = flow(_covariances(*rows))
+        except NumericalError:
+            n_discarded += 1
+            continue
+        t21s.append(t21)
+        t12s.append(t12)
+    q = [100.0 * alpha / 2.0, 100.0 * (1.0 - alpha / 2.0)]
+    return {
+        "ci21": np.percentile(t21s, q),
+        "ci12": np.percentile(t12s, q),
+        "se21": np.std(t21s, ddof=1),
+        "se12": np.std(t12s, ddof=1),
+        "n_discarded": n_discarded,
+    }
+
+
 class TestBootstrap:
+    @pytest.mark.parametrize("gather_elems", [None, 1])
+    def test_matches_direct_resample_loop(self, monkeypatch, gather_elems):
+        # block sums from prefix sums give the direct loop's draws, discards
+        # and intervals; gather_elems=1 cuts every call into many chunks
+        if gather_elems is not None:
+            monkeypatch.setattr(estimator, "_GATHER_ELEMS", gather_elems)
+        rng = np.random.default_rng(23)
+        for m in (17, 18, 64, int(rng.integers(100, 5000)), 5000):
+            v1 = np.cumsum(rng.standard_normal(m + 1)) + rng.standard_normal(m + 1)
+            v2 = np.cumsum(rng.standard_normal(m + 1)) + rng.standard_normal(m + 1)
+            for offset in (0.0, 1e3, 1e6):
+                pair = make_pair(v1 + offset, v2 + offset, dt=0.5)
+                for block_len in (1, 2, 3, None, m - 1):
+                    seed = int(rng.integers(1000))
+                    est = bootstrap_ci(pair, n_boot=100, block_len=block_len, seed=seed)
+                    ref = direct_bootstrap(pair, n_boot=100, block_len=block_len, seed=seed)
+                    assert est.n_discarded == ref["n_discarded"]
+                    for ci, se, key in ((est.ci21, est.se21, "21"), (est.ci12, est.se12, "12")):
+                        tol = 1e-9 * ref["se" + key]
+                        assert np.abs(np.subtract(ci, ref["ci" + key])).max() <= tol
+                        assert abs(se - ref["se" + key]) <= tol
+
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(16)
         pair = random_walk_pair(rng, n=120)
@@ -386,8 +440,19 @@ class TestBootstrap:
         x2[-2] += 0.7  # only the last aligned row distinguishes the series
         pair = make_pair(x1, x2)
         est = bootstrap_ci(pair, n_boot=100, block_len=4, seed=3)
-        assert est.n_discarded > 0
+        assert est.n_discarded == 191
         assert np.isfinite(est.ci21).all() and np.isfinite(est.ci12).all()
+        assert est.n_discarded == direct_bootstrap(pair, block_len=4, seed=3)["n_discarded"]
+
+    def test_gives_up_after_ten_draws_per_resample(self):
+        # x1 varies only through row 0, so only the resamples that hold row 0
+        # are not degenerate; 24 of the 10 * n_boot draws are too few
+        rng = np.random.default_rng(24)
+        x1 = np.r_[1.0, np.zeros(100)]
+        pair = make_pair(x1, np.cumsum(rng.standard_normal(101)))
+        assert pair.m == 100
+        with pytest.raises(CollinearSeries, match="976 of 1000 bootstrap resamples were collinear"):
+            bootstrap_ci(pair, n_boot=100, block_len=50, seed=1)
 
     def test_parameter_validation(self):
         rng = np.random.default_rng(19)

@@ -2,12 +2,12 @@
 """Time the stages of the infoflow pipeline and write BENCH_pipeline.json.
 
 Usage:
-    PYTHONPATH=src python3 benchmarks/bench_pipeline.py [--repeats R] [--out PATH]
+    PYTHONPATH=src python3 benchmarks/bench_pipeline.py [--out PATH]
 
 Every stage runs on fixed sizes and seeds, so two runs time the same work, and
-reports the best and the median wall time of R runs. The record also holds the
-kernel backend, the numpy version, the CPU count and the git commit (with a
-flag for uncommitted changes).
+reports the best and the median wall time of REPEATS = 5 runs. The record also
+holds the kernel backend, the numpy version, the CPU count and the git commit
+(with a flag for uncommitted changes).
 
 Stages:
     bootstrap_ci  moving-block bootstrap of the seed-149 reference path,
@@ -39,11 +39,12 @@ def bootstrap_stage():
 
 
 STAGES = {"bootstrap_ci": bootstrap_stage}
+REPEATS = 5
 
 
-def time_stage(run, repeats):
+def time_stage(run):
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         run()
         times.append(time.perf_counter() - start)
@@ -69,7 +70,6 @@ def git_commit():
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", default="BENCH_pipeline.json")
     args = parser.parse_args()
 
@@ -77,14 +77,14 @@ def main():
     for name, setup in STAGES.items():
         params, run = setup()
         run()  # warm-up: imports, first-touch allocations
-        stages[name] = {**params, **time_stage(run, args.repeats)}
+        stages[name] = {**params, **time_stage(run)}
         best, median = stages[name]["best_s"], stages[name]["median_s"]
         print(f"{name:>14s}: best {best * 1e3:8.1f} ms  median {median * 1e3:8.1f} ms")
 
     sha, dirty = git_commit()
     record = {
         "stages": stages,
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "backend": BACKEND,
         "numpy": np.__version__,
         "python": platform.python_version(),

@@ -27,7 +27,6 @@ from .estimator import (
     FlowEstimate,
     bootstrap_ci,
     covariances,
-    default_block_len,
     fisher_ci,
     fit_mle,
 )
@@ -171,11 +170,9 @@ def cmd_analyze(args) -> int:
     model = fit_mle(pair, cov)
 
     star = star_window_from_times(x1, *star_span) if star_span else None
-    block_len = None
     if args.ci == "bootstrap":
-        block_len = default_block_len(pair.m) if args.block_len is None else args.block_len
         est = bootstrap_ci(
-            pair, alpha=args.alpha, n_boot=args.n_boot, block_len=block_len, seed=seed
+            pair, alpha=args.alpha, n_boot=args.n_boot, block_len=args.block_len, seed=seed
         )
     else:
         est = fisher_ci(
@@ -197,7 +194,7 @@ def cmd_analyze(args) -> int:
             "alpha": args.alpha,
             "ci": args.ci,
             "n_boot": args.n_boot if args.ci == "bootstrap" else None,
-            "block_len": block_len,
+            "block_len": est.block_len,
             "seed": seed,
             "time_unit": args.time_unit,
         },

@@ -50,6 +50,12 @@ DET_FLOOR = 1e-12
 
 _VAR_FLOOR = 1e-300
 
+# A bootstrap resample's variance, taken from prefix sums of squares that reach
+# (m-1) times the full-sample variance, carries a rounding error of up to about
+# m * eps times that variance. Below _PREFIX_FLOOR * m times it, a resample
+# variance is rounding noise around zero (see _degenerate).
+_PREFIX_FLOOR = 4 * np.finfo(float).eps
+
 
 class Variant(str, Enum):
     STATIONARY = "stationary"
@@ -60,7 +66,9 @@ class Variant(str, Enum):
 class CovarianceStats:
     """The sample covariances and means on the aligned window (divisor m-1).
 
-    The bootstrap fills the fields with arrays, one entry per resample.
+    The bootstrap fills the covariance fields with arrays, one entry per
+    resample, and the mean fields with the full-sample means, which it does
+    not use.
     """
 
     c11: float
@@ -103,7 +111,8 @@ class FlowEstimate:
 
     Fisher intervals are symmetric t +- z(alpha) * se; bootstrap intervals are
     percentile intervals and se is the bootstrap standard deviation.
-    n_discarded counts bootstrap resamples redrawn due to collinearity.
+    n_discarded counts bootstrap resamples redrawn as degenerate or collinear,
+    and block_len is the bootstrap's block length (None for Fisher).
     """
 
     t21: float
@@ -117,6 +126,7 @@ class FlowEstimate:
     m: int
     dt: float
     n_discarded: int = 0
+    block_len: int | None = None
 
     def significant21(self) -> bool:
         return self.ci21[0] > 0 or self.ci21[1] < 0
@@ -164,9 +174,20 @@ def _covariances(w1, w2, d1, d2) -> CovarianceStats:
     return stats
 
 
-def _degenerate(cov: CovarianceStats):
-    """Whether a variance is below the floor (elementwise over a batch)."""
-    return (cov.c11 < _VAR_FLOOR) | (cov.c22 < _VAR_FLOOR)
+def _degenerate(cov: CovarianceStats, full: CovarianceStats | None = None):
+    """Whether a variance is below the floor (elementwise over a batch).
+
+    A batch of bootstrap resamples passes the full-sample covariances `full`
+    its prefix sums were built from; a resample variance is then degenerate
+    also below _PREFIX_FLOOR * m times the full-sample one, its rounding
+    error. A resample that is exactly constant in x1 or x2 need not come out
+    below _VAR_FLOOR there.
+    """
+    floor11 = floor22 = _VAR_FLOOR
+    if full is not None:
+        floor11 = max(floor11, _PREFIX_FLOOR * full.m * full.c11)
+        floor22 = max(floor22, _PREFIX_FLOOR * full.m * full.c22)
+    return (cov.c11 < floor11) | (cov.c22 < floor22)
 
 
 def _collinear(cov: CovarianceStats):
@@ -373,8 +394,10 @@ def bootstrap_ci(
     block_len aligned indices; a resample is n_blocks = ceil(m / block_len)
     blocks with uniformly drawn starts, the last one cut to the m-th row.
     Resamples with a degenerate variance or collinear series are discarded
-    and redrawn; the count is reported in n_discarded. Deterministic for a
-    fixed seed.
+    and redrawn; the count is reported in n_discarded, and the block length
+    used in block_len. A resample variance is degenerate also below the
+    rounding error of the prefix sums it comes from (see _degenerate).
+    Deterministic for a fixed seed.
 
     A resample's covariances need only its sums S_a of the four series,
     centred on the full-sample means, and Q_ab of their seven products:
@@ -429,7 +452,7 @@ def bootstrap_ci(
             starts = rng.integers(0, n_starts, size=(k, n_blocks))
             draws += k
             boot = sums.covariances(starts)
-            keep = ~(_degenerate(boot) | _collinear(boot))
+            keep = ~(_degenerate(boot, cov) | _collinear(boot))
             with np.errstate(divide="ignore", invalid="ignore"):
                 _, _, a12, a21, _ = _drift(boot)
                 b21, b12 = _rates(boot, a12, a21)
@@ -455,6 +478,7 @@ def bootstrap_ci(
         m=m,
         dt=pair.dt,
         n_discarded=n_discarded,
+        block_len=block_len,
     )
 
 
@@ -474,6 +498,7 @@ class _BlockSums:
 
     def __init__(self, pair, cov, block_len, n_blocks, chunk):
         m = pair.m
+        self.cov = cov
         self.series = (
             (pair.x1w, cov.mean_x1),
             (pair.x2w, cov.mean_x2),
@@ -519,9 +544,7 @@ class _BlockSums:
             np.multiply(self._centred(a, term), self._centred(b, self.work), out=term)
             return (self._totals(starts) - sums[a] * sums[b] / m) / (m - 1)
 
-        mean_x1, mean_x2, mean_d1, mean_d2 = (
-            mean + s / m for (_, mean), s in zip(self.series, sums)
-        )
+        full = self.cov
         return CovarianceStats(
             c11=cov(0, 0),
             c12=cov(0, 1),
@@ -530,9 +553,9 @@ class _BlockSums:
             c2d1=cov(1, 2),
             c1d2=cov(0, 3),
             c2d2=cov(1, 3),
-            mean_x1=mean_x1,
-            mean_x2=mean_x2,
-            mean_d1=mean_d1,
-            mean_d2=mean_d2,
+            mean_x1=full.mean_x1,
+            mean_x2=full.mean_x2,
+            mean_d1=full.mean_d1,
+            mean_d2=full.mean_d2,
             m=m,
         )

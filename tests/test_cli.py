@@ -84,13 +84,14 @@ class TestAnalyze:
             assert payload["n_discarded"] == 0
             assert payload["manifest"]["parameters"]["block_len"] == block_len
 
-    def test_bootstrap_give_up_exit_code(self, capsys, tmp_path):
+    @pytest.mark.parametrize("first", [1.0, 5.0])
+    def test_bootstrap_give_up_exit_code(self, capsys, tmp_path, first):
         # x1 varies only on its first row: 976 of the 1000 draws allowed for
         # 100 resamples are degenerate
         rng = np.random.default_rng(24)
         x2 = np.cumsum(rng.standard_normal(101))
         path = tmp_path / "degenerate.csv"
-        rows = "\n".join(f"{1.0 if i == 0 else 0.0},{v:.17g}" for i, v in enumerate(x2))
+        rows = "\n".join(f"{first if i == 0 else 0.0},{v:.17g}" for i, v in enumerate(x2))
         path.write_text("x1,x2\n" + rows + "\n")
         extra = ["--ci", "bootstrap", "--n-boot", "100", "--block-len", "50", "--seed", "1"]
         rc, captured = run_analyze(capsys, str(path), *extra)

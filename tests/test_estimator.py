@@ -444,11 +444,15 @@ class TestBootstrap:
         assert np.isfinite(est.ci21).all() and np.isfinite(est.ci12).all()
         assert est.n_discarded == direct_bootstrap(pair, block_len=4, seed=3)["n_discarded"]
 
-    def test_gives_up_after_ten_draws_per_resample(self):
+    @pytest.mark.parametrize("first, rest", [(1.0, 0.0), (5.0, 0.0), (3.0, 0.1)])
+    def test_gives_up_after_ten_draws_per_resample(self, first, rest):
         # x1 varies only through row 0, so only the resamples that hold row 0
-        # are not degenerate; 24 of the 10 * n_boot draws are too few
+        # are not degenerate; 24 of the 10 * n_boot draws are too few. The
+        # constant resamples come out of the prefix sums as rounding noise,
+        # above _VAR_FLOOR for first=5 and rest=0.1, and must still be
+        # discarded
         rng = np.random.default_rng(24)
-        x1 = np.r_[1.0, np.zeros(100)]
+        x1 = np.r_[first, np.full(100, rest)]
         pair = make_pair(x1, np.cumsum(rng.standard_normal(101)))
         assert pair.m == 100
         with pytest.raises(CollinearSeries, match="976 of 1000 bootstrap resamples were collinear"):

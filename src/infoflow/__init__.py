@@ -47,7 +47,6 @@ from .estimator import (
     fisher_ci,
     fit_mle,
     flow,
-    observed_information,
 )
 from .fieldmap import FlowMap, GridField, load_grid, map_flows, write_flow_maps, write_grid
 from .series import (
@@ -55,7 +54,6 @@ from .series import (
     StationaryWindow,
     TimeSeries,
     align,
-    detrend_linear,
     load_csv,
     star_window_from_times,
     subsample,
@@ -115,7 +113,6 @@ __all__ = [
     "analytic_flows",
     "bootstrap_ci",
     "covariances",
-    "detrend_linear",
     "fisher_ci",
     "fit_mle",
     "flow",
@@ -124,7 +121,6 @@ __all__ = [
     "load_grid",
     "map_flows",
     "noise_dominated_model",
-    "observed_information",
     "reference_model",
     "run_validation",
     "simulate",

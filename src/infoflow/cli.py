@@ -172,7 +172,7 @@ def cmd_analyze(args) -> int:
     star = star_window_from_times(x1, *star_span) if star_span else None
     if args.ci == "bootstrap":
         est = bootstrap_ci(
-            pair, alpha=args.alpha, n_boot=args.n_boot, block_len=args.block_len, seed=seed
+            pair, cov, alpha=args.alpha, n_boot=args.n_boot, block_len=args.block_len, seed=seed
         )
     else:
         est = fisher_ci(
@@ -416,10 +416,8 @@ def cmd_map(args) -> int:
 
 def cmd_validate(args) -> int:
     seed = args.seed if args.seed is not None else _env_seed(FIXTURE_SEEDS[0])
-    manifest = RunManifest(
-        command="validate", parameters={"seed": seed, "band_scale": args.band_scale}
-    )
-    rows = run_validation(seed, band_scale=args.band_scale)
+    manifest = RunManifest(command="validate", parameters={"seed": seed})
+    rows = run_validation(seed)
     print(f"# manifest: {manifest.json_line()}")
     print(f"{'check':44s} {'value':>12s} {'reference':>10s} {'band':>24s} result")
     failed = []
@@ -516,12 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the reference validation harness")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument(
-        "--band-scale",
-        type=float,
-        default=1.0,
-        help="scale all band half-widths (harness testing hook)",
-    )
     p.set_defaults(func=cmd_validate)
     return parser
 

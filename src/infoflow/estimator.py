@@ -64,11 +64,11 @@ class Variant(str, Enum):
 
 @dataclass(frozen=True)
 class CovarianceStats:
-    """The sample covariances and means on the aligned window (divisor m-1).
+    """The centred sample covariances on the aligned window (divisor m-1).
 
-    The bootstrap fills the covariance fields with arrays, one entry per
-    resample, and the mean fields with the full-sample means, which it does
-    not use.
+    c11, c12 and c22 are those of the series x1 and x2; cidj is that of xi
+    with the difference series dj. The bootstrap fills the fields with
+    arrays, one entry per resample.
     """
 
     c11: float
@@ -78,10 +78,6 @@ class CovarianceStats:
     c2d1: float
     c1d2: float
     c2d2: float
-    mean_x1: float
-    mean_x2: float
-    mean_d1: float
-    mean_d2: float
     m: int
 
     @property
@@ -146,14 +142,8 @@ def _covariances(w1, w2, d1, d2) -> CovarianceStats:
     The four arrays are centred in place, so each caller passes arrays it owns.
     """
     m = w1.size
-    mean_x1 = float(w1.mean())
-    mean_x2 = float(w2.mean())
-    mean_d1 = float(d1.mean())
-    mean_d2 = float(d2.mean())
-    w1 -= mean_x1
-    w2 -= mean_x2
-    d1 -= mean_d1
-    d2 -= mean_d2
+    for a in (w1, w2, d1, d2):
+        a -= a.mean()
     denom = m - 1
     stats = CovarianceStats(
         c11=float(w1 @ w1) / denom,
@@ -163,10 +153,6 @@ def _covariances(w1, w2, d1, d2) -> CovarianceStats:
         c2d1=float(w2 @ d1) / denom,
         c1d2=float(w1 @ d2) / denom,
         c2d2=float(w2 @ d2) / denom,
-        mean_x1=mean_x1,
-        mean_x2=mean_x2,
-        mean_d1=mean_d1,
-        mean_d2=mean_d2,
         m=m,
     )
     if _degenerate(stats):
@@ -221,8 +207,9 @@ def _drift(cov: CovarianceStats) -> tuple[float, float, float, float, float]:
 def fit_mle(pair: AlignedPair, cov: CovarianceStats) -> ModelEstimate:
     """Closed-form MLE of (f, A, B) from the decoupled normal equations."""
     _, a11, a12, a21, a22 = _checked_drift(cov)
-    f1 = cov.mean_d1 - a11 * cov.mean_x1 - a12 * cov.mean_x2
-    f2 = cov.mean_d2 - a21 * cov.mean_x1 - a22 * cov.mean_x2
+    mean_x1, mean_x2 = float(pair.x1w.mean()), float(pair.x2w.mean())
+    f1 = float(pair.d1.mean()) - a11 * mean_x1 - a12 * mean_x2
+    f2 = float(pair.d2.mean()) - a21 * mean_x1 - a22 * mean_x2
     r1 = pair.d1 - (f1 + a11 * pair.x1w + a12 * pair.x2w)
     r2 = pair.d2 - (f2 + a21 * pair.x1w + a22 * pair.x2w)
     q1 = float(r1 @ r1)
@@ -282,42 +269,6 @@ def _checked_noise(b: float) -> float:
     if b <= 0 or not math.isfinite(b):
         raise SingularFisher(f"residual noise estimate b={b}; no likelihood curvature scale")
     return b
-
-
-def observed_information(pair: AlignedPair, model: ModelEstimate, component: int = 1) -> np.ndarray:
-    """Observed information over theta = (f_i, a_i1, a_i2, b_i) at the MLE.
-
-    The 4x4 matrix of negated second derivatives of the summed per-step log
-    transition density, assembled analytically. Its (f, a_i1, a_i2) block is
-    (dt / b_i**2) times the Gram matrix of (1, x1, x2); the b-row couplings
-    involve the residual sums and vanish up to rounding at the MLE. It is the
-    reference for the closed-form standard errors of fisher_ci, which are its
-    inverse's cross-drift entries.
-    """
-    if component == 1:
-        b, f, ai1, ai2, di = model.b1_hat, model.f1_hat, model.a11_hat, model.a12_hat, pair.d1
-    else:
-        b, f, ai1, ai2, di = model.b2_hat, model.f2_hat, model.a21_hat, model.a22_hat, pair.d2
-    _checked_noise(b)
-    resid = di - (f + ai1 * pair.x1w + ai2 * pair.x2w)
-    m, dt = pair.m, pair.dt
-    w1, w2 = pair.x1w, pair.x2w
-    c = dt / b**2
-    d = 2.0 * dt / b**3
-    ni = np.empty((4, 4))
-    ni[0, 0] = m * c
-    ni[0, 1] = c * float(w1.sum())
-    ni[0, 2] = c * float(w2.sum())
-    ni[1, 1] = c * float(w1 @ w1)
-    ni[1, 2] = c * float(w1 @ w2)
-    ni[2, 2] = c * float(w2 @ w2)
-    ni[0, 3] = d * float(resid.sum())
-    ni[1, 3] = d * float(resid @ w1)
-    ni[2, 3] = d * float(resid @ w2)
-    ni[3, 3] = 3.0 * dt / b**4 * float(resid @ resid) - m / b**2
-    idx = np.tril_indices(4, -1)
-    ni[idx] = ni.T[idx]
-    return ni
 
 
 def fisher_ci(
@@ -383,6 +334,7 @@ def default_block_len(m: int) -> int:
 
 def bootstrap_ci(
     pair: AlignedPair,
+    cov: CovarianceStats,
     alpha: float = 0.05,
     n_boot: int = 1000,
     block_len: int | None = None,
@@ -390,7 +342,8 @@ def bootstrap_ci(
 ) -> FlowEstimate:
     """Moving-block bootstrap percentile intervals for both flow rates.
 
-    Rows (x1, x2, d1, d2) are resampled jointly in contiguous blocks of
+    cov is covariances(pair), as for fisher_ci(); the point flows t21 and t12
+    are flow(cov). Rows (x1, x2, d1, d2) are resampled jointly in contiguous blocks of
     block_len aligned indices; a resample is n_blocks = ceil(m / block_len)
     blocks with uniformly drawn starts, the last one cut to the m-th row.
     Resamples with a degenerate variance or collinear series are discarded
@@ -422,7 +375,6 @@ def bootstrap_ci(
     if not 1 <= block_len <= m:
         raise ValueError(f"block_len must be in [1, {m}], got {block_len}")
 
-    cov = covariances(pair)
     t21, t12 = flow(cov)
 
     t21s = np.empty(n_boot)
@@ -435,7 +387,7 @@ def bootstrap_ci(
         t12s[:] = t12
     else:
         chunk = max(1, max(m, _GATHER_ELEMS) // n_blocks)
-        sums = _BlockSums(pair, cov, block_len, n_blocks, min(chunk, n_boot))
+        sums = _BlockSums(pair, block_len, n_blocks, min(chunk, n_boot))
         n_starts = m - block_len + 1
         rng = np.random.default_rng(seed)
         max_draws = 10 * n_boot
@@ -496,15 +448,9 @@ class _BlockSums:
     rows. One prefix column is built at a time, into buffers allocated once.
     """
 
-    def __init__(self, pair, cov, block_len, n_blocks, chunk):
+    def __init__(self, pair, block_len, n_blocks, chunk):
         m = pair.m
-        self.cov = cov
-        self.series = (
-            (pair.x1w, cov.mean_x1),
-            (pair.x2w, cov.mean_x2),
-            (pair.d1, cov.mean_d1),
-            (pair.d2, cov.mean_d2),
-        )
+        self.series = [(x, x.mean()) for x in (pair.x1w, pair.x2w, pair.d1, pair.d2)]
         self.block_len = block_len
         self.tail = m - (n_blocks - 1) * block_len
         self.prefix = np.zeros(m + 1)
@@ -544,7 +490,6 @@ class _BlockSums:
             np.multiply(self._centred(a, term), self._centred(b, self.work), out=term)
             return (self._totals(starts) - sums[a] * sums[b] / m) / (m - 1)
 
-        full = self.cov
         return CovarianceStats(
             c11=cov(0, 0),
             c12=cov(0, 1),
@@ -553,9 +498,5 @@ class _BlockSums:
             c2d1=cov(1, 2),
             c1d2=cov(0, 3),
             c2d2=cov(1, 3),
-            mean_x1=full.mean_x1,
-            mean_x2=full.mean_x2,
-            mean_d1=full.mean_d1,
-            mean_d2=full.mean_d2,
             m=m,
         )

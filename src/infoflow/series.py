@@ -309,8 +309,3 @@ def detrend_values(values: np.ndarray) -> np.ndarray:
     nc = n - n.mean()
     slope = float(nc @ values) / float(nc @ nc)
     return values - (values.mean() + slope * nc)
-
-
-def detrend_linear(s: TimeSeries) -> TimeSeries:
-    """Remove the least-squares linear trend (in index) from a series."""
-    return TimeSeries(detrend_values(s.values), s.dt, s.t0, s.label)

@@ -73,15 +73,8 @@ class CheckRow:
     passed: bool | None = None
 
 
-def _band(lo: float, hi: float, scale: float) -> tuple[float, float]:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * scale
-    return mid - half, mid + half
-
-
-def _band_row(name, value, reference, lo, hi, scale) -> CheckRow:
-    lo_s, hi_s = _band(lo, hi, scale)
-    return CheckRow(name, value, reference, lo_s, hi_s, bool(lo_s <= value <= hi_s))
+def _band_row(name, value, reference, lo, hi) -> CheckRow:
+    return CheckRow(name, value, reference, lo, hi, bool(lo <= value <= hi))
 
 
 def _prepared(x1: TimeSeries, x2: TimeSeries, delta_n: int):
@@ -103,28 +96,19 @@ def _pair_ci(x1, x2, delta_n=1, alpha=0.05, star_times=None) -> FlowEstimate:
     return fisher_ci(pair, fit_mle(pair, cov), cov, alpha, star_window=star)
 
 
-def run_table1(seed: int, band_scale: float = 1.0) -> list[CheckRow]:
+def run_table1(seed: int) -> list[CheckRow]:
     """Span-by-resolution matrix of flow estimates for system 1."""
     x1, x2 = simulate(SimConfig(reference_model(), _SIM_X0, _SIM_DT, _SIM_STEPS, seed))
     rows: list[CheckRow] = []
 
     w1, w2 = window(x1, 5.0, 100.0), window(x2, 5.0, 100.0)
     t21, t12 = _pair_flows(w1, w2)
-    rows.append(_band_row("t=5-100 dn=1 t21", t21, 0.11, 0.08, 0.14, band_scale))
-    rows.append(
-        CheckRow(
-            "t=5-100 dn=1 t12",
-            t12,
-            -2.0e-3,
-            -0.02 * band_scale,
-            0.02 * band_scale,
-            bool(abs(t12) <= 0.02 * band_scale),
-        )
-    )
+    rows.append(_band_row("t=5-100 dn=1 t21", t21, 0.11, 0.08, 0.14))
+    rows.append(_band_row("t=5-100 dn=1 t12", t12, -2.0e-3, -0.02, 0.02))
     t21, _ = _pair_flows(w1, w2, delta_n=20)
-    rows.append(_band_row("t=5-100 dn=20 t21", t21, 0.10, 0.07, 0.13, band_scale))
+    rows.append(_band_row("t=5-100 dn=20 t21", t21, 0.10, 0.07, 0.13))
     t21, _ = _pair_flows(w1, w2, delta_n=100)
-    rows.append(_band_row("t=5-100 dn=100 t21", t21, 0.09, 0.06, 0.12, band_scale))
+    rows.append(_band_row("t=5-100 dn=100 t21", t21, 0.09, 0.06, 0.12))
 
     s1, s2 = window(x1, 10.0, 20.0), window(x2, 10.0, 20.0)
     est = _pair_ci(s1, s2)
@@ -146,9 +130,7 @@ def run_table1(seed: int, band_scale: float = 1.0) -> list[CheckRow]:
     rows.append(CheckRow("t=0-10 dn=1 t12 (no star)", t12_plain, 0.10))
     for dn, ref in ((1, 0.29), (10, 0.28)):
         est = _pair_ci(n1, n2, delta_n=dn, star_times=(5.0, 10.0))
-        rows.append(
-            _band_row(f"t=0-10 star=[5,10] dn={dn} t21", est.t21, ref, 0.10, 0.55, band_scale)
-        )
+        rows.append(_band_row(f"t=0-10 star=[5,10] dn={dn} t21", est.t21, ref, 0.10, 0.55))
         rows.append(
             CheckRow(
                 f"t=0-10 star=[5,10] dn={dn} t21 > t12",
@@ -171,7 +153,7 @@ def run_table1(seed: int, band_scale: float = 1.0) -> list[CheckRow]:
     return rows
 
 
-def run_second_system(seed: int, band_scale: float = 1.0) -> list[CheckRow]:
+def run_second_system(seed: int) -> list[CheckRow]:
     """Long-span accuracy check on the noise-dominated system."""
     model = noise_dominated_model()
     truth_t21, _ = analytic_flows(model, stationary_covariance(model))
@@ -180,14 +162,7 @@ def run_second_system(seed: int, band_scale: float = 1.0) -> list[CheckRow]:
     cov = covariances(pair)
     est = fisher_ci(pair, fit_mle(pair, cov), cov)
     rows = [
-        _band_row(
-            "system2 span=2000 t21",
-            est.t21,
-            truth_t21,
-            0.8 * truth_t21,
-            1.2 * truth_t21,
-            band_scale,
-        ),
+        _band_row("system2 span=2000 t21", est.t21, truth_t21, 0.8 * truth_t21, 1.2 * truth_t21),
         CheckRow(
             "system2 span=2000 t12 CI includes 0",
             est.t12,
@@ -199,10 +174,6 @@ def run_second_system(seed: int, band_scale: float = 1.0) -> list[CheckRow]:
     return rows
 
 
-def run_validation(seed: int, band_scale: float = 1.0) -> list[CheckRow]:
+def run_validation(seed: int) -> list[CheckRow]:
     """Full harness: the span/resolution matrix plus the second system."""
-    return run_table1(seed, band_scale) + run_second_system(seed, band_scale)
-
-
-def all_bands_pass(rows: list[CheckRow]) -> bool:
-    return all(row.passed for row in rows if row.passed is not None)
+    return run_table1(seed) + run_second_system(seed)

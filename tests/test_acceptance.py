@@ -23,7 +23,6 @@ from infoflow import (
     fit_mle,
     flow,
     map_flows,
-    observed_information,
     reference_model,
     simulate,
     stationary_covariance,
@@ -32,6 +31,7 @@ from infoflow import (
 from infoflow.validate import FIXTURE_SEEDS, SECOND_SYSTEM_SEEDS, run_second_system, run_table1
 
 from conftest import make_pair
+from oracles import observed_information
 from test_fieldmap import DT as FIELD_DT
 from test_fieldmap import coupled_fixture
 

@@ -7,8 +7,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from infoflow import load_csv
+from infoflow import cli, load_csv
 from infoflow.cli import main
+from infoflow.validate import CheckRow
 
 REF_ARGS = ["--x1", "x1", "--x2", "x2", "--dt", "0.001"]
 
@@ -306,11 +307,24 @@ class TestValidate:
         assert "all bands pass" in captured.err
         assert captured.out.splitlines()[0].startswith("# manifest: ")
 
-    def test_zero_width_bands_fail(self, capsys):
-        rc = main(["validate", "--band-scale", "0"])
+    def test_failed_band_exits_1(self, capsys, monkeypatch):
+        rows = [
+            CheckRow("inside", 0.5, 0.5, 0.0, 1.0, True),
+            CheckRow("outside", 2.0, 0.5, 0.0, 1.0, False),
+            CheckRow("informational", 0.3),
+        ]
+        monkeypatch.setattr(cli, "run_validation", lambda seed: rows)
+        rc = main(["validate"])
         assert rc == 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
+        assert "1 band(s) failed: outside" in captured.err
+
+    def test_band_scale_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--band-scale", "0"])
+        assert exc.value.code == 2
+        assert "--band-scale" in capsys.readouterr().err
 
     def test_second_fixture_seed_passes(self, capsys):
         rc = main(["validate", "--seed", "248"])

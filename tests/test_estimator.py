@@ -18,7 +18,6 @@ from infoflow import (
     fisher_ci,
     fit_mle,
     flow,
-    observed_information,
     reference_model,
     simulate,
     window,
@@ -27,6 +26,7 @@ from infoflow import estimator
 from infoflow.estimator import Variant, _covariances, default_block_len, z_quantile
 
 from conftest import make_pair, random_walk_pair
+from oracles import observed_information
 
 
 def brute_force_covariance(a, b):
@@ -141,8 +141,7 @@ class TestFlow:
         from infoflow.estimator import CovarianceStats
 
         cov = CovarianceStats(
-            c11=2.0, c12=0.0, c22=3.0, c1d1=0.5, c2d1=0.0, c1d2=0.1, c2d2=0.2,
-            mean_x1=0.0, mean_x2=0.0, mean_d1=0.0, mean_d2=0.0, m=10,
+            c11=2.0, c12=0.0, c22=3.0, c1d1=0.5, c2d1=0.0, c1d2=0.1, c2d2=0.2, m=10,
         )
         t21, _ = flow(cov)
         assert t21 == 0.0
@@ -397,7 +396,8 @@ class TestBootstrap:
                 pair = make_pair(v1 + offset, v2 + offset, dt=0.5)
                 for block_len in (1, 2, 3, None, m - 1):
                     seed = int(rng.integers(1000))
-                    est = bootstrap_ci(pair, n_boot=100, block_len=block_len, seed=seed)
+                    cov = covariances(pair)
+                    est = bootstrap_ci(pair, cov, n_boot=100, block_len=block_len, seed=seed)
                     ref = direct_bootstrap(pair, n_boot=100, block_len=block_len, seed=seed)
                     assert est.n_discarded == ref["n_discarded"]
                     for ci, se, key in ((est.ci21, est.se21, "21"), (est.ci12, est.se12, "12")):
@@ -408,15 +408,17 @@ class TestBootstrap:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(16)
         pair = random_walk_pair(rng, n=120)
-        a = bootstrap_ci(pair, n_boot=200, seed=7)
-        b = bootstrap_ci(pair, n_boot=200, seed=7)
+        cov = covariances(pair)
+        a = bootstrap_ci(pair, cov, n_boot=200, seed=7)
+        b = bootstrap_ci(pair, cov, n_boot=200, seed=7)
         assert a == b
 
     def test_full_block_gives_zero_width_interval(self):
         rng = np.random.default_rng(17)
         pair = random_walk_pair(rng, n=60)
-        est = bootstrap_ci(pair, n_boot=100, block_len=pair.m, seed=1)
-        t21, t12 = flow(covariances(pair))
+        cov = covariances(pair)
+        est = bootstrap_ci(pair, cov, n_boot=100, block_len=pair.m, seed=1)
+        t21, t12 = flow(cov)
         assert est.ci21 == (t21, t21)
         assert est.ci12 == (t12, t12)
         # identical resamples up to summation rounding in the sd
@@ -428,7 +430,7 @@ class TestBootstrap:
         # straddles the analytic values 0.1111 and 0
         x1, x2 = reference_path
         pair = align(window(x1, 5.0, 100.0), window(x2, 5.0, 100.0))
-        est = bootstrap_ci(pair, alpha=0.05, n_boot=1000, seed=7)
+        est = bootstrap_ci(pair, covariances(pair), alpha=0.05, n_boot=1000, seed=7)
         assert est.ci21[0] <= 0.1111 <= est.ci21[1]
         assert est.ci12[0] <= 0.0 <= est.ci12[1]
 
@@ -439,7 +441,7 @@ class TestBootstrap:
         x2 = x1.copy()
         x2[-2] += 0.7  # only the last aligned row distinguishes the series
         pair = make_pair(x1, x2)
-        est = bootstrap_ci(pair, n_boot=100, block_len=4, seed=3)
+        est = bootstrap_ci(pair, covariances(pair), n_boot=100, block_len=4, seed=3)
         assert est.n_discarded == 191
         assert np.isfinite(est.ci21).all() and np.isfinite(est.ci12).all()
         assert est.n_discarded == direct_bootstrap(pair, block_len=4, seed=3)["n_discarded"]
@@ -456,15 +458,16 @@ class TestBootstrap:
         pair = make_pair(x1, np.cumsum(rng.standard_normal(101)))
         assert pair.m == 100
         with pytest.raises(CollinearSeries, match="976 of 1000 bootstrap resamples were collinear"):
-            bootstrap_ci(pair, n_boot=100, block_len=50, seed=1)
+            bootstrap_ci(pair, covariances(pair), n_boot=100, block_len=50, seed=1)
 
     def test_parameter_validation(self):
         rng = np.random.default_rng(19)
         pair = random_walk_pair(rng)
+        cov = covariances(pair)
         with pytest.raises(ValueError):
-            bootstrap_ci(pair, n_boot=50)
+            bootstrap_ci(pair, cov, n_boot=50)
         with pytest.raises(ValueError):
-            bootstrap_ci(pair, n_boot=100, block_len=0)
+            bootstrap_ci(pair, cov, n_boot=100, block_len=0)
 
 
 class TestProperties:

@@ -42,19 +42,19 @@ from .errors import (
     SingularFisher,
     WindowTooShort,
 )
-from .series import AlignedPair, StationaryWindow, detrend_values
+from .series import AlignedPair, StationaryWindow, _dot, detrend_values
 
 # Relative determinant floor: below det <= DET_FLOOR * c11 * c22 the two
 # series are treated as collinear instead of producing an unstable flow.
 DET_FLOOR = 1e-12
 
-_VAR_FLOOR = 1e-300
+_EPS = np.finfo(float).eps
 
 # A bootstrap resample's variance, taken from prefix sums of squares that reach
 # (m-1) times the full-sample variance, carries a rounding error of up to about
 # m * eps times that variance. Below _PREFIX_FLOOR * m times it, a resample
 # variance is rounding noise around zero (see _degenerate).
-_PREFIX_FLOOR = 4 * np.finfo(float).eps
+_PREFIX_FLOOR = 4 * _EPS
 
 
 class Variant(str, Enum):
@@ -133,47 +133,60 @@ class FlowEstimate:
 
 def covariances(pair: AlignedPair) -> CovarianceStats:
     """Centered two-pass sample covariances on the aligned window."""
-    return _covariances(*(np.array(a) for a in (pair.x1w, pair.x2w, pair.d1, pair.d2)))
+    return _covariances(pair.x1w, pair.x2w, pair.d1, pair.d2)
 
 
-def _covariances(w1, w2, d1, d2) -> CovarianceStats:
+def _covariances(x1, x2, d1, d2) -> CovarianceStats:
     """covariances() of the series x1, x2 and their differences d1, d2.
 
-    The four arrays are centred in place, so each caller passes arrays it owns.
+    Four arrays of m are alive at once, as many as the series themselves:
+    x1 and x2 centred, one difference series centred and their products.
     """
-    m = w1.size
-    for a in (w1, w2, d1, d2):
-        a -= a.mean()
+    m = x1.size
+    floor11, floor22 = (_mean_rounding_floor(x) for x in (x1, x2))
+    w1, w2 = (np.subtract(x, x.mean()) for x in (x1, x2))
+    prod = np.empty(m)
+    c11, c12, c22 = (_dot(a, b, prod) for a, b in ((w1, w1), (w1, w2), (w2, w2)))
+    dc = np.subtract(d1, d1.mean())
+    c1d1, c2d1 = _dot(w1, dc, prod), _dot(w2, dc, prod)
+    np.subtract(d2, d2.mean(), out=dc)
+    c1d2, c2d2 = _dot(w1, dc, prod), _dot(w2, dc, prod)
     denom = m - 1
     stats = CovarianceStats(
-        c11=float(w1 @ w1) / denom,
-        c12=float(w1 @ w2) / denom,
-        c22=float(w2 @ w2) / denom,
-        c1d1=float(w1 @ d1) / denom,
-        c2d1=float(w2 @ d1) / denom,
-        c1d2=float(w1 @ d2) / denom,
-        c2d2=float(w2 @ d2) / denom,
+        c11=c11 / denom,
+        c12=c12 / denom,
+        c22=c22 / denom,
+        c1d1=c1d1 / denom,
+        c2d1=c2d1 / denom,
+        c1d2=c1d2 / denom,
+        c2d2=c2d2 / denom,
         m=m,
     )
-    if _degenerate(stats):
+    if _degenerate(stats, floor11, floor22):
         raise DegenerateSeries(f"degenerate variance: c11={stats.c11}, c22={stats.c22}")
     return stats
 
 
-def _degenerate(cov: CovarianceStats, full: CovarianceStats | None = None):
-    """Whether a variance is below the floor (elementwise over a batch).
+def _mean_rounding_floor(x: np.ndarray) -> float:
+    """(m * eps * max|x|)**2: the variance of a constant series x, at most.
 
-    A batch of bootstrap resamples passes the full-sample covariances `full`
-    its prefix sums were built from; a resample variance is then degenerate
-    also below _PREFIX_FLOOR * m times the full-sample one, its rounding
-    error. A resample that is exactly constant in x1 or x2 need not come out
-    below _VAR_FLOOR there.
+    The computed mean of x is off from the true one by at most about
+    m * eps * max|x|, so a constant series centres to values no larger and
+    its variance comes out no larger than the square.
     """
-    floor11 = floor22 = _VAR_FLOOR
-    if full is not None:
-        floor11 = max(floor11, _PREFIX_FLOOR * full.m * full.c11)
-        floor22 = max(floor22, _PREFIX_FLOOR * full.m * full.c22)
-    return (cov.c11 < floor11) | (cov.c22 < floor22)
+    return (x.size * _EPS * max(x.max(), -x.min())) ** 2
+
+
+def _degenerate(cov: CovarianceStats, floor11, floor22):
+    """Whether a variance is at or below its floor (elementwise over a batch).
+
+    The floors are the rounding error of the path that computed cov: for
+    covariances() that of the centring (_mean_rounding_floor), for bootstrap
+    resamples _PREFIX_FLOOR * m times the full-sample variance, that of
+    their prefix sums. A constant series need not give an exactly zero
+    variance on either path.
+    """
+    return (cov.c11 <= floor11) | (cov.c22 <= floor22)
 
 
 def _collinear(cov: CovarianceStats):
@@ -212,8 +225,8 @@ def fit_mle(pair: AlignedPair, cov: CovarianceStats) -> ModelEstimate:
     f2 = float(pair.d2.mean()) - a21 * mean_x1 - a22 * mean_x2
     r1 = pair.d1 - (f1 + a11 * pair.x1w + a12 * pair.x2w)
     r2 = pair.d2 - (f2 + a21 * pair.x1w + a22 * pair.x2w)
-    q1 = float(r1 @ r1)
-    q2 = float(r2 @ r2)
+    q1 = _dot(r1, r1)
+    q2 = _dot(r2, r2)
     dt = pair.dt
     return ModelEstimate(
         f1_hat=f1,
@@ -250,7 +263,7 @@ def _star_ratios(
             f"exceeds the aligned sample of {pair.m} points"
         )
     slab = slice(star_window.start_index, star_window.end_index)
-    w1, w2, d1, d2 = (np.array(a[slab]) for a in (pair.x1w, pair.x2w, pair.d1, pair.d2))
+    w1, w2, d1, d2 = (a[slab] for a in (pair.x1w, pair.x2w, pair.d1, pair.d2))
     if detrend_star:
         w1, w2 = detrend_values(w1), detrend_values(w2)
     try:
@@ -404,7 +417,8 @@ def bootstrap_ci(
             starts = rng.integers(0, n_starts, size=(k, n_blocks))
             draws += k
             boot = sums.covariances(starts)
-            keep = ~(_degenerate(boot, cov) | _collinear(boot))
+            floors = (_PREFIX_FLOOR * m * cov.c11, _PREFIX_FLOOR * m * cov.c22)
+            keep = ~(_degenerate(boot, *floors) | _collinear(boot))
             with np.errstate(divide="ignore", invalid="ignore"):
                 _, _, a12, a21, _ = _drift(boot)
                 b21, b12 = _rates(boot, a12, a21)

@@ -303,9 +303,19 @@ def align(x1: TimeSeries, x2: TimeSeries) -> AlignedPair:
     return AlignedPair(x1=x1, x2=x2, d1=d1, d2=d2, m=len(x1) - 1)
 
 
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> float:
+    """The sum of a * b, in numpy's pairwise order on one thread.
+
+    a @ b calls BLAS ddot, whose rounding depends on how many threads split
+    the vectors; this sum gives the same bits for any BLAS thread count. The
+    products go to `out` if given.
+    """
+    return float(np.add.reduce(np.multiply(a, b, out=out)))
+
+
 def detrend_values(values: np.ndarray) -> np.ndarray:
     """Residuals of a least-squares linear fit in sample index."""
     n = np.arange(values.size, dtype=float)
     nc = n - n.mean()
-    slope = float(nc @ values) / float(nc @ nc)
+    slope = _dot(nc, values) / _dot(nc, nc)
     return values - (values.mean() + slope * nc)

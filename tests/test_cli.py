@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from infoflow import cli, load_csv
+import infoflow
+from infoflow import cli, estimator, load_csv
 from infoflow.cli import main
 from infoflow.validate import CheckRow
 
@@ -127,6 +131,49 @@ class TestAnalyze:
             rc, captured = run_analyze(capsys, absent, *extra)
             assert rc == 2
             assert word in captured.err and "FileNotFoundError" not in captured.err
+
+    @pytest.mark.parametrize("ci", ["fisher", "bootstrap"])
+    def test_constant_column_exit_code(self, capsys, tmp_path, ci):
+        rng = np.random.default_rng(26)
+        x2 = np.cumsum(rng.standard_normal(51))
+        path = tmp_path / "constant.csv"
+        path.write_text("x1,x2\n" + "\n".join(f"0.1,{v:.17g}" for v in x2) + "\n")
+        rc, captured = run_analyze(capsys, str(path), "--ci", ci)
+        assert rc == 3
+        assert captured.out == ""
+        assert "DegenerateSeries" in captured.err
+
+    def test_bootstrap_takes_covariances_once(self, capsys, path_csv, monkeypatch):
+        # bootstrap_ci reuses the covariances that fit_mle was given
+        calls = []
+        core = estimator._covariances
+        monkeypatch.setattr(estimator, "_covariances", lambda *a: calls.append(1) or core(*a))
+        args = ["--window", "10:12", "--ci", "bootstrap", "--n-boot", "150", "--seed", "7"]
+        rc, _ = run_analyze(capsys, path_csv, *args)
+        assert rc == 0
+        assert len(calls) == 1
+
+    def test_output_independent_of_blas_threads(self, path_csv, tmp_path):
+        # 100k rows: long enough for a threaded BLAS dot to split the vectors
+        script = (
+            "import sys; from infoflow.cli import main; "
+            "sys.exit(main(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(infoflow.__file__)), os.environ.get("PYTHONPATH", "")]
+        ))
+        outputs = {}
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            for ci in ("fisher", "bootstrap"):
+                out = tmp_path / f"{ci}_{threads}.json"
+                argv = ["analyze", "--input", path_csv, *REF_ARGS, "--ci", ci,
+                        "--n-boot", "100", "--seed", "3", "--output", str(out)]
+                subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
+                               capture_output=True)
+                outputs[ci, threads] = out.read_bytes()
+        for ci in ("fisher", "bootstrap"):
+            assert outputs[ci, "1"] == outputs[ci, "2"]
 
     def test_collinear_input_exit_code(self, capsys, tmp_path):
         path = tmp_path / "collinear.csv"

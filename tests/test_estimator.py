@@ -85,6 +85,18 @@ class TestCovariances:
         with pytest.raises(DegenerateSeries):
             covariances(pair)
 
+    @pytest.mark.parametrize("value", [0.1, 0.3, 0.7, 0.0])
+    def test_constant_series_off_its_mean_is_degenerate(self, value):
+        # 0.1 is not its own computed mean: the constant column centres to
+        # rounding noise (c11 = 7.9e-34 for 0.1), which the floor must catch
+        from infoflow import DegenerateSeries
+
+        rng = np.random.default_rng(25)
+        walk = np.cumsum(rng.standard_normal(51))
+        for x1, x2 in ((np.full(51, value), walk), (walk, np.full(51, value))):
+            with pytest.raises(DegenerateSeries):
+                covariances(make_pair(x1, x2))
+
 
 class TestFitMle:
     def test_noiseless_exact_recovery(self):

@@ -6,13 +6,15 @@ Usage:
 
 Every stage runs on fixed sizes and seeds, so two runs time the same work, and
 reports the best and the median wall time of REPEATS = 5 runs. The record also
-holds the kernel backend, the numpy version, the CPU count and the git commit
-(with a flag for uncommitted changes).
+holds the kernel backend, the numpy version, the CPU count, the
+OPENBLAS_NUM_THREADS setting (null when unset) and the git commit (with a flag
+for uncommitted changes).
 
-Stages:
-    bootstrap_ci  moving-block bootstrap of the seed-149 reference path,
-                  m = 100,000 aligned rows, n_boot = 1000, default block
-                  length, seed 11
+Stages, all on the seed-149 reference path, m = 100,000 aligned rows:
+    analyze_core  covariances + fit_mle + fisher_ci, the estimator work of
+                  one Fisher `analyze`
+    bootstrap_ci  moving-block bootstrap from the path's covariances,
+                  n_boot = 1000, default block length, seed 11
 """
 
 from __future__ import annotations
@@ -27,18 +29,39 @@ import time
 
 import numpy as np
 
-from infoflow import SimConfig, align, bootstrap_ci, reference_model, simulate
+from infoflow import (
+    SimConfig,
+    align,
+    bootstrap_ci,
+    covariances,
+    fisher_ci,
+    fit_mle,
+    reference_model,
+    simulate,
+)
 from infoflow.kernels import BACKEND
 
 
-def bootstrap_stage():
+def reference_pair():
     x1, x2 = simulate(SimConfig(reference_model(), (1.0, 2.0), 1e-3, 100_000, 149))
-    pair = align(x1, x2)
+    return align(x1, x2)
+
+
+def analyze_core_stage(pair):
+    def run():
+        cov = covariances(pair)
+        return fisher_ci(pair, fit_mle(pair, cov), cov)
+
+    return {"m": pair.m}, run
+
+
+def bootstrap_stage(pair):
+    cov = covariances(pair)
     params = {"m": pair.m, "n_boot": 1000, "seed": 11}
-    return params, lambda: bootstrap_ci(pair, n_boot=1000, seed=11)
+    return params, lambda: bootstrap_ci(pair, cov, n_boot=1000, seed=11)
 
 
-STAGES = {"bootstrap_ci": bootstrap_stage}
+STAGES = {"analyze_core": analyze_core_stage, "bootstrap_ci": bootstrap_stage}
 REPEATS = 5
 
 
@@ -73,9 +96,10 @@ def main():
     parser.add_argument("--out", default="BENCH_pipeline.json")
     args = parser.parse_args()
 
+    pair = reference_pair()
     stages = {}
     for name, setup in STAGES.items():
-        params, run = setup()
+        params, run = setup(pair)
         run()  # warm-up: imports, first-touch allocations
         stages[name] = {**params, **time_stage(run)}
         best, median = stages[name]["best_s"], stages[name]["median_s"]
@@ -89,6 +113,7 @@ def main():
         "numpy": np.__version__,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "git_sha": sha,
         "git_dirty": dirty,
     }

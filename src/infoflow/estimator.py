@@ -23,8 +23,8 @@ in _drift(), with the floors in _degenerate() and _collinear().
 
 The moving-block bootstrap takes each resample's covariances from prefix sums
 of the centred series and their products, in O(m/L) per resample for block
-length L (see bootstrap_ci); the same floors and _drift() then act
-elementwise on arrays of resamples.
+length L (see bootstrap_ci); _degenerate() with the prefix sums' rounding
+floor, _collinear() and _drift() then act elementwise on arrays of resamples.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ _EPS = np.finfo(float).eps
 
 # A bootstrap resample's variance, taken from prefix sums of squares that reach
 # (m-1) times the full-sample variance, carries a rounding error of up to about
-# m * eps times that variance. Below _PREFIX_FLOOR * m times it, a resample
+# m * eps times that variance. At or below _PREFIX_FLOOR * m times it, a resample
 # variance is rounding noise around zero (see _degenerate).
 _PREFIX_FLOOR = 4 * _EPS
 
@@ -304,6 +304,12 @@ def fisher_ci(
     offset of either series. se21 = |c12/c11| * sigma_a12 and
     se12 = |c12/c22| * sigma_a21.
 
+    These standard errors treat the ratios c12/c11 and c12/c22 as fixed, so
+    they miss the ratios' sampling noise. On the reference system of
+    validate.py (true t21 = 0.1111) the nominal 95% interval covered the true
+    t21 in 58 of 100 uncurated seeds (10000-10099) at span 95 and in 60 of
+    100 at span 195; the default-block bootstrap covered it in 62-63 of 100.
+
     With a star_window the nonstationary variant is used: the point estimates
     and the leading ratios in the standard errors come from the slab,
     while the coefficient uncertainty still reflects the full window.
@@ -355,14 +361,15 @@ def bootstrap_ci(
 ) -> FlowEstimate:
     """Moving-block bootstrap percentile intervals for both flow rates.
 
-    cov is covariances(pair), as for fisher_ci(); the point flows t21 and t12
-    are flow(cov). Rows (x1, x2, d1, d2) are resampled jointly in contiguous blocks of
-    block_len aligned indices; a resample is n_blocks = ceil(m / block_len)
-    blocks with uniformly drawn starts, the last one cut to the m-th row.
-    Resamples with a degenerate variance or collinear series are discarded
-    and redrawn; the count is reported in n_discarded, and the block length
-    used in block_len. A resample variance is degenerate also below the
-    rounding error of the prefix sums it comes from (see _degenerate).
+    cov is covariances(pair), as for fisher_ci(); the point flows t21 and
+    t12 are flow(cov). Rows (x1, x2, d1, d2) are resampled jointly in
+    contiguous blocks of block_len aligned indices; a resample is
+    n_blocks = ceil(m / block_len) blocks with uniformly drawn starts, the
+    last one cut to the m-th row. Resamples with a degenerate variance or
+    collinear series are discarded and redrawn; the count is reported in
+    n_discarded, and the block length used in block_len. A resample variance
+    is degenerate at or below _PREFIX_FLOOR * m times the full-sample one,
+    the rounding error of the prefix sums it comes from (see _degenerate).
     Deterministic for a fixed seed.
 
     A resample's covariances need only its sums S_a of the four series,
@@ -372,8 +379,8 @@ def bootstrap_ci(
     resample costs O(m / block_len) instead of O(m). Resamples go in chunks
     of at least m gathered block sums, each chunk building its prefix sums
     once in O(m): O(m + n_boot * m / block_len) in all, in O(m) memory. The
-    covariances then go through the floors and the drift closed form of
-    covariances() and flow(), elementwise. The random draws are those of
+    covariances then go through that floor, the collinearity floor and the
+    drift closed form of flow(), elementwise. The random draws are those of
     one rng.integers(0, m - block_len + 1, size=n_blocks) call per resample,
     in order, and only as many are drawn as resamples are still missing.
     With block_len == m every resample is the sample itself.
@@ -402,6 +409,7 @@ def bootstrap_ci(
         chunk = max(1, max(m, _GATHER_ELEMS) // n_blocks)
         sums = _BlockSums(pair, block_len, n_blocks, min(chunk, n_boot))
         n_starts = m - block_len + 1
+        floors = (_PREFIX_FLOOR * m * cov.c11, _PREFIX_FLOOR * m * cov.c22)
         rng = np.random.default_rng(seed)
         max_draws = 10 * n_boot
         draws = 0
@@ -417,7 +425,6 @@ def bootstrap_ci(
             starts = rng.integers(0, n_starts, size=(k, n_blocks))
             draws += k
             boot = sums.covariances(starts)
-            floors = (_PREFIX_FLOOR * m * cov.c11, _PREFIX_FLOOR * m * cov.c22)
             keep = ~(_degenerate(boot, *floors) | _collinear(boot))
             with np.errstate(divide="ignore", invalid="ignore"):
                 _, _, a12, a21, _ = _drift(boot)

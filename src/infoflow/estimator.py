@@ -139,8 +139,9 @@ def covariances(pair: AlignedPair) -> CovarianceStats:
 def _covariances(x1, x2, d1, d2) -> CovarianceStats:
     """covariances() of the series x1, x2 and their differences d1, d2.
 
-    Four arrays of m are alive at once, as many as the series themselves:
-    x1 and x2 centred, one difference series centred and their products.
+    The inputs are not modified. Four work arrays of m are alive at once: x1
+    and x2 centred, one difference series centred at a time, and the
+    products. At large m this sets the peak memory of `infoflow analyze`.
     """
     m = x1.size
     floor11, floor22 = (_mean_rounding_floor(x) for x in (x1, x2))

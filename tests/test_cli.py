@@ -155,25 +155,19 @@ class TestAnalyze:
 
     def test_output_independent_of_blas_threads(self, path_csv, tmp_path):
         # 100k rows: long enough for a threaded BLAS dot to split the vectors
-        script = (
-            "import sys; from infoflow.cli import main; "
-            "sys.exit(main(sys.argv[1:]))"
-        )
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(os.path.dirname(infoflow.__file__)), os.environ.get("PYTHONPATH", "")]
-        ))
-        outputs = {}
-        for threads in ("1", "2"):
-            env["OPENBLAS_NUM_THREADS"] = threads
-            for ci in ("fisher", "bootstrap"):
-                out = tmp_path / f"{ci}_{threads}.json"
-                argv = ["analyze", "--input", path_csv, *REF_ARGS, "--ci", ci,
-                        "--n-boot", "100", "--seed", "3", "--output", str(out)]
-                subprocess.run([sys.executable, "-c", script, *argv], env=env, check=True,
-                               capture_output=True)
-                outputs[ci, threads] = out.read_bytes()
+        src = os.path.dirname(os.path.dirname(infoflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         for ci in ("fisher", "bootstrap"):
-            assert outputs[ci, "1"] == outputs[ci, "2"]
+            outputs = []
+            for threads in ("1", "2"):
+                out = tmp_path / f"{ci}_{threads}.json"
+                argv = ["analyze", "--input", path_csv, *REF_ARGS, "--ci", ci, "--n-boot", "100",
+                        "--seed", "3", "--output", str(out)]
+                env["OPENBLAS_NUM_THREADS"] = threads
+                subprocess.run([sys.executable, "-m", "infoflow.cli", *argv], env=env, check=True,
+                               capture_output=True)
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1]
 
     def test_collinear_input_exit_code(self, capsys, tmp_path):
         path = tmp_path / "collinear.csv"

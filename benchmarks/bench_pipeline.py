@@ -10,11 +10,16 @@ holds the kernel backend, the numpy version, the CPU count, the
 OPENBLAS_NUM_THREADS setting (null when unset) and the git commit (with a flag
 for uncommitted changes).
 
-Stages, all on the seed-149 reference path, m = 100,000 aligned rows:
-    analyze_core  covariances + fit_mle + fisher_ci, the estimator work of
-                  one Fisher `analyze`
-    bootstrap_ci  moving-block bootstrap from the path's covariances,
-                  n_boot = 1000, default block length, seed 11
+Stages, all but integrate_moments on the seed-149 reference path,
+m = 100,000 aligned rows:
+    analyze_core       covariances + fit_mle + fisher_ci, the estimator work
+                       of one Fisher `analyze`
+    bootstrap_ci       moving-block bootstrap from the path's covariances,
+                       n_boot = 1000, default block length, seed 11
+    integrate_moments  RK4 moment trajectory of the reference model from
+                       `theory`'s default initial state, t_end = 10, dt = 1e-3
+    simulate_write     the `simulate` CSV writer on the path's 100,001 rows,
+                       written to the null device
 """
 
 from __future__ import annotations
@@ -30,15 +35,18 @@ import time
 import numpy as np
 
 from infoflow import (
+    MomentState,
     SimConfig,
     align,
     bootstrap_ci,
     covariances,
     fisher_ci,
     fit_mle,
+    integrate_moments,
     reference_model,
     simulate,
 )
+from infoflow.cli import _write_rows
 from infoflow.kernels import BACKEND
 
 
@@ -61,7 +69,29 @@ def bootstrap_stage(pair):
     return params, lambda: bootstrap_ci(pair, cov, n_boot=1000, seed=11)
 
 
-STAGES = {"analyze_core": analyze_core_stage, "bootstrap_ci": bootstrap_stage}
+def integrate_moments_stage(pair):
+    model = reference_model()
+    init = MomentState(mu=np.array([1.0, 2.0]), sigma=np.eye(2) * 0.1, t=0.0)
+    params = {"t_end": 10.0, "dt": 1e-3}
+    return params, lambda: integrate_moments(model, init, **params)
+
+
+def simulate_write_stage(pair):
+    x1, x2 = pair.x1.values, pair.x2.values
+
+    def run():
+        with open(os.devnull, "w") as out:
+            _write_rows(out, [np.arange(len(x1)) * pair.x1.dt, x1, x2])
+
+    return {"rows": len(x1)}, run
+
+
+STAGES = {
+    "analyze_core": analyze_core_stage,
+    "bootstrap_ci": bootstrap_stage,
+    "integrate_moments": integrate_moments_stage,
+    "simulate_write": simulate_write_stage,
+}
 REPEATS = 5
 
 
@@ -103,7 +133,7 @@ def main():
         run()  # warm-up: imports, first-touch allocations
         stages[name] = {**params, **time_stage(run)}
         best, median = stages[name]["best_s"], stages[name]["median_s"]
-        print(f"{name:>14s}: best {best * 1e3:8.1f} ms  median {median * 1e3:8.1f} ms")
+        print(f"{name:>17s}: best {best * 1e3:8.1f} ms  median {median * 1e3:8.1f} ms")
 
     sha, dirty = git_commit()
     record = {

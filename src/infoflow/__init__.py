@@ -63,6 +63,7 @@ from .simulator import SimConfig, simulate
 from .theory import (
     LinearModel2D,
     MomentState,
+    MomentTrajectory,
     analytic_flows,
     integrate_moments,
     stationary_covariance,
@@ -96,6 +97,7 @@ __all__ = [
     "MissingColumn",
     "ModelEstimate",
     "MomentState",
+    "MomentTrajectory",
     "NonFiniteState",
     "NonFiniteValue",
     "NonPositiveVariance",

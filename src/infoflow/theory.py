@@ -31,24 +31,16 @@ class LinearModel2D:
     def __post_init__(self):
         f = np.array(self.f, dtype=float)
         a = np.array(self.a, dtype=float)
-        if f.shape != (2,):
-            raise ValueError(f"f must be a 2-vector, got shape {f.shape}")
-        if a.shape != (2, 2):
-            raise ValueError(f"a must be 2x2, got shape {a.shape}")
-        if not (np.isfinite(f).all() and np.isfinite(a).all()):
+        if f.shape != (2,) or a.shape != (2, 2):
+            raise ValueError(f"f must be a 2-vector and a 2x2, got shapes {f.shape}, {a.shape}")
+        if not np.isfinite([*f, *a.ravel(), self.b1, self.b2]).all():
             raise ValueError("model coefficients must be finite")
-        if not (math.isfinite(self.b1) and math.isfinite(self.b2)):
-            raise ValueError("diffusion coefficients must be finite")
         if self.b1 < 0 or self.b2 < 0:
             raise ValueError(f"diffusion coefficients must be >= 0, got {self.b1}, {self.b2}")
         f.setflags(write=False)
         a.setflags(write=False)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "a", a)
-
-    @property
-    def bbt_diag(self) -> tuple[float, float]:
-        return self.b1**2, self.b2**2
 
 
 @dataclass(frozen=True)
@@ -64,93 +56,99 @@ class MomentState:
         sigma = np.array(self.sigma, dtype=float)
         if mu.shape != (2,) or sigma.shape != (2, 2):
             raise ValueError("mu must be a 2-vector and sigma a 2x2 matrix")
+        if not (np.isfinite(mu).all() and np.isfinite(sigma).all() and math.isfinite(self.t)):
+            raise ValueError(f"moments and time must be finite, got {mu}, {sigma}, t={self.t}")
+        s11, s12, s22 = sigma[0, 0], sigma[0, 1], sigma[1, 1]
+        if s11 < 0 or s22 < 0 or s12 * s12 > s11 * s22 or sigma[1, 0] != s12:
+            raise ValueError(f"sigma must be symmetric positive semidefinite, got {sigma.tolist()}")
         mu.setflags(write=False)
         sigma.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
 
 
-def _rhs(model: LinearModel2D, y: np.ndarray) -> np.ndarray:
-    """Time derivative of the stacked state (mu1, mu2, s11, s12, s22)."""
+@dataclass(frozen=True)
+class MomentTrajectory:
+    """Moments on a time grid: mu[k] (2,) and sigma[k] (2, 2) at time t[k]."""
+
+    t: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.t, self.mu, self.sigma):
+            arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+
+def _moment_generator(model: LinearModel2D) -> np.ndarray:
+    """H with d/dt (y, 1) = H (y, 1), y = (mu1, mu2, s11, s12, s22); forcing in column 5."""
     (a11, a12), (a21, a22) = model.a
-    mu1, mu2, s11, s12, s22 = y
-    b11, b22 = model.bbt_diag
-    return np.array(
-        [
-            model.f[0] + a11 * mu1 + a12 * mu2,
-            model.f[1] + a21 * mu1 + a22 * mu2,
-            2.0 * (a11 * s11 + a12 * s12) + b11,
-            a21 * s11 + (a11 + a22) * s12 + a12 * s22,
-            2.0 * (a21 * s12 + a22 * s22) + b22,
-        ]
-    )
+    h = np.zeros((6, 6))
+    h[:2, :2] = model.a
+    h[2:5, 2:5] = [[2.0 * a11, 2.0 * a12, 0.0], [a21, a11 + a22, a12], [0.0, 2.0 * a21, 2.0 * a22]]
+    h[:5, 5] = model.f[0], model.f[1], model.b1**2, 0.0, model.b2**2
+    return h
 
 
 def integrate_moments(
     model: LinearModel2D, init: MomentState, t_end: float, dt: float = 1e-3
-) -> list[MomentState]:
-    """Fixed-step fourth-order integration of the coupled moment equations.
+) -> MomentTrajectory:
+    """Fixed-step fourth-order Runge-Kutta integration of the moment equations.
 
-    The covariance is carried as (s11, s12, s22), so symmetry holds by
-    construction at every step.
+    The equations are linear, so one RK4 step is an affine map y -> M y + c:
+    the stages run once on the identity of (y, 1), column j < 5 giving column
+    j of M (from e_j, unforced) and column 5 giving c (from zero, forced). The
+    map is iterated on plain floats, mean and covariance blocks apart; the
+    covariance is carried as (s11, s12, s22), so it stays symmetric.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end <= init.t:
-        raise ValueError(f"t_end={t_end} must exceed the initial time {init.t}")
+    if not (dt > 0 and math.isfinite((t_end - init.t) / dt)):
+        raise ValueError(f"t_end and dt must be finite and dt positive, got {t_end}, {dt}")
     n_steps = int(round((t_end - init.t) / dt))
-    y = np.array([init.mu[0], init.mu[1], init.sigma[0, 0], init.sigma[0, 1], init.sigma[1, 1]])
-    out = [init]
-    t = init.t
-    for step in range(n_steps):
-        k1 = _rhs(model, y)
-        k2 = _rhs(model, y + 0.5 * dt * k1)
-        k3 = _rhs(model, y + 0.5 * dt * k2)
-        k4 = _rhs(model, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = init.t + (step + 1) * dt
-        if y[2] < -1e-12 or y[4] < -1e-12:
-            raise NonPositiveVariance(
-                f"variance went negative at t={t}: s11={y[2]}, s22={y[4]}"
-            )
-        out.append(
-            MomentState(
-                mu=np.array([y[0], y[1]]),
-                sigma=np.array([[y[2], y[3]], [y[3], y[4]]]),
-                t=t,
-            )
+    if n_steps < 1:
+        raise ValueError(f"no step of dt={dt} fits from the initial time {init.t} to {t_end}")
+    h, eye = _moment_generator(model), np.eye(6)
+    k2 = h @ (eye + 0.5 * dt * h)
+    k3 = h @ (eye + 0.5 * dt * k2)
+    k4 = h @ (eye + dt * k3)
+    step = (eye + (dt / 6.0) * (h + 2.0 * k2 + 2.0 * k3 + k4)).tolist()
+    (p11, p12, *_, c1), (p21, p22, *_, c2) = step[:2]
+    (*_, q11, q12, q13, d1), (*_, q21, q22, q23, d2), (*_, q31, q32, q33, d3) = step[2:5]
+    flat = [*init.mu.tolist(), *init.sigma[0].tolist(), float(init.sigma[1, 1])]
+    mu1, mu2, s11, s12, s22 = flat
+    for k in range(1, n_steps + 1):
+        mu1, mu2 = p11 * mu1 + p12 * mu2 + c1, p21 * mu1 + p22 * mu2 + c2
+        s11, s12, s22 = (
+            q11 * s11 + q12 * s12 + q13 * s22 + d1,
+            q21 * s11 + q22 * s12 + q23 * s22 + d2,
+            q31 * s11 + q32 * s12 + q33 * s22 + d3,
         )
-    return out
-
-
-def is_hurwitz(a: np.ndarray) -> bool:
-    """2-D stability criterion: trace < 0 and determinant > 0."""
-    tr = a[0, 0] + a[1, 1]
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return tr < 0 and det > 0
+        if s11 < -1e-12 or s22 < -1e-12:
+            raise NonPositiveVariance(
+                f"variance went negative at t={init.t + k * dt}: s11={s11}, s22={s22}"
+            )
+        flat.extend((mu1, mu2, s11, s12, s22))
+    ys = np.array(flat).reshape(-1, 5)
+    t = init.t + np.arange(n_steps + 1) * dt
+    return MomentTrajectory(t=t, mu=ys[:, :2], sigma=ys[:, [2, 3, 3, 4]].reshape(-1, 2, 2))
 
 
 def stationary_covariance(model: LinearModel2D) -> np.ndarray:
     """Stationary covariance: the exact solve of A S + S A^T + B B^T = 0.
 
-    Written as a 3x3 linear system in (s11, s12, s22); the residual of the
-    returned matrix is checked against a scaled 1e-12 floor.
+    Solved as the 3x3 covariance block of the moment equations in (s11, s12,
+    s22); the residual of the returned matrix is checked against a scaled 1e-12 floor.
     """
     a = model.a
-    if not is_hurwitz(a):
-        raise NotHurwitz(f"drift matrix {a.tolist()} is not Hurwitz; no stationary state")
     (a11, a12), (a21, a22) = a
-    b11, b22 = model.bbt_diag
-    lhs = np.array(
-        [
-            [2.0 * a11, 2.0 * a12, 0.0],
-            [a21, a11 + a22, a12],
-            [0.0, 2.0 * a21, 2.0 * a22],
-        ]
-    )
-    s11, s12, s22 = np.linalg.solve(lhs, -np.array([b11, 0.0, b22]))
+    if not (a11 + a22 < 0 and a11 * a22 - a12 * a21 > 0):  # 2-D Hurwitz: trace < 0, det > 0
+        raise NotHurwitz(f"drift matrix {a.tolist()} is not Hurwitz; no stationary state")
+    h = _moment_generator(model)
+    s11, s12, s22 = np.linalg.solve(h[2:5, 2:5], -h[2:5, 5])
     sigma = np.array([[s11, s12], [s12, s22]])
-    bbt = np.diag([b11, b22])
+    bbt = np.diag(h[2:5:2, 5])
     residual = np.abs(a @ sigma + sigma @ a.T + bbt).max()
     scale = max(1.0, float(np.abs(bbt).max()))
     if residual > 1e-12 * scale:
@@ -158,10 +156,12 @@ def stationary_covariance(model: LinearModel2D) -> np.ndarray:
     return sigma
 
 
-def analytic_flows(model: LinearModel2D, sigma: np.ndarray) -> tuple[float, float]:
-    """Analytic flow rates (t21, t12) for a given state covariance."""
+def analytic_flows(model: LinearModel2D, sigma: np.ndarray) -> tuple:
+    """Analytic flow rates (t21, t12) for a covariance, or per covariance of a (n, 2, 2) stack."""
     sigma = np.asarray(sigma, dtype=float)
-    s11, s12, s22 = sigma[0, 0], sigma[0, 1], sigma[1, 1]
-    if s11 <= 0 or s22 <= 0:
+    s11, s12, s22 = sigma[..., 0, 0], sigma[..., 0, 1], sigma[..., 1, 1]
+    bad = np.flatnonzero((s11 <= 0) | (s22 <= 0))
+    if bad.size:
+        s11, s22 = np.ravel(s11)[bad[0]], np.ravel(s22)[bad[0]]
         raise DegenerateVariance(f"variances must be positive, got s11={s11}, s22={s22}")
     return s12 / s11 * model.a[0, 1], s12 / s22 * model.a[1, 0]

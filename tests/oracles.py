@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import linalg
 
 from infoflow.estimator import _checked_noise
 
@@ -41,3 +42,24 @@ def observed_information(pair, model, component: int = 1) -> np.ndarray:
     idx = np.tril_indices(4, -1)
     ni[idx] = ni.T[idx]
     return ni
+
+
+def exact_moments(model, mu0, sigma0, times: np.ndarray):
+    """Exact mean and covariance of an unforced model whose drift has one repeated eigenvalue.
+
+    With A = lam I + N and N nilpotent, e^{At} = e^{lam t} (I + N t) in closed
+    form, so mu(t) = e^{At} mu0 and Sigma(t) = e^{At} (Sigma0 - S) e^{A^T t} + S,
+    where S is the stationary covariance from scipy's Lyapunov solver. The
+    reference model (a = [[-1, 0.5], [0, -1]], f = 0) has this form. Returns
+    mu (len(times), 2) and sigma (len(times), 2, 2).
+    """
+    a = np.asarray(model.a)
+    lam = np.trace(a) / 2.0
+    nil = a - lam * np.eye(2)
+    if np.any(model.f != 0) or np.any(nil @ nil != 0):
+        raise ValueError("exact_moments needs f = 0 and a drift with one repeated eigenvalue")
+    expm = np.exp(lam * times)[:, None, None] * (np.eye(2) + nil * times[:, None, None])
+    s_inf = linalg.solve_continuous_lyapunov(a, -np.diag([model.b1**2, model.b2**2]))
+    mu = expm @ np.asarray(mu0, dtype=float)
+    sigma = expm @ (np.asarray(sigma0, dtype=float) - s_inf) @ expm.transpose(0, 2, 1) + s_inf
+    return mu, sigma

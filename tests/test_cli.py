@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 
 import infoflow
-from infoflow import cli, estimator, load_csv
+from infoflow import (
+    MomentState,
+    SimConfig,
+    analytic_flows,
+    cli,
+    estimator,
+    integrate_moments,
+    load_csv,
+    reference_model,
+    simulate,
+)
 from infoflow.cli import main
 from infoflow.validate import CheckRow
 
@@ -240,6 +250,18 @@ class TestSimulate:
         assert rc == 2
         capsys.readouterr()
 
+    def test_body_bytes_match_per_row_format(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        rc = main(["simulate", "--steps", "500", "--seed", "4", "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        dt = 0.001
+        x1, x2 = simulate(SimConfig(reference_model(), (1.0, 2.0), dt, 500, 4))
+        x1, x2 = x1.values, x2.values
+        expected = "".join(f"{i * dt:.17g},{x1[i]:.17g},{x2[i]:.17g}\n" for i in range(501))
+        body = out.read_text().split("\n", 2)[2]
+        assert body == expected
+
 
 class TestTheory:
     def test_reference_summary_and_trajectory(self, capsys, tmp_path):
@@ -265,6 +287,41 @@ class TestTheory:
         rc = main(["theory", "--a", "1,0,0,-1"])
         assert rc == 3
         assert "NotHurwitz" in capsys.readouterr().err
+
+    def test_columns_match_trajectory_and_analytic_flows_bitwise(self, capsys, tmp_path):
+        out = tmp_path / "traj.csv"
+        rc = main(["theory", "--t-end", "2", "--dt", "0.01", "--out", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        lines = out.read_text().splitlines()[2:]
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+        model = reference_model()
+        init = MomentState(mu=np.array([1.0, 2.0]), sigma=np.eye(2) * 0.1, t=0.0)
+        trajectory = integrate_moments(model, init, 2.0, 0.01)
+        assert np.array_equal(rows[:, 0], np.arange(201) * 0.01)
+        assert np.array_equal(rows[:, 1:3], trajectory.mu)
+        assert np.array_equal(rows[:, 3:6], trajectory.sigma[:, [0, 0, 1], [0, 1, 1]])
+        for row, sigma in zip(rows, trajectory.sigma):
+            t21, t12 = analytic_flows(model, sigma)
+            assert row[6] == t21 and row[7] == t12
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--t-end", "inf"],
+            ["--mu0", "nan,1"],
+            ["--sigma0", "0.1,0.5,0.1"],
+            ["--sigma0=-0.1,0,0.1"],
+            ["--dt", "0.02", "--t-end", "0.01"],
+        ],
+        ids=["t_end_inf", "mu0_nan", "sigma0_not_psd", "sigma0_negative_variance", "no_step"],
+    )
+    def test_bad_input_exit_code(self, capsys, tmp_path, flags):
+        out = tmp_path / "traj.csv"
+        rc = main(["theory", *flags, "--out", str(out)])
+        assert rc == 2
+        assert "ValueError" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMap:

@@ -8,6 +8,7 @@ from infoflow import (
     DegenerateVariance,
     LinearModel2D,
     MomentState,
+    MomentTrajectory,
     NotHurwitz,
     analytic_flows,
     integrate_moments,
@@ -15,6 +16,8 @@ from infoflow import (
     reference_model,
     stationary_covariance,
 )
+
+from oracles import exact_moments
 
 # hand-solved stationary covariance of the reference system:
 #   s22 = b2^2 / 2 = 0.005
@@ -127,6 +130,21 @@ class TestAnalyticFlows:
         with pytest.raises(DegenerateVariance):
             analytic_flows(reference_model(), np.array([[0.0, 0.0], [0.0, 1.0]]))
 
+    def test_stack_matches_single_covariances_bitwise(self):
+        rng = np.random.default_rng(33)
+        model = LinearModel2D(f=np.zeros(2), a=np.array([[-1.0, 0.7], [-0.3, -2.0]]), b1=1, b2=1)
+        s11, s22 = rng.uniform(0.1, 2.0, size=(2, 40))
+        s12 = rng.uniform(-0.5, 0.5, size=40) * np.sqrt(s11 * s22)
+        stack = np.stack([np.stack([s11, s12], axis=1), np.stack([s12, s22], axis=1)], axis=1)
+        t21, t12 = analytic_flows(model, stack)
+        for k, sigma in enumerate(stack):
+            assert (t21[k], t12[k]) == analytic_flows(model, sigma)
+
+    def test_stack_with_one_degenerate_covariance(self):
+        stack = np.array([np.eye(2), [[1.0, 0.0], [0.0, -0.0]], np.eye(2)])
+        with pytest.raises(DegenerateVariance, match="s22=-0.0"):
+            analytic_flows(reference_model(), stack)
+
 
 class TestIntegrateMoments:
     def test_reference_trajectory_reaches_stationary_values(self):
@@ -135,10 +153,10 @@ class TestIntegrateMoments:
             mu=np.array([1.0, 2.0]), sigma=np.array([[0.1, 0.0], [0.0, 0.1]]), t=0.0
         )
         trajectory = integrate_moments(model, init, t_end=10.0, dt=1e-3)
-        final = trajectory[-1].sigma
+        final = trajectory.sigma[-1]
         target = stationary_covariance(model)
         assert np.abs(final - target).max() < 1e-3
-        assert np.abs(trajectory[-1].mu).max() < 1e-3
+        assert np.abs(trajectory.mu[-1]).max() < 1e-3
 
     def test_flow_trajectory_approaches_analytic_value(self):
         model = reference_model()
@@ -146,7 +164,7 @@ class TestIntegrateMoments:
             mu=np.zeros(2), sigma=np.array([[0.1, 0.0], [0.0, 0.1]]), t=0.0
         )
         trajectory = integrate_moments(model, init, t_end=10.0, dt=1e-3)
-        t21_final, t12_final = analytic_flows(model, trajectory[-1].sigma)
+        t21_final, t12_final = analytic_flows(model, trajectory.sigma[-1])
         assert t21_final == pytest.approx(0.1111, abs=2e-4)
         assert t12_final == 0.0
 
@@ -154,21 +172,47 @@ class TestIntegrateMoments:
         model = LinearModel2D(f=np.array([0.5, -1.0]), a=np.zeros((2, 2)), b1=0.0, b2=0.0)
         init = MomentState(mu=np.zeros(2), sigma=np.array([[0.3, 0.1], [0.1, 0.2]]), t=0.0)
         trajectory = integrate_moments(model, init, t_end=2.0, dt=1e-2)
-        final = trajectory[-1]
-        assert np.allclose(final.sigma, init.sigma, atol=1e-12)
-        assert np.allclose(final.mu, [1.0, -2.0], atol=1e-9)
+        assert np.allclose(trajectory.sigma[-1], init.sigma, atol=1e-12)
+        assert np.allclose(trajectory.mu[-1], [1.0, -2.0], atol=1e-9)
 
     def test_contraction_without_forcing(self):
         model = LinearModel2D(f=np.zeros(2), a=np.array([[-1.0, 0.5], [0.0, -1.0]]), b1=0.0, b2=0.0)
         init = MomentState(mu=np.zeros(2), sigma=np.array([[0.1, 0.0], [0.0, 0.1]]), t=0.0)
         trajectory = integrate_moments(model, init, t_end=8.0, dt=1e-3)
-        assert np.abs(trajectory[-1].sigma).max() < 1e-5
+        assert np.abs(trajectory.sigma[-1]).max() < 1e-5
 
     def test_trajectory_time_grid(self):
         model = reference_model()
         init = MomentState(mu=np.zeros(2), sigma=np.eye(2) * 0.1, t=1.0)
         trajectory = integrate_moments(model, init, t_end=2.0, dt=0.25)
-        assert [s.t for s in trajectory] == pytest.approx([1.0, 1.25, 1.5, 1.75, 2.0])
+        assert trajectory.t.tolist() == pytest.approx([1.0, 1.25, 1.5, 1.75, 2.0])
+
+    def test_matches_exact_solution(self):
+        # the reference drift is -I plus a nilpotent part, so the exact moments
+        # are in closed form; RK4 at dt = 1e-3 reaches about 6.4e-13 relative
+        model = reference_model()
+        mu0, sigma0 = [1.0, 2.0], [[0.1, 0.0], [0.0, 0.1]]
+        init = MomentState(mu=np.array(mu0), sigma=np.array(sigma0), t=0.0)
+        trajectory = integrate_moments(model, init, t_end=10.0, dt=1e-3)
+        mu, sigma = exact_moments(model, mu0, sigma0, trajectory.t)
+        for got, want in ((trajectory.mu, mu), (trajectory.sigma, sigma)):
+            scale = np.where(want == 0.0, 1.0, np.abs(want))
+            assert (np.abs(got - want) / scale).max() < 1e-11
+
+    def test_trajectory_arrays(self):
+        model = reference_model()
+        init = MomentState(mu=np.array([1.0, 2.0]), sigma=np.eye(2) * 0.1, t=0.5)
+        trajectory = integrate_moments(model, init, t_end=3.0, dt=1e-2)
+        assert isinstance(trajectory, MomentTrajectory)
+        assert len(trajectory) == 251
+        assert trajectory.mu.shape == (251, 2) and trajectory.sigma.shape == (251, 2, 2)
+        assert np.array_equal(trajectory.t, 0.5 + np.arange(251) * 1e-2)
+        assert np.array_equal(trajectory.mu[0], init.mu)
+        assert np.array_equal(trajectory.sigma[0], init.sigma)
+        assert np.array_equal(trajectory.sigma[:, 0, 1], trajectory.sigma[:, 1, 0])
+        for arr in (trajectory.t, trajectory.mu, trajectory.sigma):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
     def test_argument_validation(self):
         model = reference_model()
@@ -177,6 +221,33 @@ class TestIntegrateMoments:
             integrate_moments(model, init, t_end=0.0)
         with pytest.raises(ValueError):
             integrate_moments(model, init, t_end=1.0, dt=-0.1)
+
+    @pytest.mark.parametrize(
+        "t_end, dt",
+        [(np.inf, 1e-3), (np.nan, 1e-3), (1.0, 0.0), (1.0, np.nan), (1.0, 1e-320), (0.01, 0.02)],
+    )
+    def test_rejects_non_finite_or_stepless_grid(self, t_end, dt):
+        init = MomentState(mu=np.zeros(2), sigma=np.eye(2), t=0.0)
+        with pytest.raises(ValueError):
+            integrate_moments(reference_model(), init, t_end=t_end, dt=dt)
+
+    @pytest.mark.parametrize(
+        "mu, sigma",
+        [
+            ([np.nan, 1.0], np.eye(2)),
+            ([0.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]]),
+            ([0.0, 0.0], [[-0.1, 0.0], [0.0, 0.1]]),
+            ([0.0, 0.0], [[0.1, 0.5], [0.5, 0.1]]),
+            ([0.0, 0.0], [[0.1, 0.01], [0.0, 0.1]]),
+        ],
+    )
+    def test_initial_state_must_be_a_finite_covariance(self, mu, sigma):
+        with pytest.raises(ValueError):
+            MomentState(mu=np.array(mu), sigma=np.array(sigma), t=0.0)
+
+    def test_initial_state_accepts_singular_covariance(self):
+        state = MomentState(mu=np.zeros(2), sigma=np.array([[0.1, 0.1], [0.1, 0.1]]), t=0.0)
+        assert state.sigma[0, 1] == 0.1
 
     def test_unstable_step_size_reports_negative_variance(self):
         # fast rotation integrated far beyond the stable step: the covariance

@@ -221,15 +221,11 @@ class TestIntegrateMoments:
             integrate_moments(model, init, t_end=0.0)
         with pytest.raises(ValueError):
             integrate_moments(model, init, t_end=1.0, dt=-0.1)
-
-    @pytest.mark.parametrize(
-        "t_end, dt",
-        [(np.inf, 1e-3), (np.nan, 1e-3), (1.0, 0.0), (1.0, np.nan), (1.0, 1e-320), (0.01, 0.02)],
-    )
-    def test_rejects_non_finite_or_stepless_grid(self, t_end, dt):
-        init = MomentState(mu=np.zeros(2), sigma=np.eye(2), t=0.0)
-        with pytest.raises(ValueError):
-            integrate_moments(reference_model(), init, t_end=t_end, dt=dt)
+        # non-finite grids, a step count that overflows, and a grid with no step
+        bad = [(np.inf, 1e-3), (np.nan, 1e-3), (1.0, 0.0), (1.0, np.nan), (1.0, 1e-320), (0.01, 0.02)]
+        for t_end, dt in bad:
+            with pytest.raises(ValueError):
+                integrate_moments(model, init, t_end=t_end, dt=dt)
 
     @pytest.mark.parametrize(
         "mu, sigma",

@@ -100,9 +100,9 @@ def integrate_moments(
 
     The equations are linear, so one RK4 step is an affine map y -> M y + c:
     the stages run once on the identity of (y, 1), column j < 5 giving column
-    j of M (from e_j, unforced) and column 5 giving c (from zero, forced). The
-    map is iterated on plain floats, mean and covariance blocks apart; the
-    covariance is carried as (s11, s12, s22), so it stays symmetric.
+    j of M (from e_j, unforced) and column 5 giving c (from zero, forced). H
+    does not couple mean and covariance, so M is iterated block by block on
+    plain floats; the covariance is carried as (s11, s12, s22), so it stays symmetric.
     """
     if not (dt > 0 and math.isfinite((t_end - init.t) / dt)):
         raise ValueError(f"t_end and dt must be finite and dt positive, got {t_end}, {dt}")

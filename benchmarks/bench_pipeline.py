@@ -10,8 +10,8 @@ holds the kernel backend, the numpy version, the CPU count, the
 OPENBLAS_NUM_THREADS setting (null when unset) and the git commit (with a flag
 for uncommitted changes).
 
-Stages, all but integrate_moments on the seed-149 reference path,
-m = 100,000 aligned rows:
+Stages, all but integrate_moments and map_flows on the seed-149 reference
+path, m = 100,000 aligned rows:
     analyze_core       covariances + fit_mle + fisher_ci, the estimator work
                        of one Fisher `analyze`
     bootstrap_ci       moving-block bootstrap from the path's covariances,
@@ -20,6 +20,10 @@ m = 100,000 aligned rows:
                        `theory`'s default initial state, t_end = 10, dt = 1e-3
     simulate_write     the `simulate` CSV writer on the path's 100,001 rows,
                        written to the null device
+    map_flows          `map`'s estimator work: a random-walk index against a
+                       40 x 40 x 2000 grid of random walks it drives, built
+                       from seed 149 in memory, with a masked 5 x 5 block and
+                       one constant cell
 """
 
 from __future__ import annotations
@@ -35,14 +39,17 @@ import time
 import numpy as np
 
 from infoflow import (
+    GridField,
     MomentState,
     SimConfig,
+    TimeSeries,
     align,
     bootstrap_ci,
     covariances,
     fisher_ci,
     fit_mle,
     integrate_moments,
+    map_flows,
     reference_model,
     simulate,
 )
@@ -86,11 +93,26 @@ def simulate_write_stage(pair):
     return {"rows": len(x1)}, run
 
 
+def map_flows_stage(pair):
+    rng = np.random.default_rng(149)
+    n_time, n_lat, n_lon, dt = 2000, 40, 40, 0.1
+    index = np.cumsum(rng.standard_normal(n_time))
+    values = np.cumsum(rng.standard_normal((n_time, n_lat, n_lon)), axis=0)
+    values += 0.5 * index[:, None, None]
+    values[:, 20, 20] = 7.25
+    mask = np.ones((n_lat, n_lon), dtype=bool)
+    mask[:5, :5] = False
+    field = GridField(values=values, dt=dt, mask=mask)
+    params = {"n_time": n_time, "n_lat": n_lat, "n_lon": n_lon}
+    return params, lambda: map_flows(TimeSeries(index, dt), field)
+
+
 STAGES = {
     "analyze_core": analyze_core_stage,
     "bootstrap_ci": bootstrap_stage,
     "integrate_moments": integrate_moments_stage,
     "simulate_write": simulate_write_stage,
+    "map_flows": map_flows_stage,
 }
 REPEATS = 5
 

@@ -409,9 +409,10 @@ def cmd_map(args) -> int:
     n_cells = int(field_grid.mask.sum())
     n_sig_i2f = int(flow_map.significant_index_to_field.sum())
     n_sig_f2i = int(flow_map.significant_field_to_index.sum())
+    n_missing = int(np.isnan(flow_map.t_index_to_field[field_grid.mask]).sum())
     print(
         f"{n_cells} unmasked cells; significant index->field: {n_sig_i2f}, "
-        f"field->index: {n_sig_f2i}; outputs in {args.out_dir}",
+        f"field->index: {n_sig_f2i}; {n_missing} missing; outputs in {args.out_dir}",
         file=sys.stderr,
     )
     for path in paths.values():

@@ -21,6 +21,10 @@ on a constant offset of either series. The pair pipeline, the field map and
 the validation harness go through covariances() and the one drift closed form
 in _drift(), with the floors in _degenerate() and _collinear().
 
+covariances(), fit_mle() and fisher_ci() also take a stacked pair (see _floor):
+each result field then holds one entry per row, with the bits of that row's
+pair alone.
+
 The moving-block bootstrap takes each resample's covariances from prefix sums
 of the centred series and their products, in O(m/L) per resample for block
 length L (see bootstrap_ci); _degenerate() with the prefix sums' rounding
@@ -29,6 +33,7 @@ floor, _collinear() and _drift() then act elementwise on arrays of resamples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -68,7 +73,7 @@ class CovarianceStats:
 
     c11, c12 and c22 are those of the series x1 and x2; cidj is that of xi
     with the difference series dj. The bootstrap fills the fields with
-    arrays, one entry per resample.
+    arrays, one entry per resample, and a stacked pair one entry per row.
     """
 
     c11: float
@@ -82,7 +87,16 @@ class CovarianceStats:
 
     @property
     def det(self) -> float:
-        return self.c11 * self.c22 - self.c12**2
+        return self.c11 * self.c22 - _square(self.c12)
+
+
+def _square(c):
+    """c ** 2 rounded as CPython squares a float (libm pow), elementwise over an array.
+
+    numpy squares an array by multiplying, which rounds apart from pow in
+    about one square in 1200; a row of a stack must keep its pair's bits.
+    """
+    return np.array([v**2 for v in c.tolist()]) if np.ndim(c) else c**2
 
 
 @dataclass(frozen=True)
@@ -97,8 +111,6 @@ class ModelEstimate:
     a22_hat: float
     b1_hat: float
     b2_hat: float
-    q1: float
-    q2: float
 
 
 @dataclass(frozen=True)
@@ -125,10 +137,10 @@ class FlowEstimate:
     block_len: int | None = None
 
     def significant21(self) -> bool:
-        return self.ci21[0] > 0 or self.ci21[1] < 0
+        return (self.ci21[0] > 0) | (self.ci21[1] < 0)
 
     def significant12(self) -> bool:
-        return self.ci12[0] > 0 or self.ci12[1] < 0
+        return (self.ci12[0] > 0) | (self.ci12[1] < 0)
 
 
 def covariances(pair: AlignedPair) -> CovarianceStats:
@@ -143,51 +155,52 @@ def _covariances(x1, x2, d1, d2) -> CovarianceStats:
     and x2 centred, one difference series centred at a time, and the
     products. At large m this sets the peak memory of `infoflow analyze`.
     """
-    m = x1.size
+    m = x1.shape[-1]
     floor11, floor22 = (_mean_rounding_floor(x) for x in (x1, x2))
-    w1, w2 = (np.subtract(x, x.mean()) for x in (x1, x2))
-    prod = np.empty(m)
-    c11, c12, c22 = (_dot(a, b, prod) for a, b in ((w1, w1), (w1, w2), (w2, w2)))
-    dc = np.subtract(d1, d1.mean())
-    c1d1, c2d1 = _dot(w1, dc, prod), _dot(w2, dc, prod)
-    np.subtract(d2, d2.mean(), out=dc)
-    c1d2, c2d2 = _dot(w1, dc, prod), _dot(w2, dc, prod)
-    denom = m - 1
-    stats = CovarianceStats(
-        c11=c11 / denom,
-        c12=c12 / denom,
-        c22=c22 / denom,
-        c1d1=c1d1 / denom,
-        c2d1=c2d1 / denom,
-        c1d2=c1d2 / denom,
-        c2d2=c2d2 / denom,
-        m=m,
-    )
-    if _degenerate(stats, floor11, floor22):
-        raise DegenerateSeries(f"degenerate variance: c11={stats.c11}, c22={stats.c22}")
-    return stats
+    w1, w2 = (x - x.mean(axis=-1, keepdims=True) for x in (x1, x2))
+    sums = [_dot(w1, w1), _dot(w1, w2), _dot(w2, w2)]
+    for d in (d1, d2):
+        dc = d - d.mean(axis=-1, keepdims=True)
+        sums += [_dot(w1, dc), _dot(w2, dc)]
+    c11, c12, c22, c1d1, c2d1, c1d2, c2d2 = (s / (m - 1) for s in sums)
+    keep = _floor(_degenerate(c11, c22, floor11, floor22), DegenerateSeries,
+                  lambda: f"degenerate variance: c11={c11}, c22={c22}")
+    return CovarianceStats(*(c * keep for c in (c11, c12, c22, c1d1, c2d1, c1d2, c2d2)), m=m)
 
 
-def _mean_rounding_floor(x: np.ndarray) -> float:
+def _mean_rounding_floor(x: np.ndarray):
     """(m * eps * max|x|)**2: the variance of a constant series x, at most.
 
     The computed mean of x is off from the true one by at most about
     m * eps * max|x|, so a constant series centres to values no larger and
-    its variance comes out no larger than the square.
+    its variance comes out no larger than the square. One floor per row.
     """
-    return (x.size * _EPS * max(x.max(), -x.min())) ** 2
+    return _square(x.shape[-1] * _EPS * np.maximum(x.max(axis=-1), -x.min(axis=-1)))
 
 
-def _degenerate(cov: CovarianceStats, floor11, floor22):
+def _floor(bad, error, message):
+    """1.0 where a numerical floor holds; NaN in the rows of a stack that fail it (bad).
+
+    One pair that fails raises error(message()) instead. A failing row of a
+    stack stays NaN through every later step, so its significance flags are False.
+    """
+    if np.ndim(bad):
+        return np.where(bad, np.nan, 1.0)
+    if bad:
+        raise error(message())
+    return 1.0
+
+
+def _degenerate(c11, c22, floor11, floor22):
     """Whether a variance is at or below its floor (elementwise over a batch).
 
-    The floors are the rounding error of the path that computed cov: for
+    The floors are the rounding error of the path that computed c11, c22: for
     covariances() that of the centring (_mean_rounding_floor), for bootstrap
     resamples _PREFIX_FLOOR * m times the full-sample variance, that of
     their prefix sums. A constant series need not give an exactly zero
     variance on either path.
     """
-    return (cov.c11 <= floor11) | (cov.c22 <= floor22)
+    return (c11 <= floor11) | (c22 <= floor22)
 
 
 def _collinear(cov: CovarianceStats):
@@ -196,10 +209,11 @@ def _collinear(cov: CovarianceStats):
 
 
 def _checked_drift(cov: CovarianceStats) -> tuple[float, float, float, float, float]:
-    """_drift() of one sample; raises CollinearSeries below the floor."""
-    if _collinear(cov):
-        raise CollinearSeries(f"covariance determinant {cov.det} below the collinearity floor")
-    return _drift(cov)
+    """_drift() under the collinearity floor: CollinearSeries, or NaN rows (_floor)."""
+    keep = _floor(_collinear(cov), CollinearSeries,
+                  lambda: f"covariance determinant {cov.det} below the collinearity floor")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return tuple(v * keep for v in _drift(cov))
 
 
 def _drift(cov: CovarianceStats) -> tuple[float, float, float, float, float]:
@@ -208,7 +222,7 @@ def _drift(cov: CovarianceStats) -> tuple[float, float, float, float, float]:
     flow(), fit_mle(), fisher_ci() and the bootstrap all take the drift from
     here, so that t21 == (c12/c11) * a12_hat holds bitwise. It is elementwise
     over a batch of covariances; collinear entries must be excluded first
-    (_checked_drift for one sample, a mask for a batch).
+    (_checked_drift for a pair, a mask for bootstrap resamples).
     """
     det = cov.det
     a11 = (cov.c22 * cov.c1d1 - cov.c12 * cov.c2d1) / det
@@ -221,13 +235,13 @@ def _drift(cov: CovarianceStats) -> tuple[float, float, float, float, float]:
 def fit_mle(pair: AlignedPair, cov: CovarianceStats) -> ModelEstimate:
     """Closed-form MLE of (f, A, B) from the decoupled normal equations."""
     _, a11, a12, a21, a22 = _checked_drift(cov)
-    mean_x1, mean_x2 = float(pair.x1w.mean()), float(pair.x2w.mean())
-    f1 = float(pair.d1.mean()) - a11 * mean_x1 - a12 * mean_x2
-    f2 = float(pair.d2.mean()) - a21 * mean_x1 - a22 * mean_x2
-    r1 = pair.d1 - (f1 + a11 * pair.x1w + a12 * pair.x2w)
-    r2 = pair.d2 - (f2 + a21 * pair.x1w + a22 * pair.x2w)
-    q1 = _dot(r1, r1)
-    q2 = _dot(r2, r2)
+    mean_x1, mean_x2 = pair.x1w.mean(axis=-1), pair.x2w.mean(axis=-1)
+    f1 = pair.d1.mean(axis=-1) - a11 * mean_x1 - a12 * mean_x2
+    f2 = pair.d2.mean(axis=-1) - a21 * mean_x1 - a22 * mean_x2
+    col = functools.partial(np.expand_dims, axis=-1)  # a value per row, as a column
+    r1 = pair.d1 - (col(f1) + col(a11) * pair.x1w + col(a12) * pair.x2w)
+    r2 = pair.d2 - (col(f2) + col(a21) * pair.x1w + col(a22) * pair.x2w)
+    q1, q2 = _dot(r1, r1), _dot(r2, r2)
     dt = pair.dt
     return ModelEstimate(
         f1_hat=f1,
@@ -236,21 +250,14 @@ def fit_mle(pair: AlignedPair, cov: CovarianceStats) -> ModelEstimate:
         a12_hat=a12,
         a21_hat=a21,
         a22_hat=a22,
-        b1_hat=math.sqrt(q1 * dt / pair.m),
-        b2_hat=math.sqrt(q2 * dt / pair.m),
-        q1=q1,
-        q2=q2,
+        b1_hat=np.sqrt(q1 * dt / pair.m),
+        b2_hat=np.sqrt(q2 * dt / pair.m),
     )
 
 
 def flow(cov: CovarianceStats) -> tuple[float, float]:
     """Information-flow rates (t21, t12) in nats per unit time."""
     _, _, a12, a21, _ = _checked_drift(cov)
-    return _rates(cov, a12, a21)
-
-
-def _rates(cov: CovarianceStats, a12, a21) -> tuple[float, float]:
-    """(t21, t12) = ((c12/c11) * a12, (c12/c22) * a21), elementwise over a batch."""
     return (cov.c12 / cov.c11) * a12, (cov.c12 / cov.c22) * a21
 
 
@@ -264,7 +271,7 @@ def _star_ratios(
             f"exceeds the aligned sample of {pair.m} points"
         )
     slab = slice(star_window.start_index, star_window.end_index)
-    w1, w2, d1, d2 = (a[slab] for a in (pair.x1w, pair.x2w, pair.d1, pair.d2))
+    w1, w2, d1, d2 = (a[..., slab] for a in (pair.x1w, pair.x2w, pair.d1, pair.d2))
     if detrend_star:
         w1, w2 = detrend_values(w1), detrend_values(w2)
     try:
@@ -279,10 +286,10 @@ def z_quantile(alpha: float) -> float:
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
 
 
-def _checked_noise(b: float) -> float:
-    if b <= 0 or not math.isfinite(b):
-        raise SingularFisher(f"residual noise estimate b={b}; no likelihood curvature scale")
-    return b
+def _checked_noise(b):
+    """The factor of _floor() for a residual noise level b, which must be positive."""
+    return _floor(~np.isfinite(b) | (b <= 0), SingularFisher,
+                  lambda: f"residual noise estimate b={b}; no likelihood curvature scale")
 
 
 def fisher_ci(
@@ -317,10 +324,12 @@ def fisher_ci(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    det, _, a12, a21, _ = _checked_drift(cov)
+    drift = _checked_drift(cov)
+    keep = _checked_noise(model.b1_hat) * _checked_noise(model.b2_hat)
+    det, _, a12, a21, _ = (v * keep for v in drift)
     denom = pair.dt * (cov.m - 1) * det
-    sigma_a12 = _checked_noise(model.b1_hat) * math.sqrt(cov.c11 / denom)
-    sigma_a21 = _checked_noise(model.b2_hat) * math.sqrt(cov.c22 / denom)
+    sigma_a12 = model.b1_hat * np.sqrt(cov.c11 / denom)
+    sigma_a21 = model.b2_hat * np.sqrt(cov.c22 / denom)
     if star_window is None:
         r21 = cov.c12 / cov.c11
         r12 = cov.c12 / cov.c22
@@ -426,10 +435,9 @@ def bootstrap_ci(
             starts = rng.integers(0, n_starts, size=(k, n_blocks))
             draws += k
             boot = sums.covariances(starts)
-            keep = ~(_degenerate(boot, *floors) | _collinear(boot))
+            keep = ~(_degenerate(boot.c11, boot.c22, *floors) | _collinear(boot))
             with np.errstate(divide="ignore", invalid="ignore"):
-                _, _, a12, a21, _ = _drift(boot)
-                b21, b12 = _rates(boot, a12, a21)
+                b21, b12 = flow(boot)
             n_keep = int(keep.sum())
             t21s[i : i + n_keep] = b21[keep]
             t12s[i : i + n_keep] = b12[keep]

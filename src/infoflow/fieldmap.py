@@ -1,10 +1,11 @@
 """Causality maps between one index series and every gridpoint of a 2-D field.
 
-Each unmasked cell is paired with the index series and run through the full
-two-series pipeline (align, covariances, MLE, Fisher intervals); cells are
-fully independent, so a single-cell grid reproduces the pair pipeline
-bitwise. Cells whose series are degenerate are reported as missing (NaN flow,
-significance False) without aborting the map.
+Each unmasked cell is paired with the index series and run through the
+two-series pipeline (align, covariances, MLE, Fisher intervals) as one row of
+a stack of cells; each row gives the bits of its own pair pipeline, so a
+single-cell grid reproduces the pair pipeline bitwise. Cells whose series are
+degenerate are reported as missing (NaN flow, significance False) without
+aborting the map.
 
 Grid storage is a plain-text trio:
 
@@ -28,11 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DtMismatch, GridFormatError, LengthMismatch, NumericalError
+from .errors import GridFormatError
 from .estimator import covariances, fisher_ci, fit_mle
 from .series import TimeSeries, _data_lines, _read_table, align
 
 MISSING = float("nan")
+
+# Cells go through the estimator in blocks of about BLOCK_VALUES values, so a
+# work array of a block takes about 2 MB whatever the size of the grid.
+BLOCK_VALUES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,6 @@ class GridField:
     def n_lon(self) -> int:
         return self.values.shape[2]
 
-    def cell_series(self, lat: int, lon: int) -> TimeSeries:
-        return TimeSeries(self.values[:, lat, lon], self.dt, self.t0, f"cell[{lat},{lon}]")
-
 
 @dataclass(frozen=True)
 class FlowMap:
@@ -94,39 +96,21 @@ class FlowMap:
 
 def map_flows(index: TimeSeries, field: GridField, alpha: float = 0.05) -> FlowMap:
     """Run the two-series pipeline between the index and every unmasked cell."""
-    if len(index) != field.n_time:
-        raise LengthMismatch(
-            f"index length {len(index)} does not match field n_time {field.n_time}"
-        )
-    if not math.isclose(index.dt, field.dt, rel_tol=1e-12, abs_tol=0.0):
-        raise DtMismatch(f"index dt {index.dt} does not match field dt {field.dt}")
     shape = (field.n_lat, field.n_lon)
-    t_i2f = np.full(shape, MISSING)
-    t_f2i = np.full(shape, MISSING)
-    sig_i2f = np.zeros(shape, dtype=bool)
-    sig_f2i = np.zeros(shape, dtype=bool)
-    for lat in range(field.n_lat):
-        for lon in range(field.n_lon):
-            if not field.mask[lat, lon]:
-                continue
-            try:
-                pair = align(index, field.cell_series(lat, lon))
-                cov = covariances(pair)
-                est = fisher_ci(pair, fit_mle(pair, cov), cov, alpha)
-            except NumericalError:
-                continue  # cell stays missing
-            # pair is (x1=index, x2=cell): t12 flows index -> cell
-            t_i2f[lat, lon] = est.t12
-            t_f2i[lat, lon] = est.t21
-            sig_i2f[lat, lon] = est.significant12()
-            sig_f2i[lat, lon] = est.significant21()
-    return FlowMap(
-        t_index_to_field=t_i2f,
-        t_field_to_index=t_f2i,
-        significant_index_to_field=sig_i2f,
-        significant_field_to_index=sig_f2i,
-        alpha=alpha,
-    )
+    t_i2f, t_f2i = np.full(shape, MISSING), np.full(shape, MISSING)
+    sig_i2f, sig_f2i = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    series = field.values.reshape(field.n_time, -1)
+    cells = np.flatnonzero(field.mask)
+    per_block = max(1, BLOCK_VALUES // field.n_time)
+    # at least one block, empty if every cell is masked: align checks the index
+    for rows in np.array_split(cells, max(1, -(-cells.size // per_block))):
+        pair = align(index, TimeSeries(series[:, rows].T, field.dt, field.t0))
+        cov = covariances(pair)
+        est = fisher_ci(pair, fit_mle(pair, cov), cov, alpha)
+        # pair is (x1=index, x2=cell): t12 flows index -> cell
+        t_i2f.flat[rows], t_f2i.flat[rows] = est.t12, est.t21
+        sig_i2f.flat[rows], sig_f2i.flat[rows] = est.significant12(), est.significant21()
+    return FlowMap(t_i2f, t_f2i, sig_i2f, sig_f2i, alpha)
 
 
 # --- grid I/O ----------------------------------------------------------------

@@ -32,18 +32,19 @@ _TIME_EPS = 1e-9
 
 
 def _freeze(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    # C order: a row of a stack then sums in the pairwise order of a 1-D series
+    arr = np.array(values, dtype=float, order="C")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A uniformly sampled scalar series.
+    """A uniformly sampled scalar series, or a (k, n) stack of k series.
 
-    values are in user units, dt is the sampling step in user time units and
-    t0 the time of the first sample. t0 and label are carried for window
-    selection and reporting only; no estimate depends on them.
+    values are in user units, time on the last axis; dt is the sampling step
+    in user time units and t0 the time of the first sample. t0 and label are
+    carried for window selection and reporting only; no estimate depends on them.
     """
 
     values: np.ndarray
@@ -53,19 +54,19 @@ class TimeSeries:
 
     def __post_init__(self):
         arr = _freeze(self.values)
-        if arr.ndim != 1:
-            raise ValueError(f"series values must be 1-D, got shape {arr.shape}")
-        if arr.size < _MIN_LENGTH:
-            raise ValueError(f"series needs at least {_MIN_LENGTH} points, got {arr.size}")
+        if arr.ndim not in (1, 2):
+            raise ValueError(f"series values must be 1-D or a 2-D stack, got shape {arr.shape}")
+        if arr.shape[-1] < _MIN_LENGTH:
+            raise ValueError(f"series needs at least {_MIN_LENGTH} points, got {arr.shape[-1]}")
         if not np.isfinite(arr).all():
-            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+            bad = int(np.nonzero(~np.isfinite(arr))[-1][0])
             raise NonFiniteValue(f"non-finite value at index {bad}", row=bad)
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be a positive finite real, got {self.dt}")
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
-        return self.values.size
+        return self.values.shape[-1]
 
     @property
     def t_end(self) -> float:
@@ -81,7 +82,7 @@ class AlignedPair:
 
     d1/d2 hold (x[n+1] - x[n]) / dt for n = 0..N-2, so they have m = N-1
     entries. Every covariance downstream is computed on the same window
-    0..N-2 of x1/x2, exposed as x1w/x2w.
+    0..N-2 of x1/x2, exposed as x1w/x2w. Either may be a stack: a pair per row.
     """
 
     x1: TimeSeries
@@ -96,11 +97,11 @@ class AlignedPair:
 
     @property
     def x1w(self) -> np.ndarray:
-        return self.x1.values[: self.m]
+        return self.x1.values[..., : self.m]
 
     @property
     def x2w(self) -> np.ndarray:
-        return self.x2.values[: self.m]
+        return self.x2.values[..., : self.m]
 
     @property
     def dt(self) -> float:
@@ -246,10 +247,10 @@ def subsample(s: TimeSeries, delta_n: int) -> TimeSeries:
     """Keep every delta_n-th value starting at index 0; dt scales accordingly."""
     if delta_n < 1:
         raise ValueError(f"delta_n must be >= 1, got {delta_n}")
-    values = s.values[::delta_n]
-    if values.size < _MIN_LENGTH:
+    values = s.values[..., ::delta_n]
+    if values.shape[-1] < _MIN_LENGTH:
         raise TooShortAfterSubsample(
-            f"subsampling by {delta_n} leaves {values.size} points (need {_MIN_LENGTH})"
+            f"subsampling by {delta_n} leaves {values.shape[-1]} points (need {_MIN_LENGTH})"
         )
     return TimeSeries(values, s.dt * delta_n, s.t0, s.label)
 
@@ -274,7 +275,7 @@ def window(series: TimeSeries, t_start: float, t_end: float) -> TimeSeries:
     if i1 - i0 + 1 < _MIN_LENGTH:
         raise WindowOutOfRange(f"window [{t_start}, {t_end}] covers fewer than 3 samples")
     return TimeSeries(
-        series.values[i0 : i1 + 1], series.dt, series.t0 + i0 * series.dt, series.label
+        series.values[..., i0 : i1 + 1], series.dt, series.t0 + i0 * series.dt, series.label
     )
 
 
@@ -293,29 +294,29 @@ def star_window_from_times(
 
 
 def align(x1: TimeSeries, x2: TimeSeries) -> AlignedPair:
-    """Pair two series and attach their Euler-forward difference series."""
+    """Pair two series (or stacks) and attach their Euler-forward difference series."""
     if len(x1) != len(x2):
         raise LengthMismatch(f"series lengths differ: {len(x1)} vs {len(x2)}")
     if not math.isclose(x1.dt, x2.dt, rel_tol=1e-12, abs_tol=0.0):
         raise DtMismatch(f"series timesteps differ: {x1.dt} vs {x2.dt}")
-    d1 = (x1.values[1:] - x1.values[:-1]) / x1.dt
-    d2 = (x2.values[1:] - x2.values[:-1]) / x2.dt
+    d1 = (x1.values[..., 1:] - x1.values[..., :-1]) / x1.dt
+    d2 = (x2.values[..., 1:] - x2.values[..., :-1]) / x2.dt
     return AlignedPair(x1=x1, x2=x2, d1=d1, d2=d2, m=len(x1) - 1)
 
 
-def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> float:
-    """The sum of a * b, in numpy's pairwise order on one thread.
+def _dot(a: np.ndarray, b: np.ndarray):
+    """The sum of a * b over the last axis, in numpy's pairwise order on one thread.
 
     a @ b calls BLAS ddot, whose rounding depends on how many threads split
-    the vectors; this sum gives the same bits for any BLAS thread count. The
-    products go to `out` if given.
+    the vectors; this sum gives the same bits for any BLAS thread count. A
+    stack gives one sum per row, each in the order of the row alone.
     """
-    return float(np.add.reduce(np.multiply(a, b, out=out)))
+    return np.add.reduce(a * b, axis=-1)
 
 
 def detrend_values(values: np.ndarray) -> np.ndarray:
-    """Residuals of a least-squares linear fit in sample index."""
-    n = np.arange(values.size, dtype=float)
+    """Residuals of a least-squares linear fit in sample index, per row of a stack."""
+    n = np.arange(values.shape[-1], dtype=float)
     nc = n - n.mean()
     slope = _dot(nc, values) / _dot(nc, nc)
-    return values - (values.mean() + slope * nc)
+    return values - (values.mean(axis=-1, keepdims=True) + np.expand_dims(slope, -1) * nc)

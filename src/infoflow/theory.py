@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateVariance, NonPositiveVariance, NotHurwitz
+from .errors import DegenerateVariance, NonFiniteState, NonPositiveVariance, NotHurwitz
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,7 @@ def integrate_moments(
     j of M (from e_j, unforced) and column 5 giving c (from zero, forced). H
     does not couple mean and covariance, so M is iterated block by block on
     plain floats; the covariance is carried as (s11, s12, s22), so it stays symmetric.
+    A step too coarse for RK4 can blow the moments up: that raises NonFiniteState.
     """
     if not (dt > 0 and math.isfinite((t_end - init.t) / dt)):
         raise ValueError(f"t_end and dt must be finite and dt positive, got {t_end}, {dt}")
@@ -132,6 +133,9 @@ def integrate_moments(
         flat.extend((mu1, mu2, s11, s12, s22))
     ys = np.array(flat).reshape(-1, 5)
     t = init.t + np.arange(n_steps + 1) * dt
+    bad = np.flatnonzero(~np.isfinite(ys).all(axis=1))
+    if bad.size:
+        raise NonFiniteState(f"moments are not finite from t={t[bad[0]]}", step=int(bad[0]))
     return MomentTrajectory(t=t, mu=ys[:, :2], sigma=ys[:, [2, 3, 3, 4]].reshape(-1, 2, 2))
 
 

@@ -288,6 +288,15 @@ class TestTheory:
         assert rc == 3
         assert "NotHurwitz" in capsys.readouterr().err
 
+    def test_blown_up_integration_exit_code(self, capsys, tmp_path):
+        # a stable model whose step is far too coarse for RK4: the moments
+        # overflow to inf and then NaN
+        out = tmp_path / "traj.csv"
+        rc = main(["theory", "--a=-100,0,0,-100", "--dt", "1", "--t-end", "400", "--out", str(out)])
+        assert rc == 3
+        assert "NonFiniteState: moments are not finite from t=" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_columns_match_trajectory_and_analytic_flows_bitwise(self, capsys, tmp_path):
         out = tmp_path / "traj.csv"
         rc = main(["theory", "--t-end", "2", "--dt", "0.01", "--out", str(out)])
@@ -368,6 +377,19 @@ class TestMap:
 
         assert float(read_value("flow_index_to_field")) == payload["t12"]
         assert float(read_value("flow_field_to_index")) == payload["t21"]
+
+    def test_summary_counts_missing_cells(self, capsys, tmp_path):
+        rng = np.random.default_rng(22)
+        index = np.cumsum(rng.standard_normal(300))
+        values = np.stack([index + rng.standard_normal(300), np.full(300, 7.25)], axis=1)
+        grid = infoflow.GridField(values=values.reshape(300, 1, 2), dt=0.5, mask=np.ones((1, 2)))
+        manifest = infoflow.write_grid(grid, tmp_path)
+        (tmp_path / "index.csv").write_text("index\n" + "\n".join(f"{v:.17g}" for v in index))
+        rc = main(["map", "--index", str(tmp_path / "index.csv"), "--grid-manifest", manifest,
+                   "--out-dir", str(tmp_path / "maps")])
+        assert rc == 0
+        summary = capsys.readouterr().err.splitlines()[0]
+        assert summary.startswith("2 unmasked cells; ") and "; 1 missing; " in summary
 
     def test_missing_mask_file_exit_code(self, capsys, tmp_path):
         manifest = self._write_single_cell_grid(tmp_path, np.arange(10.0), 1.0)

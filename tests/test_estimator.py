@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from infoflow import (
     AlignedPair,
     CollinearSeries,
+    DegenerateSeries,
     NumericalError,
     SimConfig,
     SingularFisher,
@@ -480,6 +483,77 @@ class TestBootstrap:
             bootstrap_ci(pair, cov, n_boot=50)
         with pytest.raises(ValueError):
             bootstrap_ci(pair, cov, n_boot=100, block_len=0)
+
+
+class TestStackedPair:
+    """A (k, n) stack is k pairs: each row has the bits of its pair alone."""
+
+    def fixture(self):
+        rng = np.random.default_rng(33)
+        x1 = np.cumsum(rng.standard_normal(400))
+        rows = np.cumsum(rng.standard_normal((5, 400)), axis=1) + 0.4 * x1
+        rows[1] = 0.3  # constant, off its computed mean: DegenerateSeries as a pair
+        rows[2] = 2.0 * x1 + 1.0  # CollinearSeries as a pair
+        index = TimeSeries(x1, 0.1)
+        # a Fortran-ordered stack: its rows must still sum in a 1-D series' order
+        return index, rows, align(index, TimeSeries(np.asfortranarray(rows), 0.1))
+
+    def estimates(self, pair, star=None, b1_hat=None):
+        cov = covariances(pair)
+        model = fit_mle(pair, cov)
+        if b1_hat is not None:
+            model = dataclasses.replace(model, b1_hat=b1_hat)
+        star_window = StationaryWindow(100, 300) if star else None
+        est = fisher_ci(pair, model, cov, star_window=star_window, detrend_star=star == "detrend")
+        return cov, model, est
+
+    def assert_row_equals_pair(self, stacked, k, single):
+        def row(value):
+            return tuple(map(row, value)) if isinstance(value, tuple) else value[k]
+
+        for whole, one in zip(stacked, single):
+            for field in dataclasses.fields(one):
+                value, got = getattr(one, field.name), getattr(whole, field.name)
+                assert (row(got) if np.ndim(got) or isinstance(got, tuple) else got) == value
+
+    @pytest.mark.parametrize("star", [None, "plain", "detrend"])
+    def test_rows_equal_pairs_and_failing_rows_are_nan(self, star):
+        index, rows, stack = self.fixture()
+        stacked = self.estimates(stack, star)
+        est = stacked[2]
+        for k in (0, 3, 4):
+            single = self.estimates(align(index, TimeSeries(rows[k], 0.1)), star)
+            self.assert_row_equals_pair(stacked, k, single)
+            assert est.significant21()[k] == single[2].significant21()
+        for k, error in ((1, DegenerateSeries), (2, CollinearSeries)):
+            with pytest.raises(error):
+                self.estimates(align(index, TimeSeries(rows[k], 0.1)), star)
+            for value in (est.t21, est.t12, est.se21, est.se12, *est.ci21, *est.ci12):
+                assert np.isnan(value[k])
+            assert not est.significant21()[k] and not est.significant12()[k]
+
+    def test_many_rows_keep_their_bits(self):
+        # enough rows, correlated enough with the index that c12**2 sets det's
+        # last bits, that squaring c12 by numpy's multiplication would show:
+        # it rounds apart from a float's pow about once in 1200 squares
+        rng = np.random.default_rng(34)
+        index = TimeSeries(rng.standard_normal(16), 0.5)
+        rows = index.values + 0.1 * rng.standard_normal((16, 3000)).T
+        t21s, t12s = flow(covariances(align(index, TimeSeries(rows, 0.5))))
+        for t21, t12, row in zip(t21s, t12s, rows):
+            assert (t21, t12) == flow(covariances(align(index, TimeSeries(row, 0.5))))
+
+    def test_singular_fisher_row_is_nan(self):
+        index, rows, stack = self.fixture()
+        b1_hat = fit_mle(stack, covariances(stack)).b1_hat.copy()
+        b1_hat[3] = 0.0
+        est = self.estimates(stack, b1_hat=b1_hat)[2]
+        assert np.isnan([est.t21[3], est.t12[3], est.se21[3], est.ci12[0][3]]).all()
+        assert not est.significant21()[3] and not est.significant12()[3]
+        assert est.t21[0] == self.estimates(stack)[2].t21[0]
+        pair = align(index, TimeSeries(rows[3], 0.1))
+        with pytest.raises(SingularFisher, match="residual noise estimate b=0.0"):
+            self.estimates(pair, b1_hat=0.0)
 
 
 class TestProperties:

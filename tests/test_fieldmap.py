@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from infoflow import (
+    CollinearSeries,
+    DegenerateSeries,
     DtMismatch,
     GridField,
     GridFormatError,
     LengthMismatch,
+    NumericalError,
     TimeSeries,
     align,
     covariances,
@@ -17,7 +20,7 @@ from infoflow import (
     map_flows,
     write_grid,
 )
-from infoflow import series
+from infoflow import fieldmap, series
 
 DT = 0.05
 N_TIME = 3000
@@ -62,6 +65,29 @@ def noise_fixture(seed=1000):
     return index, field
 
 
+def pair_pipeline(index, field, lat, lon, alpha=0.05):
+    pair = align(index, TimeSeries(field.values[:, lat, lon], field.dt))
+    cov = covariances(pair)
+    return fisher_ci(pair, fit_mle(pair, cov), cov, alpha=alpha)
+
+
+def assert_cells_equal_pair_pipeline(index, field, fm):
+    """Every unmasked cell has the bits of its own pair pipeline, or is missing if that raises."""
+    for lat, lon in zip(*np.nonzero(field.mask)):
+        cell = (lat, lon)
+        try:
+            est = pair_pipeline(index, field, lat, lon, fm.alpha)
+        except NumericalError:
+            assert np.isnan(fm.t_index_to_field[cell]) and np.isnan(fm.t_field_to_index[cell])
+            assert not fm.significant_index_to_field[cell]
+            assert not fm.significant_field_to_index[cell]
+            continue
+        assert fm.t_index_to_field[cell] == est.t12
+        assert fm.t_field_to_index[cell] == est.t21
+        assert fm.significant_index_to_field[cell] == est.significant12()
+        assert fm.significant_field_to_index[cell] == est.significant21()
+
+
 class TestMapFlows:
     def test_one_way_coupling_pattern(self):
         index, field, coupled = coupled_fixture(seed=0)
@@ -82,7 +108,7 @@ class TestMapFlows:
         assert (~fm.significant_index_to_field).sum() >= 0.9 * n_cells
         assert (~fm.significant_field_to_index).sum() >= 0.9 * n_cells
 
-    def test_single_cell_grid_equals_pair_pipeline(self):
+    def test_single_cell_grid_equals_pair_pipeline(self, monkeypatch):
         index, field, _ = coupled_fixture(seed=2)
         cell = field.values[:, 0:1, 0:1]
         single = GridField(values=cell, dt=DT, mask=np.ones((1, 1), dtype=bool))
@@ -94,6 +120,11 @@ class TestMapFlows:
         assert fm.t_field_to_index[0, 0] == est.t21
         assert fm.significant_index_to_field[0, 0] == est.significant12()
         assert fm.significant_field_to_index[0, 0] == est.significant21()
+        # every cell of the grid, in one block and then in blocks of three
+        # cells, which split the grid's rows of four
+        assert_cells_equal_pair_pipeline(index, field, map_flows(index, field, alpha=0.05))
+        monkeypatch.setattr(fieldmap, "BLOCK_VALUES", 3 * N_TIME)
+        assert_cells_equal_pair_pipeline(index, field, map_flows(index, field, alpha=0.05))
 
     def test_cell_permutation_permutes_output(self):
         index, field, _ = coupled_fixture(seed=3)
@@ -126,11 +157,28 @@ class TestMapFlows:
         index, field = noise_fixture(seed=5)
         values = field.values.copy()
         values[:, 1, 1] = index.values  # collinear with the index
+        values[:, 2, 0] = 0.3  # constant, off its computed mean
         bad = GridField(values=values, dt=DT, mask=field.mask)
         fm = map_flows(index, bad)
-        assert np.isnan(fm.t_index_to_field[1, 1])
-        assert not fm.significant_index_to_field[1, 1]
+        for (lat, lon), error in (((1, 1), CollinearSeries), ((2, 0), DegenerateSeries)):
+            with pytest.raises(error):
+                pair_pipeline(index, bad, lat, lon)
+            assert np.isnan(fm.t_index_to_field[lat, lon])
+            assert not fm.significant_index_to_field[lat, lon]
         assert np.isfinite(fm.t_index_to_field[0, 0])
+        assert_cells_equal_pair_pipeline(index, bad, fm)
+
+    def test_all_masked_grid(self):
+        index, field = noise_fixture(seed=9)
+        masked = GridField(values=field.values, dt=DT, mask=np.zeros((N_LAT, N_LON), dtype=bool))
+        fm = map_flows(index, masked)
+        assert np.isnan(fm.t_index_to_field).all() and np.isnan(fm.t_field_to_index).all()
+        assert not fm.significant_index_to_field.any()
+        assert not fm.significant_field_to_index.any()
+        with pytest.raises(LengthMismatch):
+            map_flows(TimeSeries(index.values[:-1], DT), masked)
+        with pytest.raises(DtMismatch):
+            map_flows(TimeSeries(index.values, DT * 2), masked)
 
     def test_shape_and_dt_validation(self):
         index, field = noise_fixture(seed=6)

@@ -1,24 +1,20 @@
-#!/usr/bin/env python3
-"""Benchmark the path-generation kernels: compiled extension vs pure Python.
+"""Time one call of a path-generation kernel: the helper perfbench's kernel rate uses.
 
-Usage:
-    python3 benchmarks/bench_kernels.py [--steps N] [--repeats R]
-
-Also verifies that both backends produce bit-identical paths.
+perfbench/run.py imports `bench` from here to report kernels.euler_steps_per_s.
+Kernel backends are compared by the simulate_* stages of bench_pipeline.py,
+which call them the way `simulate` does, with numpy-scalar coefficients.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import time
 
 import numpy as np
 
-from infoflow.kernels import available_backends
-
 
 def bench(fn, dw1, dw2, repeats):
+    """(best wall time of `repeats` calls, out1, out2) of kernel fn on increments dw1, dw2."""
     n = dw1.shape[0]
     out1 = np.empty(n + 1)
     out2 = np.empty(n + 1)
@@ -28,36 +24,3 @@ def bench(fn, dw1, dw2, repeats):
         fn(out1, out2, dw1, dw2, 0.0, 0.0, -1.0, 0.5, 0.0, -1.0, 0.1, 0.1, 1e-3, 1.0, 2.0)
         best = min(best, time.perf_counter() - start)
     return best, out1.copy(), out2.copy()
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--steps", type=int, default=1_000_000)
-    parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args()
-
-    rng = np.random.default_rng(0)
-    dw = rng.standard_normal((args.steps, 2)) * math.sqrt(1e-3)
-    dw1 = np.ascontiguousarray(dw[:, 0])
-    dw2 = np.ascontiguousarray(dw[:, 1])
-
-    backends = available_backends()
-    results = {}
-    for name, fn in backends.items():
-        best, out1, out2 = bench(fn, dw1, dw2, args.repeats)
-        results[name] = (best, out1, out2)
-        print(f"{name:>9s}: {best * 1e3:9.2f} ms  ({args.steps / best / 1e6:8.1f} M steps/s)")
-
-    if len(results) == 2:
-        t_py = results["python"][0]
-        t_c = results["compiled"][0]
-        same = np.array_equal(results["python"][1], results["compiled"][1]) and np.array_equal(
-            results["python"][2], results["compiled"][2]
-        )
-        print(f"\nspeedup: {t_py / t_c:.1f}x  | paths bit-identical: {same}")
-    else:
-        print("\ncompiled kernel not available; benchmarked the fallback only")
-
-
-if __name__ == "__main__":
-    main()

@@ -10,8 +10,8 @@ holds the kernel backend, the numpy version, the CPU count, the
 OPENBLAS_NUM_THREADS setting (null when unset) and the git commit (with a flag
 for uncommitted changes).
 
-Stages, all but integrate_moments and map_flows on the seed-149 reference
-path, m = 100,000 aligned rows:
+Stages, all but integrate_moments, map_flows and simulate_* on the seed-149
+reference path, m = 100,000 aligned rows:
     analyze_core       covariances + fit_mle + fisher_ci, the estimator work
                        of one Fisher `analyze`
     bootstrap_ci       moving-block bootstrap from the path's covariances,
@@ -24,6 +24,11 @@ path, m = 100,000 aligned rows:
                        40 x 40 x 2000 grid of random walks it drives, built
                        from seed 149 in memory, with a masked 5 x 5 block and
                        one constant cell
+    simulate_python    `simulate` of that reference path (reference_model(),
+    simulate_compiled  100,000 steps, seed 149) on each kernel backend: the
+                       pure-Python one always, the compiled one when it is
+                       built. The model hands its coefficients over as numpy
+                       scalars, as in every `simulate` and `validate` run.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import platform
 import statistics
 import subprocess
 import time
+from unittest import mock
 
 import numpy as np
 
@@ -53,8 +59,9 @@ from infoflow import (
     reference_model,
     simulate,
 )
+from infoflow import simulator
 from infoflow.cli import _write_rows
-from infoflow.kernels import BACKEND
+from infoflow.kernels import BACKEND, available_backends
 
 
 def reference_pair():
@@ -107,12 +114,26 @@ def map_flows_stage(pair):
     return params, lambda: map_flows(TimeSeries(index, dt), field)
 
 
+def simulate_stage(kernel):
+    def setup(pair):
+        cfg = SimConfig(reference_model(), (1.0, 2.0), 1e-3, 100_000, 149)
+
+        def run():
+            with mock.patch.object(simulator, "euler_path_2d", kernel):
+                return simulate(cfg)
+
+        return {"steps": cfg.n_steps, "seed": cfg.seed}, run
+
+    return setup
+
+
 STAGES = {
     "analyze_core": analyze_core_stage,
     "bootstrap_ci": bootstrap_stage,
     "integrate_moments": integrate_moments_stage,
     "simulate_write": simulate_write_stage,
     "map_flows": map_flows_stage,
+    **{f"simulate_{name}": simulate_stage(fn) for name, fn in available_backends().items()},
 }
 REPEATS = 5
 

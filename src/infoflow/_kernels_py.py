@@ -10,14 +10,22 @@ import numpy as np
 
 
 def euler_path_2d(out1, out2, dw1, dw2, f1, f2, a11, a12, a21, a22, b1, b2, dt, x01, x02):
-    """Fill out1/out2 (length n+1) with the forward-Euler recursion."""
+    """Fill out1/out2 (length n+1) with the forward-Euler recursion.
+
+    The scalars are converted to Python floats on entry, as the C kernel's
+    "d" argument format converts them, so the loop runs on plain floats even
+    when the caller passes numpy float64 scalars (unpacked from a model's
+    arrays, say). The conversion is exact and both types round each add and
+    multiply the same way, so it changes only the speed, about 2x.
+    """
+    f1, f2, a11, a12, a21, a22, b1, b2, dt, x1, x2 = map(
+        float, (f1, f2, a11, a12, a21, a22, b1, b2, dt, x01, x02)
+    )
     n = len(dw1)
     w1 = np.asarray(dw1).tolist()
     w2 = np.asarray(dw2).tolist()
     o1 = [0.0] * (n + 1)
     o2 = [0.0] * (n + 1)
-    x1 = float(x01)
-    x2 = float(x02)
     o1[0] = x1
     o2[0] = x2
     for i in range(n):

@@ -40,6 +40,17 @@ MISSING = float("nan")
 BLOCK_VALUES = 1 << 18
 
 
+def _unwritable(values) -> bool:
+    """Whether values is a float array that neither it nor any array it views can write to."""
+    if not (isinstance(values, np.ndarray) and values.dtype == float):
+        return False
+    while isinstance(values, np.ndarray):
+        if values.flags.writeable:
+            return False
+        values = values.base
+    return values is None
+
+
 @dataclass(frozen=True)
 class GridField:
     """A dense [time][lat][lon] field with a validity mask."""
@@ -50,7 +61,9 @@ class GridField:
     t0: float = 0.0
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        # an array nothing can write through (load_grid hands over one) is
+        # kept; any other is copied, so a caller's array is never aliased
+        values = self.values if _unwritable(self.values) else np.array(self.values, dtype=float)
         if values.ndim != 3:
             raise ValueError(f"field values must be [time][lat][lon], got shape {values.shape}")
         if values.shape[0] < 3:
@@ -60,7 +73,7 @@ class GridField:
         mask = np.array(self.mask, dtype=bool)
         if mask.shape != values.shape[1:]:
             raise ValueError(f"mask shape {mask.shape} does not match grid {values.shape[1:]}")
-        if not np.isfinite(values[:, mask]).all():
+        if not np.isfinite(values).all(axis=0)[mask].all():
             raise ValueError("unmasked cells contain non-finite values")
         values.setflags(write=False)
         mask.setflags(write=False)
@@ -179,6 +192,7 @@ def load_grid(manifest_path) -> GridField:
         flat = _read_table(fh, None, n_cells, scan, finite=False)
     if len(flat) != n_time:
         raise GridFormatError(f"{values_path}: expected {n_time} rows, found {len(flat)}")
+    flat.setflags(write=False)  # so that GridField keeps it without a copy
     values = flat.reshape(n_time, n_lat, n_lon)
 
     if "mask_file" in entries:

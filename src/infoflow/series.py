@@ -145,44 +145,52 @@ def _data_lines(lines):
 
 
 def _chunks(fh):
-    """Yield the remaining data lines of an open text file as lists of lines."""
+    """Yield the remaining lines of an open text file as lists of lines."""
     while raw := fh.readlines(CHUNK_CHARS):
-        lines = list(_data_lines(raw))
-        for start in range(0, len(lines), CHUNK_ROWS):
-            yield lines[start : start + CHUNK_ROWS]
+        for start in range(0, len(raw), CHUNK_ROWS):
+            yield raw[start : start + CHUNK_ROWS]
 
 
-def _loadtxt(chunk, usecols):
-    """Convert a chunk with one np.loadtxt call, or None if numpy rejects it."""
-    if '"' in "".join(chunk):
-        return None  # csv quoting: a quoted cell may hold a comma or a line break
+def _loadtxt(chunk, usecols, ncols: int):
+    """Convert a chunk with one np.loadtxt call, or None if numpy rejects it
+    or its result is not one row of ncols values per line."""
     try:
-        return np.loadtxt(chunk, delimiter=",", usecols=usecols, comments=None, dtype=float, ndmin=2)
+        block = np.loadtxt(chunk, delimiter=",", usecols=usecols, comments=None, dtype=float, ndmin=2)
     except ValueError:
         return None
+    return block if block.shape == (len(chunk), ncols) else None
 
 
 def _read_table(fh, usecols, ncols: int, scan, finite: bool) -> np.ndarray:
     """Parse the remaining data lines of fh into a float array of ncols columns.
 
-    Each chunk is converted by one np.loadtxt call. The first chunk that holds
-    a quote, that numpy rejects, whose result has the wrong shape or (if
-    finite) a non-finite value goes, with every line after it, to
-    scan(lines, first_row): the reference row-by-row parser, which returns the
-    rest of the table or raises the error for the first bad row. Both routes
-    convert text with CPython's correctly rounded string-to-double, so they
-    give the same bits.
+    A chunk of lines whose text holds no '#' and no quote goes to np.loadtxt
+    as it is. Numpy skips empty lines and rejects whitespace-only ones, so if
+    such a chunk holds a line that is not data, its result fails the shape
+    check; then, as for every other chunk, its data lines alone are converted.
+    The first chunk whose data lines hold a quote (csv quoting: a quoted cell
+    may hold a comma or a line break), that numpy rejects, whose result has
+    the wrong shape or (if finite) a non-finite value goes, with every data
+    line after it, to scan(lines, first_row): the reference row-by-row
+    parser, which returns the rest of the table or raises the error for the
+    first bad row. Both routes convert text with CPython's correctly rounded
+    string-to-double, so they give the same bits.
     """
     blocks, row = [], 1
     chunks = _chunks(fh)
     for chunk in chunks:
-        block = _loadtxt(chunk, usecols)
-        if (
-            block is None
-            or block.shape != (len(chunk), ncols)
-            or (finite and not np.isfinite(block).all())
-        ):
-            blocks.append(scan(itertools.chain(chunk, itertools.chain.from_iterable(chunks)), row))
+        text = "".join(chunk)
+        # numpy warns on a chunk of blank lines alone
+        plain = not ("#" in text or '"' in text or text.isspace())
+        block = _loadtxt(chunk, usecols, ncols) if plain else None
+        if block is None:
+            chunk = list(_data_lines(chunk))
+            if not chunk:
+                continue
+            block = None if '"' in "".join(chunk) else _loadtxt(chunk, usecols, ncols)
+        if block is None or (finite and not np.isfinite(block).all()):
+            rest = _data_lines(itertools.chain.from_iterable(chunks))
+            blocks.append(scan(itertools.chain(chunk, rest), row))
             break
         blocks.append(block)
         row += len(chunk)

@@ -63,3 +63,26 @@ def exact_moments(model, mu0, sigma0, times: np.ndarray):
     mu = expm @ np.asarray(mu0, dtype=float)
     sigma = expm @ (np.asarray(sigma0, dtype=float) - s_inf) @ expm.transpose(0, 2, 1) + s_inf
     return mu, sigma
+
+
+def euler_path(model, x0, dt: float, dw: np.ndarray) -> tuple[list[float], list[float]]:
+    """The forward-Euler path of model from x0 over increments dw (n, 2), on Python floats.
+
+    X[n+1] = X[n] + (f + A X[n]) dt + diag(b1, b2) dW[n], evaluated term by
+    term in the kernels' order with every coefficient a plain float, so a
+    kernel that follows the rule gives these bits exactly. Returns the two
+    coordinates' n + 1 values.
+    """
+    f1, f2 = model.f.tolist()
+    (a11, a12), (a21, a22) = model.a.tolist()
+    b1, b2 = float(model.b1), float(model.b2)
+    x1, x2 = float(x0[0]), float(x0[1])
+    path1, path2 = [x1], [x2]
+    for w1, w2 in dw.tolist():
+        x1, x2 = (
+            x1 + (f1 + a11 * x1 + a12 * x2) * dt + b1 * w1,
+            x2 + (f2 + a21 * x1 + a22 * x2) * dt + b2 * w2,
+        )
+        path1.append(x1)
+        path2.append(x2)
+    return path1, path2

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,47 @@ class TestGridIO:
         loaded = load_grid(manifest)
         assert loaded.values.tobytes() == with_nan.values.tobytes()
         assert np.isnan(loaded.values[:, ~field.mask]).all()
+
+    def test_loaded_grid_is_not_copied(self, tmp_path, monkeypatch):
+        # a grid of the benchmark's size, 40 x 40 x 2000 (25.6 MB of values),
+        # with NaN in its one masked cell: building the GridField from
+        # load_grid's array allocates far less than one copy of it
+        n_time, n_lat, n_lon = 2000, 40, 40
+        (tmp_path / "m.csv").write_text(
+            f"n_lat,{n_lat}\nn_lon,{n_lon}\nn_time,{n_time}\ndt,0.1\n"
+            "values_file,v.csv\nmask_file,mask.csv\n"
+        )
+        (tmp_path / "v.csv").write_text(("0," * (n_lat * n_lon - 1) + "nan\n") * n_time)
+        mask_rows = ["1" + ",1" * (n_lon - 1)] * (n_lat - 1) + ["1," * (n_lon - 1) + "0"]
+        (tmp_path / "mask.csv").write_text("\n".join(mask_rows) + "\n")
+        construct, peaks = fieldmap.GridField, []
+
+        def traced(**kwargs):
+            tracemalloc.start()
+            try:
+                field = construct(**kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return field
+
+        monkeypatch.setattr(fieldmap, "GridField", traced)
+        field = load_grid(str(tmp_path / "m.csv"))
+        assert field.values.shape == (n_time, n_lat, n_lon) and not field.mask[-1, -1]
+        assert peaks[0] < field.values.nbytes / 4
+
+    def test_caller_arrays_are_copied(self):
+        mask = np.ones((2, 2), bool)
+        values = np.zeros((5, 2, 2))
+        frozen_view = values.view()
+        frozen_view.setflags(write=False)
+        for given in (values, frozen_view):
+            field = GridField(values=given, dt=1.0, mask=mask)
+            assert not np.shares_memory(field.values, values)
+            assert not field.values.flags.writeable
+        assert values.flags.writeable and mask.flags.writeable
+        values[0, 0, 0] = 1.0
+        assert field.values[0, 0, 0] == 0.0
 
     def test_missing_manifest_keys(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -6,7 +6,10 @@ import pytest
 from infoflow.kernels import BACKEND, available_backends
 
 
-def run_kernel(fn, n=50_000, seed=3):
+COEFFS = (0.0, 0.0, -1.0, 0.5, 0.0, -1.0, 0.1, 0.1, 1e-3, 1.0, 2.0)
+
+
+def run_kernel(fn, n=50_000, seed=3, coeffs=COEFFS):
     rng = np.random.default_rng(seed)
     dw = rng.standard_normal((n, 2)) * np.sqrt(1e-3)
     out1 = np.empty(n + 1)
@@ -16,17 +19,7 @@ def run_kernel(fn, n=50_000, seed=3):
         out2,
         np.ascontiguousarray(dw[:, 0]),
         np.ascontiguousarray(dw[:, 1]),
-        0.0,
-        0.0,
-        -1.0,
-        0.5,
-        0.0,
-        -1.0,
-        0.1,
-        0.1,
-        1e-3,
-        1.0,
-        2.0,
+        *coeffs,
     )
     return out1, out2
 
@@ -44,6 +37,14 @@ def test_backends_bit_identical():
     p1, p2 = run_kernel(backends["python"])
     assert np.array_equal(c1, p1)
     assert np.array_equal(c2, p2)
+
+
+def test_python_kernel_gives_float_bits_for_numpy_scalars():
+    fn = available_backends()["python"]
+    coeffs = (0.3, -0.2, -1.0, 0.5, 0.4, -2.0, 0.1, 0.25, 1e-3, 1.0, 2.0)
+    p1, p2 = run_kernel(fn, coeffs=coeffs)
+    n1, n2 = run_kernel(fn, coeffs=tuple(np.float64(c) for c in coeffs))
+    assert p1.tobytes() == n1.tobytes() and p2.tobytes() == n2.tobytes()
 
 
 @pytest.mark.parametrize("defect", ["short_out", "short_dw2", "float32_dw1", "strided_out1"])

@@ -151,6 +151,48 @@ class TestChunkedIngest:
         s1, s2 = load_csv(path, "x1", "x2", dt=1.0)
         assert s1.values.tolist() == [1, 3, 5, 7, 9] and s2.values.tolist() == [2, 4, 6, 8, 10]
 
+    # Every kind of line at every position of a 12-row file, read in chunks
+    # of 4 lines or of about 30 characters (3-4 lines), so that each kind
+    # lands inside a chunk and on both edges of one.
+    ODD_LINES = {
+        "comment": "# note\n",
+        "empty": "\n",
+        "whitespace-only": " \t \n",
+        "quoted cell": '"7.5",8\n',
+        "bad cell": "7.5,n/a\n",
+    }
+
+    @pytest.mark.parametrize("chunking", [(4, 1 << 19), (1 << 13, 30)], ids=["rows", "chars"])
+    @pytest.mark.parametrize("kind", sorted(ODD_LINES))
+    def test_odd_line_anywhere_matches_row_scan(self, tmp_path, monkeypatch, kind, chunking):
+        monkeypatch.setattr(series, "CHUNK_ROWS", chunking[0])
+        monkeypatch.setattr(series, "CHUNK_CHARS", chunking[1])
+        rows = [f"{0.1 * i!r},{-0.3 * i!r}\n" for i in range(1, 13)]
+        for at in range(len(rows) + 1):
+            text = "x1,x2\n" + "".join(rows[:at]) + self.ODD_LINES[kind] + "".join(rows[at:])
+            path = write_csv(tmp_path, text, name=f"{at}.csv")
+            chunked = _outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)])
+            assert chunked == _outcome(lambda: _row_scan(path, "x1", "x2")), at
+
+    def test_plain_chunks_skip_the_line_filter(self, tmp_path, monkeypatch):
+        # only the header goes through _data_lines when no line is a comment
+        # or blank; a chunk with a comment line is filtered, the others not
+        monkeypatch.setattr(series, "CHUNK_ROWS", 4)
+        filtered = []
+        data_lines = series._data_lines
+
+        def counting(lines):
+            filtered.append(None)
+            return data_lines(lines)
+
+        monkeypatch.setattr(series, "_data_lines", counting)
+        rows = [f"{i},{2 * i}\n" for i in range(12)]
+        load_csv(write_csv(tmp_path, "x1,x2\n" + "".join(rows)), "x1", "x2", dt=1.0)
+        assert len(filtered) == 1
+        rows.insert(5, "# note\n")
+        s1, _ = load_csv(write_csv(tmp_path, "x1,x2\n" + "".join(rows)), "x1", "x2", dt=1.0)
+        assert len(filtered) == 3 and s1.values.tolist() == list(range(12))
+
 
 class TestTimeSeries:
     def test_invariants(self):

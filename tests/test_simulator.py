@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from infoflow import (
     stationary_covariance,
     window,
 )
+from oracles import euler_path
 
 
 class TestSimulate:
@@ -29,6 +32,24 @@ class TestSimulate:
         x1, x2 = simulate(cfg)
         assert len(x1) == len(x2) == 1001
         assert x1.t0 == 0.0 and x1.dt == 1e-3
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            reference_model(),
+            LinearModel2D(f=[0.3, -0.2], a=[[-1.0, 0.5], [0.4, -2.0]], b1=0.1, b2=0.25),
+        ],
+        ids=["reference", "forced-two-way"],
+    )
+    def test_path_is_the_float_recursion(self, model):
+        # bitwise, with whichever kernel is built: the coefficients reach the
+        # kernel as numpy scalars from the model's arrays
+        cfg = SimConfig(model, (1.0, 2.0), 1e-3, 20_000, seed=149)
+        x1, x2 = simulate(cfg)
+        dw = np.random.default_rng(cfg.seed).standard_normal((cfg.n_steps, 2)) * math.sqrt(cfg.dt)
+        p1, p2 = euler_path(model, cfg.x0, cfg.dt, dw)
+        assert x1.values.tobytes() == np.array(p1).tobytes()
+        assert x2.values.tobytes() == np.array(p2).tobytes()
 
     def test_no_dynamics_constant_path(self):
         model = LinearModel2D(f=np.zeros(2), a=np.zeros((2, 2)), b1=0.0, b2=0.0)

@@ -15,7 +15,9 @@ reference path, m = 100,000 aligned rows:
     analyze_core       covariances + fit_mle + fisher_ci, the estimator work
                        of one Fisher `analyze`
     bootstrap_ci       moving-block bootstrap from the path's covariances,
-                       n_boot = 1000, default block length, seed 11
+                       n_boot = 1000, default block length, seed 11; also
+                       records the tracemalloc peak of one untimed call
+                       (peak_mb, in units of 10^6 bytes)
     integrate_moments  RK4 moment trajectory of the reference model from
                        `theory`'s default initial state, t_end = 10, dt = 1e-3
     simulate_write     the `simulate` CSV writer on the path's 100,001 rows,
@@ -40,6 +42,7 @@ import platform
 import statistics
 import subprocess
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -77,10 +80,22 @@ def analyze_core_stage(pair):
     return {"m": pair.m}, run
 
 
+def traced_peak_mb(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def bootstrap_stage(pair):
     cov = covariances(pair)
-    params = {"m": pair.m, "n_boot": 1000, "seed": 11}
-    return params, lambda: bootstrap_ci(pair, cov, n_boot=1000, seed=11)
+
+    def run():
+        return bootstrap_ci(pair, cov, n_boot=1000, seed=11)
+
+    return {"m": pair.m, "n_boot": 1000, "seed": 11, "peak_mb": traced_peak_mb(run)}, run
 
 
 def integrate_moments_stage(pair):

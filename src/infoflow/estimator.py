@@ -387,13 +387,17 @@ def bootstrap_ci(
     c_ab = (Q_ab - S_a * S_b / m) / (m - 1). Each sum is a sum of n_blocks
     block sums, and each block sum a difference of two prefix sums, so a
     resample costs O(m / block_len) instead of O(m). Resamples go in chunks
-    of at least m gathered block sums, each chunk building its prefix sums
-    once in O(m): O(m + n_boot * m / block_len) in all, in O(m) memory. The
+    of about 8 * max(m, _GATHER_ELEMS) block starts (see _chunk_rows), each
+    chunk building its eleven prefix columns once in O(m):
+    O(m + n_boot * m / block_len) in all. Memory is O(m) whatever n_boot:
+    the chunk's starts, held as int32, take as much as four float64 columns
+    of m, and block sums are gathered a slice of rows at a time. The
     covariances then go through that floor, the collinearity floor and the
     drift closed form of flow(), elementwise. The random draws are those of
     one rng.integers(0, m - block_len + 1, size=n_blocks) call per resample,
     in order, and only as many are drawn as resamples are still missing.
-    With block_len == m every resample is the sample itself.
+    Neither the chunk nor the slice size changes a bit of the result. With
+    block_len == m every resample is the sample itself.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -416,9 +420,8 @@ def bootstrap_ci(
         t21s[:] = t21
         t12s[:] = t12
     else:
-        chunk = max(1, max(m, _GATHER_ELEMS) // n_blocks)
-        sums = _BlockSums(pair, block_len, n_blocks, min(chunk, n_boot))
-        n_starts = m - block_len + 1
+        chunk, rows = _chunk_rows(m, n_blocks)
+        sums = _BlockSums(pair, block_len, n_blocks, min(chunk, n_boot), rows)
         floors = (_PREFIX_FLOOR * m * cov.c11, _PREFIX_FLOOR * m * cov.c22)
         rng = np.random.default_rng(seed)
         max_draws = 10 * n_boot
@@ -429,10 +432,9 @@ def bootstrap_ci(
                 raise CollinearSeries(
                     f"{n_discarded} of {draws} bootstrap resamples were collinear; giving up"
                 )
-            # draw only the deficit: one (k, n_blocks) draw is the same
-            # stream as k draws of n_blocks starts
+            # draw only the deficit
             k = min(n_boot - i, max_draws - draws, chunk)
-            starts = rng.integers(0, n_starts, size=(k, n_blocks))
+            starts = sums.draw(rng, k)
             draws += k
             boot = sums.covariances(starts)
             keep = ~(_degenerate(boot.c11, boot.c22, *floors) | _collinear(boot))
@@ -464,10 +466,22 @@ def bootstrap_ci(
     )
 
 
-# A chunk of resamples gathers about max(m, _GATHER_ELEMS) block sums, so that
-# building its prefix columns, O(m) per chunk, costs no more than its gathers;
-# memory stays a few columns of m, independent of n_boot.
+# A chunk of resamples draws about 8 * max(m, _GATHER_ELEMS) block starts, so
+# that building its eleven prefix columns, O(m) each, costs an eighth of its
+# gathers; its block sums are gathered a quarter of max(m, _GATHER_ELEMS) at a
+# time. Memory stays a few columns of m, independent of n_boot.
 _GATHER_ELEMS = 1 << 16
+
+
+def _chunk_rows(m: int, n_blocks: int) -> tuple[int, int]:
+    """Resamples per bootstrap chunk, and per gather slice of a chunk."""
+    elems = max(m, _GATHER_ELEMS)
+    return max(1, 8 * elems // n_blocks), max(1, elems // (4 * n_blocks))
+
+
+def _index_dtype(n: int):
+    """int32 if it holds every index up to n, else int64."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
 class _BlockSums:
@@ -475,10 +489,12 @@ class _BlockSums:
 
     A block of L rows starting at s sums a term to P[s + L] - P[s], with P
     the term's prefix sums; the last block of a resample is cut to `tail`
-    rows. One prefix column is built at a time, into buffers allocated once.
+    rows. One prefix column is built at a time, into buffers allocated once;
+    the block starts of up to `chunk` resamples are held in `starts`, and
+    their block sums gathered `rows` resamples at a time.
     """
 
-    def __init__(self, pair, block_len, n_blocks, chunk):
+    def __init__(self, pair, block_len, n_blocks, chunk, rows):
         m = pair.m
         self.series = [(x, x.mean()) for x in (pair.x1w, pair.x2w, pair.d1, pair.d2)]
         self.block_len = block_len
@@ -486,7 +502,24 @@ class _BlockSums:
         self.prefix = np.zeros(m + 1)
         self.work = np.empty(m)
         self.blocks = np.empty(m - block_len + 1)
-        self.gathered = np.empty((chunk, n_blocks))
+        # a start plus `tail` indexes prefix up to m
+        self.starts = np.empty((chunk, n_blocks), dtype=_index_dtype(m))
+        self.gathered = np.empty((min(rows, chunk), n_blocks))
+
+    def _slices(self, k):
+        rows = len(self.gathered)
+        return (slice(r, r + rows) for r in range(0, k, rows))
+
+    def draw(self, rng, k):
+        """Block starts of the next k resamples.
+
+        Drawn a slice of rows at a time, they are the stream of one
+        rng.integers(0, n_starts, size=(k, n_blocks)) call.
+        """
+        starts = self.starts[:k]
+        for part in self._slices(k):
+            starts[part] = rng.integers(0, self.blocks.size, size=starts[part].shape)
+        return starts
 
     def _centred(self, a, out):
         x, mean = self.series[a]
@@ -495,17 +528,23 @@ class _BlockSums:
     def _totals(self, starts):
         """Sums over each resample's blocks of the term in prefix[1:].
 
-        Turns prefix into the term's prefix sums (prefix[0] stays 0).
+        Turns prefix into the term's prefix sums (prefix[0] stays 0). Each
+        row of gathered block sums is summed alone, so the slicing changes
+        no bit.
         """
         prefix, blocks, n = self.prefix, self.blocks, self.blocks.size
         np.cumsum(prefix[1:], out=prefix[1:])
         np.subtract(prefix[self.block_len : self.block_len + n], prefix[:n], out=blocks)
-        gathered = self.gathered[: len(starts)]
-        # starts are in range, so "clip" changes no index; "raise" would buffer out
-        np.take(blocks, starts, out=gathered, mode="clip")
-        last = starts[:, -1]
-        gathered[:, -1] = prefix[last + self.tail] - prefix[last]
-        return gathered.sum(axis=1)
+        totals = np.empty(len(starts))
+        for part in self._slices(len(starts)):
+            part_starts = starts[part]
+            gathered = self.gathered[: len(part_starts)]
+            # starts are in range, so "clip" changes no index; "raise" would buffer out
+            np.take(blocks, part_starts, out=gathered, mode="clip")
+            last = part_starts[:, -1]
+            gathered[:, -1] = prefix[last + self.tail] - prefix[last]
+            gathered.sum(axis=1, out=totals[part])
+        return totals
 
     def covariances(self, starts) -> CovarianceStats:
         """CovarianceStats of the resamples with block starts (k, n_blocks)."""

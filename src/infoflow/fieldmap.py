@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import GridFormatError
 from .estimator import covariances, fisher_ci, fit_mle
-from .series import TimeSeries, _data_lines, _read_table, align
+from .series import TimeSeries, _data_lines, _read_blocks, align
 
 MISSING = float("nan")
 
@@ -188,10 +188,18 @@ def load_grid(manifest_path) -> GridField:
     values_path = os.path.join(base, entries["values_file"])
     n_cells = n_lat * n_lon
     scan = functools.partial(_scan_values, values_path, n_cells)
+    found = 0
     with _open(values_path) as fh:
-        flat = _read_table(fh, None, n_cells, scan, finite=False)
-    if len(flat) != n_time:
-        raise GridFormatError(f"{values_path}: expected {n_time} rows, found {len(flat)}")
+        # the file holds at most `fits` rows: one of n_cells values takes at
+        # least 2 * n_cells - 1 characters, and a line break ends all but the last
+        fits = (os.fstat(fh.fileno()).st_size + 1) // (2 * n_cells) if n_cells > 0 else 0
+        flat = np.empty((min(max(n_time, 0), fits), max(n_cells, 0)))
+        # rows past it are parsed, for their errors and their count, and dropped
+        for block in _read_blocks(fh, None, n_cells, scan, finite=False):
+            flat[found : found + len(block)] = block[: max(len(flat) - found, 0)]
+            found += len(block)
+    if found != n_time:
+        raise GridFormatError(f"{values_path}: expected {n_time} rows, found {found}")
     flat.setflags(write=False)  # so that GridField keeps it without a copy
     values = flat.reshape(n_time, n_lat, n_lon)
 

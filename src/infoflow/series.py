@@ -161,8 +161,10 @@ def _loadtxt(chunk, usecols, ncols: int):
     return block if block.shape == (len(chunk), ncols) else None
 
 
-def _read_table(fh, usecols, ncols: int, scan, finite: bool) -> np.ndarray:
-    """Parse the remaining data lines of fh into a float array of ncols columns.
+def _read_blocks(fh, usecols, ncols: int, scan, finite: bool):
+    """Parse the remaining data lines of fh into float arrays of ncols columns.
+
+    Yields the table's rows in order, one block of rows at a time.
 
     A chunk of lines whose text holds no '#' and no quote goes to np.loadtxt
     as it is. Numpy skips empty lines and rejects whitespace-only ones, so if
@@ -176,7 +178,7 @@ def _read_table(fh, usecols, ncols: int, scan, finite: bool) -> np.ndarray:
     first bad row. Both routes convert text with CPython's correctly rounded
     string-to-double, so they give the same bits.
     """
-    blocks, row = [], 1
+    row = 1
     chunks = _chunks(fh)
     for chunk in chunks:
         text = "".join(chunk)
@@ -190,11 +192,10 @@ def _read_table(fh, usecols, ncols: int, scan, finite: bool) -> np.ndarray:
             block = None if '"' in "".join(chunk) else _loadtxt(chunk, usecols, ncols)
         if block is None or (finite and not np.isfinite(block).all()):
             rest = _data_lines(itertools.chain.from_iterable(chunks))
-            blocks.append(scan(itertools.chain(chunk, rest), row))
-            break
-        blocks.append(block)
+            yield scan(itertools.chain(chunk, rest), row)
+            return
+        yield block
         row += len(chunk)
-    return np.concatenate(blocks) if blocks else np.empty((0, ncols))
 
 
 def _header_columns(path, fh, names) -> dict[str, int]:
@@ -241,7 +242,8 @@ def load_csv(path, column_x1: str, column_x2: str, dt: float) -> tuple[TimeSerie
     with open(path, newline="") as fh:
         cols = _header_columns(path, fh, (column_x1, column_x2))
         scan = functools.partial(_scan_rows, path, cols)
-        table = _read_table(fh, list(cols.values()), len(cols), scan, finite=True)
+        blocks = list(_read_blocks(fh, list(cols.values()), len(cols), scan, finite=True))
+    table = np.concatenate(blocks) if blocks else np.empty((0, len(cols)))
     if not len(table):
         raise EmptyFile(f"{path}: no data rows")
     names = list(cols)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,6 +397,16 @@ def direct_bootstrap(pair, alpha=0.05, n_boot=100, block_len=None, seed=0):
     }
 
 
+def collinear_pair():
+    """A pair whose bootstrap discards about two of every three resamples of block_len 4."""
+    rng = np.random.default_rng(18)
+    steps = rng.standard_normal(8).cumsum()
+    x1 = np.concatenate([steps, [steps[-1] + 1.0]])
+    x2 = x1.copy()
+    x2[-2] += 0.7  # only the last aligned row distinguishes the series
+    return make_pair(x1, x2)
+
+
 class TestBootstrap:
     @pytest.mark.parametrize("gather_elems", [None, 1])
     def test_matches_direct_resample_loop(self, monkeypatch, gather_elems):
@@ -419,6 +430,50 @@ class TestBootstrap:
                         tol = 1e-9 * ref["se" + key]
                         assert np.abs(np.subtract(ci, ref["ci" + key])).max() <= tol
                         assert abs(se - ref["se" + key]) <= tol
+
+    @pytest.mark.parametrize(
+        "pair, n_boot, block_len, seed",
+        [
+            # discards and redraws cross chunk boundaries
+            (collinear_pair(), 100, 4, 3),
+            # the default chunk and gather slice cut these into several each
+            (random_walk_pair(np.random.default_rng(25), n=5001), 300, 1, 4),
+            (random_walk_pair(np.random.default_rng(26), n=20001), 1000, None, 5),
+        ],
+        ids=["collinear", "m5000-L1", "m20000"],
+    )
+    def test_chunking_changes_no_bit(self, monkeypatch, pair, n_boot, block_len, seed):
+        default = estimator._chunk_rows
+        cases = [
+            lambda m, n_blocks: (1, 1),  # one resample per chunk
+            lambda m, n_blocks: (default(m, n_blocks)[0], 1),  # gather slices of one row
+            default,
+            lambda m, n_blocks: (n_boot, default(m, n_blocks)[1]),  # one chunk for all
+        ]
+        cov = covariances(pair)
+        results = []
+        for chunk_rows in cases:
+            monkeypatch.setattr(estimator, "_chunk_rows", chunk_rows)
+            results.append(bootstrap_ci(pair, cov, n_boot=n_boot, block_len=block_len, seed=seed))
+        assert all(est == results[0] for est in results)
+
+    def test_starts_hold_every_index(self):
+        # a start plus the last block's length reaches m
+        assert estimator._index_dtype(2**31 - 1) is np.int32
+        assert estimator._index_dtype(2**31) is np.int64
+
+    def test_memory_stays_within_eight_columns(self):
+        # the chunk's starts, its prefix and block buffers and the gather
+        # slices: at most 8 * m float64 values, 6.4 MB, at m = 100k
+        pair = random_walk_pair(np.random.default_rng(27), n=100_001)
+        cov = covariances(pair)
+        tracemalloc.start()
+        try:
+            bootstrap_ci(pair, cov, n_boot=1000, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * pair.m * 8
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(16)
@@ -450,12 +505,7 @@ class TestBootstrap:
         assert est.ci12[0] <= 0.0 <= est.ci12[1]
 
     def test_collinear_resamples_are_redrawn(self):
-        rng = np.random.default_rng(18)
-        steps = rng.standard_normal(8).cumsum()
-        x1 = np.concatenate([steps, [steps[-1] + 1.0]])
-        x2 = x1.copy()
-        x2[-2] += 0.7  # only the last aligned row distinguishes the series
-        pair = make_pair(x1, x2)
+        pair = collinear_pair()
         est = bootstrap_ci(pair, covariances(pair), n_boot=100, block_len=4, seed=3)
         assert est.n_discarded == 191
         assert np.isfinite(est.ci21).all() and np.isfinite(est.ci12).all()

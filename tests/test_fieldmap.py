@@ -216,10 +216,10 @@ class TestGridIO:
         assert loaded.values.tobytes() == with_nan.values.tobytes()
         assert np.isnan(loaded.values[:, ~field.mask]).all()
 
-    def test_loaded_grid_is_not_copied(self, tmp_path, monkeypatch):
-        # a grid of the benchmark's size, 40 x 40 x 2000 (25.6 MB of values),
-        # with NaN in its one masked cell: building the GridField from
-        # load_grid's array allocates far less than one copy of it
+    @staticmethod
+    def write_large_grid(tmp_path):
+        """A grid of the benchmark's size, 40 x 40 x 2000 (25.6 MB of values),
+        with NaN in its one masked cell; returns its manifest path."""
         n_time, n_lat, n_lon = 2000, 40, 40
         (tmp_path / "m.csv").write_text(
             f"n_lat,{n_lat}\nn_lon,{n_lon}\nn_time,{n_time}\ndt,0.1\n"
@@ -228,6 +228,13 @@ class TestGridIO:
         (tmp_path / "v.csv").write_text(("0," * (n_lat * n_lon - 1) + "nan\n") * n_time)
         mask_rows = ["1" + ",1" * (n_lon - 1)] * (n_lat - 1) + ["1," * (n_lon - 1) + "0"]
         (tmp_path / "mask.csv").write_text("\n".join(mask_rows) + "\n")
+        return str(tmp_path / "m.csv")
+
+    def test_loaded_grid_is_not_copied(self, tmp_path, monkeypatch):
+        # building the GridField from load_grid's array allocates far less
+        # than one copy of it
+        manifest = self.write_large_grid(tmp_path)
+        n_time, n_lat, n_lon = 2000, 40, 40
         construct, peaks = fieldmap.GridField, []
 
         def traced(**kwargs):
@@ -240,9 +247,40 @@ class TestGridIO:
             return field
 
         monkeypatch.setattr(fieldmap, "GridField", traced)
-        field = load_grid(str(tmp_path / "m.csv"))
+        field = load_grid(manifest)
         assert field.values.shape == (n_time, n_lat, n_lon) and not field.mask[-1, -1]
         assert peaks[0] < field.values.nbytes / 4
+
+    def test_parse_holds_one_copy_of_the_grid(self, tmp_path):
+        # the parsed rows go straight into the grid's array: beyond it, only
+        # a chunk of text and its block are held at a time
+        manifest = self.write_large_grid(tmp_path)
+        tracemalloc.start()
+        try:
+            field = load_grid(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * field.values.nbytes
+
+    @pytest.mark.parametrize(
+        "n_time, rows, found",
+        [
+            (3, "1,2,3,4\n5,6,7,8\n", 2),
+            (3, "1,2,3,4\n" * 5, 5),
+            (3, '"1",2,3,4\n' * 5, 5),  # the row scan's count
+            (-1, "1,2,3,4\n" * 5, 5),
+            (10**15, "1,2,3,4\n" * 5, 5),  # more rows than the file can hold
+        ],
+        ids=["too-few", "too-many", "too-many-scanned", "negative", "beyond-file"],
+    )
+    def test_row_count_must_match_manifest(self, tmp_path, monkeypatch, n_time, rows, found):
+        path = tmp_path / "m.csv"
+        path.write_text(f"n_lat,2\nn_lon,2\nn_time,{n_time}\ndt,1.0\nvalues_file,v.csv\n")
+        (tmp_path / "v.csv").write_text(rows)
+        monkeypatch.setattr(series, "CHUNK_ROWS", 2)  # rows past n_time in later chunks
+        with pytest.raises(GridFormatError, match=f"expected {n_time} rows, found {found}$"):
+            load_grid(str(path))
 
     def test_caller_arrays_are_copied(self):
         mask = np.ones((2, 2), bool)

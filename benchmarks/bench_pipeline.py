@@ -17,7 +17,7 @@ reference path, m = 100,000 aligned rows:
     bootstrap_ci       moving-block bootstrap from the path's covariances,
                        n_boot = 1000, default block length, seed 11; also
                        records the tracemalloc peak of one untimed call
-                       (peak_mb, in units of 10^6 bytes)
+                       after a warm-up (peak_mb, in units of 10^6 bytes)
     integrate_moments  RK4 moment trajectory of the reference model from
                        `theory`'s default initial state, t_end = 10, dt = 1e-3
     simulate_write     the `simulate` CSV writer on the path's 100,001 rows,
@@ -81,6 +81,7 @@ def analyze_core_stage(pair):
 
 
 def traced_peak_mb(run):
+    run()  # warm-up: a first call also traces its lazy imports
     tracemalloc.start()
     try:
         run()

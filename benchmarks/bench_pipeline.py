@@ -26,6 +26,11 @@ reference path, m = 100,000 aligned rows:
                        40 x 40 x 2000 grid of random walks it drives, built
                        from seed 149 in memory, with a masked 5 x 5 block and
                        one constant cell
+    write_grid         write_grid of that grid (about 61 MB of text) into a
+                       temporary directory
+    load_grid          load_grid of the files write_grid wrote; also records
+                       the tracemalloc peak of one untimed call, as
+                       bootstrap_ci does
     simulate_python    `simulate` of that reference path (reference_model(),
     simulate_compiled  100,000 steps, seed 149) on each kernel backend: the
                        pure-Python one always, the compiled one when it is
@@ -36,11 +41,13 @@ reference path, m = 100,000 aligned rows:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
 import statistics
 import subprocess
+import tempfile
 import time
 import tracemalloc
 from unittest import mock
@@ -58,12 +65,14 @@ from infoflow import (
     fisher_ci,
     fit_mle,
     integrate_moments,
+    load_grid,
     map_flows,
     reference_model,
     simulate,
+    write_grid,
 )
 from infoflow import simulator
-from infoflow.cli import _write_rows
+from infoflow.series import _write_rows
 from infoflow.kernels import BACKEND, available_backends
 
 
@@ -111,12 +120,14 @@ def simulate_write_stage(pair):
 
     def run():
         with open(os.devnull, "w") as out:
-            _write_rows(out, [np.arange(len(x1)) * pair.x1.dt, x1, x2])
+            _write_rows(out, np.column_stack([np.arange(len(x1)) * pair.x1.dt, x1, x2]))
 
     return {"rows": len(x1)}, run
 
 
-def map_flows_stage(pair):
+@functools.cache
+def bench_grid():
+    """(index series, field, its sizes) of the map_flows, write_grid and load_grid stages."""
     rng = np.random.default_rng(149)
     n_time, n_lat, n_lon, dt = 2000, 40, 40, 0.1
     index = np.cumsum(rng.standard_normal(n_time))
@@ -126,8 +137,33 @@ def map_flows_stage(pair):
     mask = np.ones((n_lat, n_lon), dtype=bool)
     mask[:5, :5] = False
     field = GridField(values=values, dt=dt, mask=mask)
-    params = {"n_time": n_time, "n_lat": n_lat, "n_lon": n_lon}
-    return params, lambda: map_flows(TimeSeries(index, dt), field)
+    return TimeSeries(index, dt), field, {"n_time": n_time, "n_lat": n_lat, "n_lon": n_lon}
+
+
+def map_flows_stage(pair):
+    index, field, params = bench_grid()
+    return params, lambda: map_flows(index, field)
+
+
+@functools.cache
+def grid_dir() -> tempfile.TemporaryDirectory:
+    """The directory of the grid stages' files, removed when the process exits."""
+    return tempfile.TemporaryDirectory()
+
+
+def write_grid_stage(pair):
+    _, field, params = bench_grid()
+    return params, lambda: write_grid(field, grid_dir().name)
+
+
+def load_grid_stage(pair):
+    _, field, params = bench_grid()
+    manifest = write_grid(field, grid_dir().name)
+
+    def run():
+        return load_grid(manifest)
+
+    return {**params, "peak_mb": traced_peak_mb(run)}, run
 
 
 def simulate_stage(kernel):
@@ -149,6 +185,8 @@ STAGES = {
     "integrate_moments": integrate_moments_stage,
     "simulate_write": simulate_write_stage,
     "map_flows": map_flows_stage,
+    "write_grid": write_grid_stage,
+    "load_grid": load_grid_stage,
     **{f"simulate_{name}": simulate_stage(fn) for name, fn in available_backends().items()},
 }
 REPEATS = 5

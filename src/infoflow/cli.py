@@ -13,6 +13,7 @@ environment variable INFOFLOW_SEED provides the default seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -31,7 +32,7 @@ from .estimator import (
     fit_mle,
 )
 from .fieldmap import load_grid, map_flows, write_flow_maps
-from .series import CHUNK_ROWS, align, load_csv, star_window_from_times, subsample, window
+from .series import _write_rows, align, load_csv, star_window_from_times, subsample, window
 from .simulator import SimConfig, simulate
 from .theory import LinearModel2D, MomentState, analytic_flows, integrate_moments, stationary_covariance
 from .validate import FIXTURE_SEEDS, run_validation
@@ -54,8 +55,9 @@ class RunManifest:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def json_line(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+    def comment(self) -> str:
+        """The text of the '# manifest: {...}' line that heads a text output."""
+        return f"manifest: {json.dumps(self.to_dict(), sort_keys=True)}"
 
 
 def _sha256(path: str) -> str:
@@ -77,7 +79,9 @@ def _env_seed(default: int = 0) -> int:
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
-    parts = [p for p in text.replace(";", ",").split(",") if p.strip()]
+    parts = text.replace(";", ",").split(",")
+    if not all(p.strip() for p in parts):
+        raise InputError(f"{what} has an empty entry in {text!r}")
     if len(parts) != n:
         raise InputError(f"{what} needs {n} comma-separated reals, got {text!r}")
     try:
@@ -96,32 +100,27 @@ def _parse_window(text: str, what: str) -> tuple[float, float]:
         raise InputError(f"{what}: cannot parse {text!r}")
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The file at path, open for writing until exit; stdout, left open, for None or "-"."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as out:
+            yield out
 
 
-def _write_rows(out, columns) -> None:
-    """Write equal-length float columns as "%.17g" CSV rows, CHUNK_ROWS rows per write.
+def _parse_model(f: str, a: str, b: str, prefix: str) -> LinearModel2D:
+    """The model of drift constants f, row-major drift matrix a and diffusion b.
 
-    "%.17g" % v and f"{v:.17g}" are the same conversion, so the bytes are the
-    per-value format's; the file is never held in memory as one string.
+    An error names the value as prefix + "f", "a" or "b": its flag or its config key.
     """
-    table = np.column_stack(columns)
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    for start in range(0, len(table), CHUNK_ROWS):
-        chunk = table[start : start + CHUNK_ROWS]
-        out.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
-
-
-def _model_from_args(args) -> LinearModel2D:
-    f = _parse_floats(args.f, 2, "--f")
-    a = _parse_floats(args.a, 4, "--a")
-    b = _parse_floats(args.b, 2, "--b")
-    if b[0] < 0 or b[1] < 0:
-        raise InputError(f"--b entries must be >= 0, got {b}")
-    return LinearModel2D(f=np.array(f), a=np.array(a).reshape(2, 2), b1=b[0], b2=b[1])
+    f_vec = np.array(_parse_floats(f, 2, prefix + "f"))
+    a_mat = np.array(_parse_floats(a, 4, prefix + "a")).reshape(2, 2)
+    b1, b2 = _parse_floats(b, 2, prefix + "b")
+    if b1 < 0 or b2 < 0:
+        raise InputError(f"{prefix}b entries must be >= 0, got {[b1, b2]}")
+    return LinearModel2D(f=f_vec, a=a_mat, b1=b1, b2=b2)
 
 
 def _flow_json(est: FlowEstimate, model, cov, manifest: RunManifest, units: str) -> dict:
@@ -214,13 +213,9 @@ def cmd_analyze(args) -> int:
         input_digests={args.input: _sha256(args.input)},
     )
     payload = _flow_json(est, model, cov, manifest, units)
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         json.dump(payload, out, indent=2, sort_keys=True)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     print(
         _summary_line(
             f"{x2.label or 'x2'} -> {x1.label or 'x1'}",
@@ -301,12 +296,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise InputError(f"bad simulate configuration: {exc}")
     x0 = _parse_floats(config["x0"], 2, "x0")
-    model = LinearModel2D(
-        f=np.array(_parse_floats(config["f"], 2, "f")),
-        a=np.array(_parse_floats(config["a"], 4, "a")).reshape(2, 2),
-        b1=_parse_floats(config["b"], 2, "b")[0],
-        b2=_parse_floats(config["b"], 2, "b")[1],
-    )
+    model = _parse_model(config["f"], config["a"], config["b"], "")
     try:
         cfg = SimConfig(model, (x0[0], x0[1]), dt, n_steps, seed)
     except ValueError as exc:
@@ -318,15 +308,11 @@ def cmd_simulate(args) -> int:
         parameters={**config, "seed": seed},
         input_digests=digests,
     )
-    out, close = _open_out(args.out)
-    try:
-        out.write(f"# manifest: {manifest.json_line()}\n")
+    with _output(args.out) as out:
+        out.write(f"# {manifest.comment()}\n")
         out.write("t,x1,x2\n")
-        _write_rows(out, [np.arange(len(x1)) * dt, x1.values, x2.values])
-    finally:
-        if close:
-            out.close()
-    if close:
+        _write_rows(out, np.column_stack([np.arange(len(x1)) * dt, x1.values, x2.values]))
+    if out is not sys.stdout:
         print(f"wrote {len(x1)} rows to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -335,7 +321,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    model = _model_from_args(args)
+    model = _parse_model(args.f, args.a, args.b, "--")
     sigma = stationary_covariance(model)
     t21_inf, t12_inf = analytic_flows(model, sigma)
 
@@ -346,7 +332,7 @@ def cmd_theory(args) -> int:
     )
     trajectory = integrate_moments(model, init, args.t_end, args.dt)
     t21, t12 = analytic_flows(model, trajectory.sigma)
-    s11_s12_s22 = trajectory.sigma[:, [0, 0, 1], [0, 1, 1]].T
+    s11_s12_s22 = trajectory.sigma[:, [0, 0, 1], [0, 1, 1]]
 
     manifest = RunManifest(
         command="theory",
@@ -360,14 +346,10 @@ def cmd_theory(args) -> int:
             "dt": args.dt,
         },
     )
-    out, close = _open_out(args.out)
-    try:
-        out.write(f"# manifest: {manifest.json_line()}\n")
+    with _output(args.out) as out:
+        out.write(f"# {manifest.comment()}\n")
         out.write("t,mu1,mu2,s11,s12,s22,t21,t12\n")
-        _write_rows(out, [trajectory.t, *trajectory.mu.T, *s11_s12_s22, t21, t12])
-    finally:
-        if close:
-            out.close()
+        _write_rows(out, np.column_stack([trajectory.t, trajectory.mu, s11_s12_s22, t21, t12]))
     print(
         json.dumps(
             {
@@ -405,7 +387,7 @@ def cmd_map(args) -> int:
         },
         input_digests=digests,
     )
-    paths = write_flow_maps(flow_map, args.out_dir, f"manifest: {manifest.json_line()}")
+    paths = write_flow_maps(flow_map, args.out_dir, manifest.comment())
     n_cells = int(field_grid.mask.sum())
     n_sig_i2f = int(flow_map.significant_index_to_field.sum())
     n_sig_f2i = int(flow_map.significant_field_to_index.sum())
@@ -427,7 +409,7 @@ def cmd_validate(args) -> int:
     seed = args.seed if args.seed is not None else _env_seed(FIXTURE_SEEDS[0])
     manifest = RunManifest(command="validate", parameters={"seed": seed})
     rows = run_validation(seed)
-    print(f"# manifest: {manifest.json_line()}")
+    print(f"# {manifest.comment()}")
     print(f"{'check':44s} {'value':>12s} {'reference':>10s} {'band':>24s} result")
     failed = []
     for row in rows:

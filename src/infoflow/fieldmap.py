@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import GridFormatError
 from .estimator import covariances, fisher_ci, fit_mle
-from .series import TimeSeries, _data_lines, _read_blocks, align
+from .series import TimeSeries, _data_lines, _read_blocks, _write_rows, align
 
 MISSING = float("nan")
 
@@ -216,11 +216,9 @@ def write_grid(field: GridField, out_dir, basename: str = "grid") -> str:
     values_name = f"{basename}_values.csv"
     mask_name = f"{basename}_mask.csv"
     with open(os.path.join(out_dir, values_name), "w", newline="") as fh:
-        for t in range(field.n_time):
-            fh.write(",".join(f"{v:.17g}" for v in field.values[t].ravel()) + "\n")
+        _write_rows(fh, field.values.reshape(field.n_time, -1))
     with open(os.path.join(out_dir, mask_name), "w", newline="") as fh:
-        for lat in range(field.n_lat):
-            fh.write(",".join("1" if v else "0" for v in field.mask[lat]) + "\n")
+        _write_rows(fh, field.mask)
     manifest_path = os.path.join(out_dir, f"{basename}_manifest.csv")
     with open(manifest_path, "w", newline="") as fh:
         fh.write(f"n_lat,{field.n_lat}\n")
@@ -248,10 +246,6 @@ def write_flow_maps(fm: FlowMap, out_dir, header_comment: str = "") -> dict[str,
         with open(path, "w", newline="") as fh:
             if header_comment:
                 fh.write(f"# {header_comment}\n")
-            for row in grid:
-                if grid.dtype == bool:
-                    fh.write(",".join("1" if v else "0" for v in row) + "\n")
-                else:
-                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            _write_rows(fh, grid)
         paths[name] = path
     return paths

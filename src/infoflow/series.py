@@ -134,7 +134,8 @@ class StationaryWindow:
 
 # Data lines are parsed in chunks of at most CHUNK_ROWS lines read from about
 # CHUNK_CHARS characters of text; the text cap bounds a chunk of grid rows,
-# which run to tens of kilobytes each.
+# which run to tens of kilobytes each. Tables are written in chunks of at
+# most CHUNK_CHARS characters.
 CHUNK_ROWS = 8192
 CHUNK_CHARS = 1 << 19
 
@@ -196,6 +197,23 @@ def _read_blocks(fh, usecols, ncols: int, scan, finite: bool):
             return
         yield block
         row += len(chunk)
+
+
+def _write_rows(out, table) -> None:
+    """Write a 2-D table as one CSV row of "%.17g" values per table row.
+
+    "%.17g" % v and f"{v:.17g}" are the same conversion, so the bytes are the
+    per-value format's; a boolean goes out as 1.0 or 0.0, that is "1" or "0".
+    Each write holds at most CHUNK_CHARS characters (or one longer row), so
+    the file is never held in memory as one string.
+    """
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    # a value takes at most 24 characters (-1.7976931348623157e+308) and a separator
+    per_chunk = max(1, CHUNK_CHARS // (25 * max(1, table.shape[1])))
+    for start in range(0, len(table), per_chunk):
+        chunk = table[start : start + per_chunk]
+        out.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _header_columns(path, fh, names) -> dict[str, int]:

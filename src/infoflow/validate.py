@@ -45,10 +45,6 @@ def noise_dominated_model() -> LinearModel2D:
 # elsewhere over non-curated seeds.
 FIXTURE_SEEDS = (149, 248, 535, 648, 1095, 1199, 1259, 1346, 1417, 1465)
 
-# Second-system runs are statistically stable at span 2000; plain consecutive
-# seeds suffice.
-SECOND_SYSTEM_SEEDS = tuple(range(10))
-
 _SIM_DT = 1e-3
 _SIM_STEPS = 100_000
 _SIM_X0 = (1.0, 2.0)

@@ -28,12 +28,16 @@ from infoflow import (
     stationary_covariance,
     window,
 )
-from infoflow.validate import FIXTURE_SEEDS, SECOND_SYSTEM_SEEDS, run_second_system, run_table1
+from infoflow.validate import FIXTURE_SEEDS, run_second_system, run_table1
 
 from conftest import make_pair
 from oracles import observed_information
 from test_fieldmap import DT as FIELD_DT
 from test_fieldmap import coupled_fixture
+
+# Second-system runs are statistically stable at span 2000; plain consecutive
+# seeds suffice.
+SECOND_SYSTEM_SEEDS = tuple(range(10))
 
 
 @contextmanager

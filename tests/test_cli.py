@@ -246,9 +246,20 @@ class TestSimulate:
         assert len(x1) == 601  # flag wins over config
 
     def test_bad_flag_exit_code(self, tmp_path, capsys):
-        rc = main(["simulate", "--a", "1,2,3", "--out", str(tmp_path / "x.csv")])
-        assert rc == 2
-        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        cases = [
+            (["--a", "1,2,3"], "InputError: a needs 4 comma-separated reals"),
+            (["--x0", "1,,2,"], "InputError: x0 has an empty entry in '1,,2,'"),
+            (["--x0", "1,2,"], "InputError: x0 has an empty entry"),
+            (["--a=-1;0.5;;0;-1"], "InputError: a has an empty entry"),
+            (["--b", "0.1, "], "InputError: b has an empty entry"),
+            (["--b=-0.1,0.1"], "InputError: b entries must be >= 0, got [-0.1, 0.1]"),
+        ]
+        for flags, message in cases:
+            rc = main(["simulate", *flags, "--out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err.startswith(message)
+            assert not out.exists()
 
     def test_body_bytes_match_per_row_format(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
@@ -315,21 +326,35 @@ class TestTheory:
             assert row[6] == t21 and row[7] == t12
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, error",
         [
-            ["--t-end", "inf"],
-            ["--mu0", "nan,1"],
-            ["--sigma0", "0.1,0.5,0.1"],
-            ["--sigma0=-0.1,0,0.1"],
-            ["--dt", "0.02", "--t-end", "0.01"],
+            (["--t-end", "inf"], "ValueError"),
+            (["--mu0", "nan,1"], "ValueError"),
+            (["--sigma0", "0.1,0.5,0.1"], "ValueError"),
+            (["--sigma0=-0.1,0,0.1"], "ValueError"),
+            (["--dt", "0.02", "--t-end", "0.01"], "ValueError"),
+            (["--mu0", "1,2,"], "InputError: --mu0 has an empty entry"),
+            (["--a=-1,0.5,,0,-1"], "InputError: --a has an empty entry"),
+            (["--sigma0", "0.1,,0,0.1"], "InputError: --sigma0 has an empty entry"),
+            (["--b=-0.1,0.1"], "InputError: --b entries must be >= 0, got [-0.1, 0.1]"),
         ],
-        ids=["t_end_inf", "mu0_nan", "sigma0_not_psd", "sigma0_negative_variance", "no_step"],
+        ids=[
+            "t_end_inf",
+            "mu0_nan",
+            "sigma0_not_psd",
+            "sigma0_negative_variance",
+            "no_step",
+            "mu0_trailing_comma",
+            "a_empty_entry",
+            "sigma0_empty_entry",
+            "b_negative",
+        ],
     )
-    def test_bad_input_exit_code(self, capsys, tmp_path, flags):
+    def test_bad_input_exit_code(self, capsys, tmp_path, flags, error):
         out = tmp_path / "traj.csv"
         rc = main(["theory", *flags, "--out", str(out)])
         assert rc == 2
-        assert "ValueError" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -9,6 +9,7 @@ from infoflow import (
     CollinearSeries,
     DegenerateSeries,
     DtMismatch,
+    FlowMap,
     GridField,
     GridFormatError,
     LengthMismatch,
@@ -20,6 +21,7 @@ from infoflow import (
     fit_mle,
     load_grid,
     map_flows,
+    write_flow_maps,
     write_grid,
 )
 from infoflow import fieldmap, series
@@ -192,7 +194,61 @@ class TestMapFlows:
             map_flows(wrong_dt, field)
 
 
+def per_value_rows(table) -> bytes:
+    """A table as CSV text the slow way: f"{v:.17g}" per value, "1"/"0" per flag."""
+    if table.dtype == bool:
+        rows = [",".join("1" if v else "0" for v in row) for row in table]
+    else:
+        rows = [",".join(f"{v:.17g}" for v in row) for row in table]
+    return "".join(row + "\n" for row in rows).encode()
+
+
+def extreme_table(masked) -> np.ndarray:
+    """Random doubles of any exponent, shaped as masked: NaN, inf and -inf where
+    masked is true, -0.0, the smallest subnormal and the largest doubles among the rest."""
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal(masked.shape) * 10.0 ** rng.integers(-300, 300, masked.shape)
+    table[masked] = np.resize([np.nan, np.inf, -np.inf], masked.sum())
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+    table.flat[np.flatnonzero(~masked)[: len(extremes)]] = extremes
+    return table
+
+
 class TestGridIO:
+    def test_written_bytes_match_per_value_format(self, tmp_path, monkeypatch):
+        mask = np.ones((3, 4), dtype=bool)
+        mask[0, :2] = mask[2, 3] = False
+        values = extreme_table(np.broadcast_to(~mask, (7, 3, 4)))
+        # two rows of 12 values per write: chunks end between rows, not at the end
+        monkeypatch.setattr(series, "CHUNK_CHARS", 2 * 25 * 12)
+        write_grid(GridField(values=values, dt=0.1, mask=mask), tmp_path, "odd")
+        assert (tmp_path / "odd_values.csv").read_bytes() == per_value_rows(values.reshape(7, -1))
+        assert (tmp_path / "odd_mask.csv").read_bytes() == per_value_rows(mask)
+
+    def test_flow_map_bytes_match_per_value_format(self, tmp_path, monkeypatch):
+        mask = np.ones((5, 3), dtype=bool)
+        mask[1, 1] = mask[3, 0] = mask[4, 2] = False
+        rng = np.random.default_rng(4)
+        fm = FlowMap(
+            extreme_table(~mask),
+            -extreme_table(~mask),
+            rng.random((5, 3)) < 0.5,
+            rng.random((5, 3)) < 0.5,
+            0.05,
+        )
+        monkeypatch.setattr(series, "CHUNK_CHARS", 2 * 25 * 3)  # two rows per write
+        paths = write_flow_maps(fm, tmp_path, "manifest: {}")
+        grids = {
+            "flow_index_to_field": fm.t_index_to_field,
+            "flow_field_to_index": fm.t_field_to_index,
+            "significant_index_to_field": fm.significant_index_to_field,
+            "significant_field_to_index": fm.significant_field_to_index,
+        }
+        assert set(paths) == set(grids)
+        for name, grid in grids.items():
+            with open(paths[name], "rb") as fh:
+                assert fh.read() == b"# manifest: {}\n" + per_value_rows(grid)
+
     def test_roundtrip(self, tmp_path, monkeypatch):
         _, field, _ = coupled_fixture(seed=7)
         manifest = write_grid(field, tmp_path, "fixture")

@@ -36,6 +36,8 @@ reference path, m = 100,000 aligned rows:
                        pure-Python one always, the compiled one when it is
                        built. The model hands its coefficients over as numpy
                        scalars, as in every `simulate` and `validate` run.
+                       Each also records the tracemalloc peak of one untimed
+                       call, as bootstrap_ci does
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ def simulate_stage(kernel):
             with mock.patch.object(simulator, "euler_path_2d", kernel):
                 return simulate(cfg)
 
-        return {"steps": cfg.n_steps, "seed": cfg.seed}, run
+        return {"steps": cfg.n_steps, "seed": cfg.seed, "peak_mb": traced_peak_mb(run)}, run
 
     return setup
 

@@ -286,7 +286,10 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         seed = args.seed
     elif "seed" in config:
-        seed = int(config["seed"])
+        try:
+            seed = int(config["seed"])
+        except ValueError:
+            raise InputError(f"{args.config}: seed must be an integer, got {config['seed']!r}")
     else:
         seed = _env_seed()
 

@@ -15,6 +15,9 @@ from .theory import LinearModel2D
 
 __all__ = ["SimConfig", "simulate"]
 
+# Steps per noise draw and kernel call in simulate.
+CHUNK_STEPS = 8192
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -41,35 +44,48 @@ def simulate(cfg: SimConfig) -> tuple[TimeSeries, TimeSeries]:
     X[n+1] = X[n] + (f + A X[n]) dt + diag(b1, b2) dW[n], with dW drawn as
     sqrt(dt) times standard normals from a PCG64 generator seeded with
     cfg.seed; identical configs give bit-identical paths.
+
+    The noise is drawn and the kernel run CHUNK_STEPS steps at a time, each
+    chunk starting from the last state of the one before, so the working
+    memory beyond the result is one chunk's on either kernel. Successive
+    draws continue the one (n_steps, 2) stream and the state crosses each
+    boundary as an exact float64, so the path has the bits of a single call.
+    Integration stops at the first chunk that leaves the finite range.
     """
     rng = np.random.default_rng(cfg.seed)
-    dw = rng.standard_normal((cfg.n_steps, 2)) * math.sqrt(cfg.dt)
-    out1 = np.empty(cfg.n_steps + 1)
-    out2 = np.empty(cfg.n_steps + 1)
-    (a11, a12), (a21, a22) = cfg.model.a
-    euler_path_2d(
-        out1,
-        out2,
-        np.ascontiguousarray(dw[:, 0]),
-        np.ascontiguousarray(dw[:, 1]),
-        cfg.model.f[0],
-        cfg.model.f[1],
-        a11,
-        a12,
-        a21,
-        a22,
-        cfg.model.b1,
-        cfg.model.b2,
-        cfg.dt,
-        cfg.x0[0],
-        cfg.x0[1],
-    )
-    finite = np.isfinite(out1) & np.isfinite(out2)
-    if not finite.all():
-        step = int(np.flatnonzero(~finite)[0])
-        raise NonFiniteState(f"path left the finite range at step {step}", step=step)
+    sqrt_dt = math.sqrt(cfg.dt)
+    n = cfg.n_steps
+    out1 = np.empty(n + 1)
+    out2 = np.empty(n + 1)
+    out1[0], out2[0] = cfg.x0
+    (f1, f2), ((a11, a12), (a21, a22)) = cfg.model.f, cfg.model.a
+    for start in range(0, n, CHUNK_STEPS):
+        k = min(CHUNK_STEPS, n - start)
+        dw = rng.standard_normal((k, 2)) * sqrt_dt
+        p1 = out1[start : start + k + 1]
+        p2 = out2[start : start + k + 1]
+        euler_path_2d(
+            p1,
+            p2,
+            np.ascontiguousarray(dw[:, 0]),
+            np.ascontiguousarray(dw[:, 1]),
+            f1,
+            f2,
+            a11,
+            a12,
+            a21,
+            a22,
+            cfg.model.b1,
+            cfg.model.b2,
+            cfg.dt,
+            p1[0],
+            p2[0],
+        )
+        finite = np.isfinite(p1) & np.isfinite(p2)
+        if not finite.all():
+            step = start + int(np.flatnonzero(~finite)[0])
+            raise NonFiniteState(f"path left the finite range at step {step}", step=step)
     return (
         TimeSeries(out1, cfg.dt, 0.0, "x1"),
         TimeSeries(out2, cfg.dt, 0.0, "x2"),
     )
-

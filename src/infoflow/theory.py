@@ -33,8 +33,11 @@ class LinearModel2D:
         a = np.array(self.a, dtype=float)
         if f.shape != (2,) or a.shape != (2, 2):
             raise ValueError(f"f must be a 2-vector and a 2x2, got shapes {f.shape}, {a.shape}")
-        if not np.isfinite([*f, *a.ravel(), self.b1, self.b2]).all():
-            raise ValueError("model coefficients must be finite")
+        for name, value in (("f", f), ("a", a), ("b1", self.b1), ("b2", self.b2)):
+            if not np.isfinite(value).all():
+                raise ValueError(
+                    f"model coefficient {name} must be finite, got {np.asarray(value).tolist()}"
+                )
         if self.b1 < 0 or self.b2 < 0:
             raise ValueError(f"diffusion coefficients must be >= 0, got {self.b1}, {self.b2}")
         f.setflags(write=False)

@@ -254,12 +254,27 @@ class TestSimulate:
             (["--a=-1;0.5;;0;-1"], "InputError: a has an empty entry"),
             (["--b", "0.1, "], "InputError: b has an empty entry"),
             (["--b=-0.1,0.1"], "InputError: b entries must be >= 0, got [-0.1, 0.1]"),
+            (
+                ["--a=nan,0,0,-1"],
+                "ValueError: model coefficient a must be finite, got [[nan, 0.0], [0.0, -1.0]]",
+            ),
+            (["--f", "inf,0"], "ValueError: model coefficient f must be finite, got [inf, 0.0]"),
         ]
         for flags, message in cases:
             rc = main(["simulate", *flags, "--out", str(out)])
             assert rc == 2
             assert capsys.readouterr().err.startswith(message)
             assert not out.exists()
+
+    def test_bad_config_seed_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("steps=400\nseed=abc\n")
+        out = tmp_path / "sim.csv"
+        rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"InputError: {cfg}: seed must be an integer, got 'abc'")
+        assert not out.exists()
 
     def test_body_bytes_match_per_row_format(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
@@ -337,6 +352,7 @@ class TestTheory:
             (["--a=-1,0.5,,0,-1"], "InputError: --a has an empty entry"),
             (["--sigma0", "0.1,,0,0.1"], "InputError: --sigma0 has an empty entry"),
             (["--b=-0.1,0.1"], "InputError: --b entries must be >= 0, got [-0.1, 0.1]"),
+            (["--f", "nan,0"], "ValueError: model coefficient f must be finite, got [nan, 0.0]"),
         ],
         ids=[
             "t_end_inf",
@@ -348,6 +364,7 @@ class TestTheory:
             "a_empty_entry",
             "sigma0_empty_entry",
             "b_negative",
+            "f_nan",
         ],
     )
     def test_bad_input_exit_code(self, capsys, tmp_path, flags, error):

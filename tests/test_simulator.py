@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from infoflow import (
     stationary_covariance,
     window,
 )
+from infoflow import simulator
+from infoflow.kernels import available_backends
 from oracles import euler_path
 
 
@@ -34,17 +38,31 @@ class TestSimulate:
         assert x1.t0 == 0.0 and x1.dt == 1e-3
 
     @pytest.mark.parametrize(
-        "model",
+        "model, n_steps, chunk",
         [
-            reference_model(),
-            LinearModel2D(f=[0.3, -0.2], a=[[-1.0, 0.5], [0.4, -2.0]], b1=0.1, b2=0.25),
+            pytest.param(model, n_steps, chunk, id=name + suffix)
+            for name, model in [
+                ("reference", reference_model()),
+                (
+                    "forced-two-way",
+                    LinearModel2D(f=[0.3, -0.2], a=[[-1.0, 0.5], [0.4, -2.0]], b1=0.1, b2=0.25),
+                ),
+            ]
+            for suffix, n_steps, chunk in [
+                ("", 20_000, None),
+                ("-one_chunk", simulator.CHUNK_STEPS, None),
+                ("-chunk_plus_one", simulator.CHUNK_STEPS + 1, None),
+                ("-chunks_of_3", 1000, 3),
+            ]
         ],
-        ids=["reference", "forced-two-way"],
     )
-    def test_path_is_the_float_recursion(self, model):
+    def test_path_is_the_float_recursion(self, model, n_steps, chunk, monkeypatch):
         # bitwise, with whichever kernel is built: the coefficients reach the
-        # kernel as numpy scalars from the model's arrays
-        cfg = SimConfig(model, (1.0, 2.0), 1e-3, 20_000, seed=149)
+        # kernel as numpy scalars from the model's arrays, and the chunked
+        # draws and kernel calls give the path of one full draw
+        if chunk is not None:
+            monkeypatch.setattr(simulator, "CHUNK_STEPS", chunk)
+        cfg = SimConfig(model, (1.0, 2.0), 1e-3, n_steps, seed=149)
         x1, x2 = simulate(cfg)
         dw = np.random.default_rng(cfg.seed).standard_normal((cfg.n_steps, 2)) * math.sqrt(cfg.dt)
         p1, p2 = euler_path(model, cfg.x0, cfg.dt, dw)
@@ -66,11 +84,36 @@ class TestSimulate:
         assert np.abs(x2.values - 2.0 * np.exp(-t)).max() < 10 * dt
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_explosive_path_reports_step(self):
+    def test_explosive_path_reports_step(self, monkeypatch):
+        # the first non-finite step of the full recursion, also when it lies
+        # past the first chunk
         model = LinearModel2D(f=np.zeros(2), a=np.array([[500.0, 0.0], [0.0, 500.0]]), b1=0.0, b2=0.0)
-        with pytest.raises(NonFiniteState) as exc:
-            simulate(SimConfig(model, (1e300, 1e300), 1.0, 2000, seed=0))
-        assert exc.value.step is not None and exc.value.step > 0
+        cfg = SimConfig(model, (1e300, 1e300), 1.0, 2000, seed=0)
+        dw = np.random.default_rng(cfg.seed).standard_normal((cfg.n_steps, 2))
+        p1, p2 = euler_path(model, cfg.x0, cfg.dt, dw)
+        expected = int(np.flatnonzero(~(np.isfinite(p1) & np.isfinite(p2)))[0])
+        for chunk in (simulator.CHUNK_STEPS, 3):
+            monkeypatch.setattr(simulator, "CHUNK_STEPS", chunk)
+            with pytest.raises(NonFiniteState) as exc:
+                simulate(cfg)
+            assert exc.value.step == expected
+
+    @pytest.mark.parametrize("kernel", sorted(available_backends()))
+    def test_memory_stays_within_five_columns(self, kernel):
+        # the two result columns, the copies TimeSeries keeps of them and one
+        # chunk of noise and kernel work: at most five float64 columns of the
+        # path, where one (n, 2) draw took about 6 on the compiled kernel and,
+        # with the pure-Python kernel's four lists of n floats, 22
+        cfg = SimConfig(reference_model(), (1.0, 2.0), 1e-3, 200_000, seed=1)
+        with mock.patch.object(simulator, "euler_path_2d", available_backends()[kernel]):
+            simulate(SimConfig(reference_model(), (1.0, 2.0), 1e-3, 10, seed=1))  # warm-up
+            tracemalloc.start()
+            try:
+                simulate(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 5 * 8 * (cfg.n_steps + 1)
 
     def test_weak_moment_check(self):
         # sample variance of x2 over the stationary span vs sigma22 = 0.005;

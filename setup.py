@@ -1,30 +1,11 @@
 """Build script: compiles the optional Euler-path accelerator, src/infoflow/_kernels.c.
 
-The package installs and works without the extension; infoflow.kernels falls
-back to the pure-Python kernel when it does not import.
+The extension is optional: if it fails to build (no working C toolchain),
+setuptools warns and the build still succeeds. The package works without it;
+infoflow.kernels falls back to the pure-Python kernel when it does not import.
 """
 
-import warnings
-
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
-
-
-class OptionalBuildExt(build_ext):
-    """Degrade to the pure-Python kernel when no working C toolchain exists."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:
-            warnings.warn(f"compiled kernel build failed ({exc}); using pure-Python fallback")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            warnings.warn(f"compiled kernel build failed ({exc}); using pure-Python fallback")
-
 
 setup(
     ext_modules=[
@@ -34,7 +15,7 @@ setup(
             "infoflow._kernels",
             ["src/infoflow/_kernels.c"],
             extra_compile_args=["-O3", "-ffp-contract=off"],
+            optional=True,
         )
     ],
-    cmdclass={"build_ext": OptionalBuildExt},
 )

@@ -31,7 +31,7 @@ from .estimator import (
     fisher_ci,
     fit_mle,
 )
-from .fieldmap import load_grid, map_flows, write_flow_maps
+from .fieldmap import load_grid, map_flows, read_manifest, write_flow_maps
 from .series import _write_rows, align, load_csv, star_window_from_times, subsample, window
 from .simulator import SimConfig, simulate
 from .theory import LinearModel2D, MomentState, analytic_flows, integrate_moments, stationary_covariance
@@ -216,26 +216,12 @@ def cmd_analyze(args) -> int:
     with _output(args.output) as out:
         json.dump(payload, out, indent=2, sort_keys=True)
         out.write("\n")
-    print(
-        _summary_line(
-            f"{x2.label or 'x2'} -> {x1.label or 'x1'}",
-            est.t21,
-            est.significant21(),
-            est.alpha,
-            units,
-        ),
-        file=sys.stderr,
-    )
-    print(
-        _summary_line(
-            f"{x1.label or 'x1'} -> {x2.label or 'x2'}",
-            est.t12,
-            est.significant12(),
-            est.alpha,
-            units,
-        ),
-        file=sys.stderr,
-    )
+    name1, name2 = x1.label or "x1", x2.label or "x2"
+    for direction, t, significant in (
+        (f"{name2} -> {name1}", est.t21, est.significant21()),
+        (f"{name1} -> {name2}", est.t12, est.significant12()),
+    ):
+        print(_summary_line(direction, t, significant, est.alpha, units), file=sys.stderr)
     return EXIT_OK
 
 
@@ -379,7 +365,10 @@ def cmd_map(args) -> int:
     index, _ = load_csv(args.index, args.index_col, args.index_col, field_grid.dt)
     flow_map = map_flows(index, field_grid, alpha=args.alpha)
 
-    digests = {args.grid_manifest: _sha256(args.grid_manifest), args.index: _sha256(args.index)}
+    # every file map reads: the grid's values and mask files as load_grid resolves them
+    grid = read_manifest(args.grid_manifest)
+    inputs = (args.grid_manifest, grid["values_file"], grid.get("mask_file"), args.index)
+    digests = {path: _sha256(path) for path in inputs if path is not None}
     manifest = RunManifest(
         command="map",
         parameters={

@@ -31,24 +31,13 @@ import numpy as np
 
 from .errors import GridFormatError
 from .estimator import covariances, fisher_ci, fit_mle
-from .series import TimeSeries, _data_lines, _read_blocks, _write_rows, align
+from .series import TimeSeries, _data_lines, _freeze, _read_blocks, _write_rows, align
 
 MISSING = float("nan")
 
 # Cells go through the estimator in blocks of about BLOCK_VALUES values, so a
 # work array of a block takes about 2 MB whatever the size of the grid.
 BLOCK_VALUES = 1 << 18
-
-
-def _unwritable(values) -> bool:
-    """Whether values is a float array that neither it nor any array it views can write to."""
-    if not (isinstance(values, np.ndarray) and values.dtype == float):
-        return False
-    while isinstance(values, np.ndarray):
-        if values.flags.writeable:
-            return False
-        values = values.base
-    return values is None
 
 
 @dataclass(frozen=True)
@@ -61,22 +50,18 @@ class GridField:
     t0: float = 0.0
 
     def __post_init__(self):
-        # an array nothing can write through (load_grid hands over one) is
-        # kept; any other is copied, so a caller's array is never aliased
-        values = self.values if _unwritable(self.values) else np.array(self.values, dtype=float)
+        values = _freeze(self.values)
         if values.ndim != 3:
             raise ValueError(f"field values must be [time][lat][lon], got shape {values.shape}")
         if values.shape[0] < 3:
             raise ValueError(f"field needs at least 3 time steps, got {values.shape[0]}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be a positive finite real, got {self.dt}")
-        mask = np.array(self.mask, dtype=bool)
+        mask = _freeze(self.mask, bool)
         if mask.shape != values.shape[1:]:
             raise ValueError(f"mask shape {mask.shape} does not match grid {values.shape[1:]}")
         if not np.isfinite(values).all(axis=0)[mask].all():
             raise ValueError("unmasked cells contain non-finite values")
-        values.setflags(write=False)
-        mask.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
 
@@ -142,15 +127,17 @@ def _csv_rows(path) -> list[list[str]]:
 
 
 def _scan_values(values_path, n_cells: int, lines, first_row: int) -> np.ndarray:
-    """Row-by-row reference parse of grid value rows (first_row is not reported)."""
+    """Row-by-row reference parse of grid value rows, numbered from first_row."""
     out: list[float] = []
-    for row in csv.reader(lines):
+    for i, row in enumerate(csv.reader(lines), start=first_row):
         try:
             out.extend([float(cell) for cell in row])
         except ValueError as exc:
-            raise GridFormatError(f"{values_path}: non-numeric cell: {exc}")
+            raise GridFormatError(f"{values_path}: row {i}: non-numeric cell: {exc}")
         if len(row) != n_cells:
-            raise GridFormatError(f"{values_path}: expected {n_cells} columns, found {len(row)}")
+            raise GridFormatError(
+                f"{values_path}: row {i}: expected {n_cells} columns, found {len(row)}"
+            )
     return np.array(out, dtype=float).reshape(-1, n_cells)
 
 
@@ -165,8 +152,12 @@ def _read_mask(mask_path, n_lat: int, n_lon: int) -> np.ndarray:
     return np.array(rows, dtype=str).reshape(n_lat, n_lon) == "1"
 
 
-def load_grid(manifest_path) -> GridField:
-    """Load a GridField from its manifest CSV."""
+def read_manifest(manifest_path) -> dict[str, str]:
+    """The key -> value entries of a grid manifest CSV.
+
+    values_file and mask_file (if given) come back as paths resolved against
+    the manifest's directory: the files that load_grid reads.
+    """
     entries: dict[str, str] = {}
     for row in _csv_rows(manifest_path):
         if len(row) < 2:
@@ -175,6 +166,16 @@ def load_grid(manifest_path) -> GridField:
     for key in ("n_lat", "n_lon", "n_time", "dt", "values_file"):
         if key not in entries:
             raise GridFormatError(f"{manifest_path}: manifest is missing key {key!r}")
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    for key in ("values_file", "mask_file"):
+        if key in entries:
+            entries[key] = os.path.join(base, entries[key])
+    return entries
+
+
+def load_grid(manifest_path) -> GridField:
+    """Load a GridField from its manifest CSV."""
+    entries = read_manifest(manifest_path)
     try:
         n_lat = int(entries["n_lat"])
         n_lon = int(entries["n_lon"])
@@ -184,8 +185,7 @@ def load_grid(manifest_path) -> GridField:
     except ValueError as exc:
         raise GridFormatError(f"{manifest_path}: bad manifest value: {exc}")
 
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    values_path = os.path.join(base, entries["values_file"])
+    values_path = entries["values_file"]
     n_cells = n_lat * n_lon
     scan = functools.partial(_scan_values, values_path, n_cells)
     found = 0
@@ -204,7 +204,7 @@ def load_grid(manifest_path) -> GridField:
     values = flat.reshape(n_time, n_lat, n_lon)
 
     if "mask_file" in entries:
-        mask = _read_mask(os.path.join(base, entries["mask_file"]), n_lat, n_lon)
+        mask = _read_mask(entries["mask_file"], n_lat, n_lon)
     else:
         mask = np.ones((n_lat, n_lon), dtype=bool)
     return GridField(values=values, dt=dt, mask=mask, t0=t0)

@@ -31,9 +31,21 @@ _MIN_LENGTH = 3  # two aligned difference points + nondegenerate covariance
 _TIME_EPS = 1e-9
 
 
-def _freeze(values) -> np.ndarray:
-    # C order: a row of a stack then sums in the pairwise order of a 1-D series
-    arr = np.array(values, dtype=float, order="C")
+def _freeze(values, dtype=float) -> np.ndarray:
+    """values as a C-ordered array of dtype that nothing can write to.
+
+    An array of dtype in C order that neither it nor any array it views can
+    write to is kept without a copy; any other input is copied and the copy
+    made unwritable, so a caller's writable array is never aliased. C order:
+    a row of a stack then sums in the pairwise order of a 1-D series.
+    """
+    if type(values) is np.ndarray and values.dtype == dtype and values.flags.c_contiguous:
+        base = values
+        while isinstance(base, np.ndarray) and not base.flags.writeable:
+            base = base.base
+        if base is None:
+            return values
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -329,6 +341,8 @@ def align(x1: TimeSeries, x2: TimeSeries) -> AlignedPair:
         raise DtMismatch(f"series timesteps differ: {x1.dt} vs {x2.dt}")
     d1 = (x1.values[..., 1:] - x1.values[..., :-1]) / x1.dt
     d2 = (x2.values[..., 1:] - x2.values[..., :-1]) / x2.dt
+    d1.setflags(write=False)  # fresh arrays: AlignedPair keeps them without a copy
+    d2.setflags(write=False)
     return AlignedPair(x1=x1, x2=x2, d1=d1, d2=d2, m=len(x1) - 1)
 
 

@@ -50,7 +50,8 @@ def simulate(cfg: SimConfig) -> tuple[TimeSeries, TimeSeries]:
     memory beyond the result is one chunk's on either kernel. Successive
     draws continue the one (n_steps, 2) stream and the state crosses each
     boundary as an exact float64, so the path has the bits of a single call.
-    Integration stops at the first chunk that leaves the finite range.
+    The two result columns go to TimeSeries without a copy. Integration
+    stops at the first chunk that leaves the finite range.
     """
     rng = np.random.default_rng(cfg.seed)
     sqrt_dt = math.sqrt(cfg.dt)
@@ -85,6 +86,8 @@ def simulate(cfg: SimConfig) -> tuple[TimeSeries, TimeSeries]:
         if not finite.all():
             step = start + int(np.flatnonzero(~finite)[0])
             raise NonFiniteState(f"path left the finite range at step {step}", step=step)
+    out1.setflags(write=False)  # fresh arrays: TimeSeries keeps them without a copy
+    out2.setflags(write=False)
     return (
         TimeSeries(out1, cfg.dt, 0.0, "x1"),
         TimeSeries(out2, cfg.dt, 0.0, "x2"),

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateVariance, NonFiniteState, NonPositiveVariance, NotHurwitz
+from .series import _freeze
 
 
 @dataclass(frozen=True)
@@ -29,8 +30,7 @@ class LinearModel2D:
     b2: float
 
     def __post_init__(self):
-        f = np.array(self.f, dtype=float)
-        a = np.array(self.a, dtype=float)
+        f, a = _freeze(self.f), _freeze(self.a)
         if f.shape != (2,) or a.shape != (2, 2):
             raise ValueError(f"f must be a 2-vector and a 2x2, got shapes {f.shape}, {a.shape}")
         for name, value in (("f", f), ("a", a), ("b1", self.b1), ("b2", self.b2)):
@@ -40,8 +40,6 @@ class LinearModel2D:
                 )
         if self.b1 < 0 or self.b2 < 0:
             raise ValueError(f"diffusion coefficients must be >= 0, got {self.b1}, {self.b2}")
-        f.setflags(write=False)
-        a.setflags(write=False)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "a", a)
 
@@ -55,8 +53,7 @@ class MomentState:
     t: float
 
     def __post_init__(self):
-        mu = np.array(self.mu, dtype=float)
-        sigma = np.array(self.sigma, dtype=float)
+        mu, sigma = _freeze(self.mu), _freeze(self.sigma)
         if mu.shape != (2,) or sigma.shape != (2, 2):
             raise ValueError("mu must be a 2-vector and sigma a 2x2 matrix")
         if not (np.isfinite(mu).all() and np.isfinite(sigma).all() and math.isfinite(self.t)):
@@ -64,8 +61,6 @@ class MomentState:
         s11, s12, s22 = sigma[0, 0], sigma[0, 1], sigma[1, 1]
         if s11 < 0 or s22 < 0 or s12 * s12 > s11 * s22 or sigma[1, 0] != s12:
             raise ValueError(f"sigma must be symmetric positive semidefinite, got {sigma.tolist()}")
-        mu.setflags(write=False)
-        sigma.setflags(write=False)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
 
@@ -79,8 +74,8 @@ class MomentTrajectory:
     sigma: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.t, self.mu, self.sigma):
-            arr.setflags(write=False)
+        for name in ("t", "mu", "sigma"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
     def __len__(self) -> int:
         return len(self.t)

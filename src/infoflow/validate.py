@@ -153,11 +153,8 @@ def run_second_system(seed: int) -> list[CheckRow]:
     """Long-span accuracy check on the noise-dominated system."""
     model = noise_dominated_model()
     truth_t21, _ = analytic_flows(model, stationary_covariance(model))
-    x1, x2 = simulate(SimConfig(model, _SYS2_X0, _SYS2_DT, _SYS2_STEPS, seed))
-    pair = align(x1, x2)
-    cov = covariances(pair)
-    est = fisher_ci(pair, fit_mle(pair, cov), cov)
-    rows = [
+    est = _pair_ci(*simulate(SimConfig(model, _SYS2_X0, _SYS2_DT, _SYS2_STEPS, seed)))
+    return [
         _band_row("system2 span=2000 t21", est.t21, truth_t21, 0.8 * truth_t21, 1.2 * truth_t21),
         CheckRow(
             "system2 span=2000 t12 CI includes 0",
@@ -167,7 +164,6 @@ def run_second_system(seed: int) -> list[CheckRow]:
             not est.significant12(),
         ),
     ]
-    return rows
 
 
 def run_validation(seed: int) -> list[CheckRow]:

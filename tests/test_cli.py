@@ -433,6 +433,31 @@ class TestMap:
         summary = capsys.readouterr().err.splitlines()[0]
         assert summary.startswith("2 unmasked cells; ") and "; 1 missing; " in summary
 
+    def test_manifest_digests_every_grid_file(self, capsys, tmp_path):
+        n = 50
+        manifest = self._write_single_cell_grid(tmp_path, np.sin(np.arange(n)), 1.0)
+        index_csv = tmp_path / "index.csv"
+        index_csv.write_text("index\n" + "\n".join(f"{np.cos(i):.17g}" for i in range(n)) + "\n")
+        argv = ["map", "--index", str(index_csv), "--grid-manifest", manifest, "--out-dir"]
+
+        def manifest_line(out_dir):
+            assert main(argv + [str(tmp_path / out_dir)]) == 0
+            capsys.readouterr()
+            return (tmp_path / out_dir / "flow_index_to_field.csv").read_text().splitlines()[0]
+
+        before = manifest_line("a")
+        digests = json.loads(before.removeprefix("# manifest: "))["input_digests"]
+        grid_files = [str(tmp_path / name) for name in ("vals.csv", "mask.csv")]
+        assert sorted(digests) == sorted([manifest, str(index_csv), *grid_files])
+        # one grid value changed: the values file's digest, and so the manifest line, changes
+        rows = (tmp_path / "vals.csv").read_text().splitlines()
+        rows[3] = "0.25"
+        (tmp_path / "vals.csv").write_text("\n".join(rows) + "\n")
+        after = manifest_line("b")
+        assert after != before
+        changed = json.loads(after.removeprefix("# manifest: "))["input_digests"]
+        assert [path for path in digests if digests[path] != changed[path]] == [grid_files[0]]
+
     def test_missing_mask_file_exit_code(self, capsys, tmp_path):
         manifest = self._write_single_cell_grid(tmp_path, np.arange(10.0), 1.0)
         (tmp_path / "mask.csv").unlink()
@@ -450,9 +475,9 @@ class TestMap:
         )
         good = [f"{i}.0,{i}.5" for i in range(10)]
         broken = {
-            "non-numeric cell: could not convert string to float: 'abc'":
+            "row 7: non-numeric cell: could not convert string to float: 'abc'":
                 good[:6] + ["6.0,abc"] + good[7:],
-            "expected 2 columns, found 1": good[:6] + ["6.0"] + good[7:],
+            "row 7: expected 2 columns, found 1": good[:6] + ["6.0"] + good[7:],
             "expected 10 rows, found 9": good[:9],
         }
         for message, rows in broken.items():

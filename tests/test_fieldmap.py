@@ -13,6 +13,7 @@ from infoflow import (
     GridField,
     GridFormatError,
     LengthMismatch,
+    LinearModel2D,
     NumericalError,
     TimeSeries,
     align,
@@ -338,18 +339,37 @@ class TestGridIO:
         with pytest.raises(GridFormatError, match=f"expected {n_time} rows, found {found}$"):
             load_grid(str(path))
 
-    def test_caller_arrays_are_copied(self):
-        mask = np.ones((2, 2), bool)
-        values = np.zeros((5, 2, 2))
+    @pytest.mark.parametrize(
+        "example, owned",
+        [
+            (np.arange(10.0).reshape(2, 5), lambda v: TimeSeries(v, 1.0).values),
+            (np.arange(20.0).reshape(5, 2, 2), lambda v: GridField(v, 1.0, np.ones((2, 2))).values),
+            (np.eye(2, dtype=bool), lambda v: GridField(np.zeros((3, 2, 2)), 1.0, v).mask),
+            (np.arange(4.0).reshape(2, 2), lambda v: LinearModel2D(np.zeros(2), v, 0.0, 0.0).a),
+        ],
+        ids=["TimeSeries", "GridField", "GridField.mask", "LinearModel2D"],
+    )
+    def test_caller_arrays_are_copied(self, example, owned):
+        values = example.copy()
         frozen_view = values.view()
         frozen_view.setflags(write=False)
         for given in (values, frozen_view):
-            field = GridField(values=given, dt=1.0, mask=mask)
-            assert not np.shares_memory(field.values, values)
-            assert not field.values.flags.writeable
-        assert values.flags.writeable and mask.flags.writeable
-        values[0, 0, 0] = 1.0
-        assert field.values[0, 0, 0] == 0.0
+            kept = owned(given)
+            assert not np.shares_memory(kept, values)
+            assert not kept.flags.writeable
+        assert values.flags.writeable
+        values.flat[0] = values.flat[1]
+        assert np.array_equal(kept, example)
+        # an array that nothing can write to is kept as it is
+        frozen = example.copy()
+        frozen.setflags(write=False)
+        assert np.shares_memory(owned(frozen), frozen)
+        # an unwritable F-ordered array is copied to C order
+        f_ordered = np.asfortranarray(example)
+        f_ordered.setflags(write=False)
+        kept = owned(f_ordered)
+        assert kept.flags.c_contiguous and not np.shares_memory(kept, f_ordered)
+        assert np.array_equal(kept, example)
 
     def test_missing_manifest_keys(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -382,6 +402,24 @@ class TestGridIO:
         path.write_text("n_lat,2\nn_lon,2\nn_time,3\ndt,1.0\nvalues_file,v.csv\n")
         (tmp_path / "v.csv").write_text("1,2,3\n4,5,6\n7,8,9\n")
         with pytest.raises(GridFormatError):
+            load_grid(str(path))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("9,x,9,9", "non-numeric cell"), ("9,9,9", "expected 4 columns, found 3")],
+        ids=["non-numeric", "short-row"],
+    )
+    def test_bad_value_row_is_named(self, tmp_path, monkeypatch, bad, message):
+        # data row 6, after a comment and in the third chunk of two lines:
+        # rows keep their numbers across chunks and skip comment lines
+        path = tmp_path / "m.csv"
+        path.write_text("n_lat,2\nn_lon,2\nn_time,8\ndt,1.0\nvalues_file,v.csv\n")
+        rows = ["1,2,3,4"] * 8
+        rows[5] = bad
+        rows.insert(2, "# comment")
+        (tmp_path / "v.csv").write_text("\n".join(rows) + "\n")
+        monkeypatch.setattr(series, "CHUNK_ROWS", 2)
+        with pytest.raises(GridFormatError, match=f"v.csv: row 6: {message}"):
             load_grid(str(path))
 
     def test_grid_invariants(self):

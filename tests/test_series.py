@@ -16,6 +16,7 @@ from infoflow import (
     flow,
     load_csv,
     subsample,
+    window,
 )
 from infoflow import series
 from infoflow.series import detrend_values
@@ -212,6 +213,18 @@ class TestTimeSeries:
         s = TimeSeries([1.0, 2.0, 3.0], dt=0.5, t0=2.0)
         assert s.t_end == 3.0
         assert np.allclose(s.times(), [2.0, 2.5, 3.0])
+
+    @pytest.mark.parametrize("i0", [1, 3, 5, 8])
+    def test_window_is_a_view_with_the_bits_of_a_copy(self, i0):
+        # a window of a series is kept without a copy, at any offset into it,
+        # and the pair pipeline gives it the bits of a copied window
+        rng = np.random.default_rng(i0)
+        x1 = TimeSeries(np.cumsum(rng.standard_normal(5000)), 0.5)
+        x2 = TimeSeries(0.3 * x1.values + rng.standard_normal(5000), 0.5)
+        w1, w2 = window(x1, i0 * 0.5, 2000.0), window(x2, i0 * 0.5, 2000.0)
+        assert np.shares_memory(w1.values, x1.values)
+        copied = align(TimeSeries(w1.values.copy(), 0.5), TimeSeries(w2.values.copy(), 0.5))
+        assert covariances(align(w1, w2)) == covariances(copied)
 
 
 class TestSubsample:

@@ -99,11 +99,11 @@ class TestSimulate:
             assert exc.value.step == expected
 
     @pytest.mark.parametrize("kernel", sorted(available_backends()))
-    def test_memory_stays_within_five_columns(self, kernel):
-        # the two result columns, the copies TimeSeries keeps of them and one
-        # chunk of noise and kernel work: at most five float64 columns of the
-        # path, where one (n, 2) draw took about 6 on the compiled kernel and,
-        # with the pure-Python kernel's four lists of n floats, 22
+    def test_memory_stays_within_three_columns(self, kernel):
+        # the two result columns, which TimeSeries keeps without a copy, and
+        # one chunk of noise and kernel work: at most three float64 columns of
+        # the path, where one (n, 2) draw took about 6 on the compiled kernel
+        # and, with the pure-Python kernel's four lists of n floats, 22
         cfg = SimConfig(reference_model(), (1.0, 2.0), 1e-3, 200_000, seed=1)
         with mock.patch.object(simulator, "euler_path_2d", available_backends()[kernel]):
             simulate(SimConfig(reference_model(), (1.0, 2.0), 1e-3, 10, seed=1))  # warm-up
@@ -113,7 +113,7 @@ class TestSimulate:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peak <= 5 * 8 * (cfg.n_steps + 1)
+        assert peak <= 3 * 8 * (cfg.n_steps + 1)
 
     def test_weak_moment_check(self):
         # sample variance of x2 over the stationary span vs sigma22 = 0.005;

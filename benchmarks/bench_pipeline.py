@@ -12,12 +12,17 @@ for uncommitted changes).
 
 Stages, all but integrate_moments, map_flows and simulate_* on the seed-149
 reference path, m = 100,000 aligned rows:
+    load_csv           load_csv of the path's 100,001 rows (t, x1, x2),
+                       written with `simulate`'s writer into a temporary
+                       directory; also records the tracemalloc peak of one
+                       untimed call after a warm-up (peak_mb, in units of
+                       10^6 bytes)
     analyze_core       covariances + fit_mle + fisher_ci, the estimator work
-                       of one Fisher `analyze`
+                       of one Fisher `analyze`; also records peak_mb, as
+                       load_csv does
     bootstrap_ci       moving-block bootstrap from the path's covariances,
                        n_boot = 1000, default block length, seed 11; also
-                       records the tracemalloc peak of one untimed call
-                       after a warm-up (peak_mb, in units of 10^6 bytes)
+                       records peak_mb
     integrate_moments  RK4 moment trajectory of the reference model from
                        `theory`'s default initial state, t_end = 10, dt = 1e-3
     simulate_write     the `simulate` CSV writer on the path's 100,001 rows,
@@ -26,18 +31,16 @@ reference path, m = 100,000 aligned rows:
                        40 x 40 x 2000 grid of random walks it drives, built
                        from seed 149 in memory, with a masked 5 x 5 block and
                        one constant cell
-    write_grid         write_grid of that grid (about 61 MB of text) into a
-                       temporary directory
+    write_grid         write_grid of that grid (about 61 MB of text) into
+                       the temporary directory
     load_grid          load_grid of the files write_grid wrote; also records
-                       the tracemalloc peak of one untimed call, as
-                       bootstrap_ci does
+                       peak_mb
     simulate_python    `simulate` of that reference path (reference_model(),
     simulate_compiled  100,000 steps, seed 149) on each kernel backend: the
                        pure-Python one always, the compiled one when it is
                        built. The model hands its coefficients over as numpy
                        scalars, as in every `simulate` and `validate` run.
-                       Each also records the tracemalloc peak of one untimed
-                       call, as bootstrap_ci does
+                       Each also records peak_mb
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from infoflow import (
     fisher_ci,
     fit_mle,
     integrate_moments,
+    load_csv,
     load_grid,
     map_flows,
     reference_model,
@@ -83,14 +87,6 @@ def reference_pair():
     return align(x1, x2)
 
 
-def analyze_core_stage(pair):
-    def run():
-        cov = covariances(pair)
-        return fisher_ci(pair, fit_mle(pair, cov), cov)
-
-    return {"m": pair.m}, run
-
-
 def traced_peak_mb(run):
     run()  # warm-up: a first call also traces its lazy imports
     tracemalloc.start()
@@ -99,6 +95,39 @@ def traced_peak_mb(run):
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+@functools.cache
+def work_dir() -> tempfile.TemporaryDirectory:
+    """The directory of the stages' files, removed when the process exits."""
+    return tempfile.TemporaryDirectory()
+
+
+def path_rows(pair):
+    """The reference path as `simulate` writes it: columns t, x1, x2."""
+    x1, x2 = pair.x1.values, pair.x2.values
+    return np.column_stack([np.arange(len(x1)) * pair.x1.dt, x1, x2])
+
+
+def load_csv_stage(pair):
+    path = os.path.join(work_dir().name, "path.csv")
+    rows = path_rows(pair)
+    with open(path, "w") as out:
+        out.write("t,x1,x2\n")
+        _write_rows(out, rows)
+
+    def run():
+        return load_csv(path, "x1", "x2", pair.dt)
+
+    return {"rows": len(rows), "peak_mb": traced_peak_mb(run)}, run
+
+
+def analyze_core_stage(pair):
+    def run():
+        cov = covariances(pair)
+        return fisher_ci(pair, fit_mle(pair, cov), cov)
+
+    return {"m": pair.m, "peak_mb": traced_peak_mb(run)}, run
 
 
 def bootstrap_stage(pair):
@@ -118,13 +147,11 @@ def integrate_moments_stage(pair):
 
 
 def simulate_write_stage(pair):
-    x1, x2 = pair.x1.values, pair.x2.values
-
     def run():
         with open(os.devnull, "w") as out:
-            _write_rows(out, np.column_stack([np.arange(len(x1)) * pair.x1.dt, x1, x2]))
+            _write_rows(out, path_rows(pair))
 
-    return {"rows": len(x1)}, run
+    return {"rows": len(pair.x1)}, run
 
 
 @functools.cache
@@ -147,20 +174,14 @@ def map_flows_stage(pair):
     return params, lambda: map_flows(index, field)
 
 
-@functools.cache
-def grid_dir() -> tempfile.TemporaryDirectory:
-    """The directory of the grid stages' files, removed when the process exits."""
-    return tempfile.TemporaryDirectory()
-
-
 def write_grid_stage(pair):
     _, field, params = bench_grid()
-    return params, lambda: write_grid(field, grid_dir().name)
+    return params, lambda: write_grid(field, work_dir().name)
 
 
 def load_grid_stage(pair):
     _, field, params = bench_grid()
-    manifest = write_grid(field, grid_dir().name)
+    manifest = write_grid(field, work_dir().name)
 
     def run():
         return load_grid(manifest)
@@ -182,6 +203,7 @@ def simulate_stage(kernel):
 
 
 STAGES = {
+    "load_csv": load_csv_stage,
     "analyze_core": analyze_core_stage,
     "bootstrap_ci": bootstrap_stage,
     "integrate_moments": integrate_moments_stage,

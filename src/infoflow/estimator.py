@@ -47,7 +47,7 @@ from .errors import (
     SingularFisher,
     WindowTooShort,
 )
-from .series import AlignedPair, StationaryWindow, _dot, detrend_values
+from .series import AlignedPair, StationaryWindow, detrend_values
 
 # Relative determinant floor: below det <= DET_FLOOR * c11 * c22 the two
 # series are treated as collinear instead of producing an unstable flow.
@@ -151,18 +151,44 @@ def covariances(pair: AlignedPair) -> CovarianceStats:
 def _covariances(x1, x2, d1, d2) -> CovarianceStats:
     """covariances() of the series x1, x2 and their differences d1, d2.
 
-    The inputs are not modified. Four work arrays of m are alive at once: x1
-    and x2 centred, one difference series centred at a time, and the
-    products. At large m this sets the peak memory of `infoflow analyze`.
+    The inputs are not modified. Each of the seven centred products is formed
+    and summed in one of two work arrays, in the product's own broadcast
+    shape, so the products of a map block's 1-D index stay 1-D. A centred
+    series stays in its work array until a product overwrites it and is
+    recomputed after that, which costs less than keeping it: the two work
+    arrays, each the size of the largest input, are all this allocates.
     """
     m = x1.shape[-1]
     floor11, floor22 = (_mean_rounding_floor(x) for x in (x1, x2))
-    w1, w2 = (x - x.mean(axis=-1, keepdims=True) for x in (x1, x2))
-    sums = [_dot(w1, w1), _dot(w1, w2), _dot(w2, w2)]
-    for d in (d1, d2):
-        dc = d - d.mean(axis=-1, keepdims=True)
-        sums += [_dot(w1, dc), _dot(w2, dc)]
-    c11, c12, c22, c1d1, c2d1, c1d2, c2d2 = (s / (m - 1) for s in sums)
+    terms = [(x, x.mean(axis=-1, keepdims=True)) for x in (x1, x2, d1, d2)]
+    work = np.empty((2, max(x.size for x in (x1, x2, d1, d2))))
+    held = [None, None]  # the term whose centred values each work array holds
+
+    def shaped(w, shape):
+        return work[w, : math.prod(shape)].reshape(shape)
+
+    def centred(t, w):
+        x, mean = terms[t]
+        out = shaped(w, x.shape)
+        if held[w] != t:
+            np.subtract(x, mean, out=out)
+            held[w] = t
+        return out
+
+    def total(s, t):
+        # the product overwrites term t in work[1] if it has the product's
+        # shape, else term s in work[0]; a square keeps term s
+        a = centred(s, 0)
+        b = a if s == t else centred(t, 1)
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        w = 1 if s == t or b.shape == shape else 0
+        held[w] = None
+        return np.add.reduce(np.multiply(a, b, out=shaped(w, shape)), axis=-1)
+
+    # work[0] holds x2, then x1, while the products leave it intact
+    c22, c2d2, c12, c2d1, c1d2, c11, c1d1 = (
+        total(s, t) / (m - 1) for s, t in ((1, 1), (1, 3), (1, 0), (1, 2), (0, 3), (0, 0), (0, 2))
+    )
     keep = _floor(_degenerate(c11, c22, floor11, floor22), DegenerateSeries,
                   lambda: f"degenerate variance: c11={c11}, c22={c22}")
     return CovarianceStats(*(c * keep for c in (c11, c12, c22, c1d1, c2d1, c1d2, c2d2)), m=m)
@@ -235,13 +261,21 @@ def _drift(cov: CovarianceStats) -> tuple[float, float, float, float, float]:
 def fit_mle(pair: AlignedPair, cov: CovarianceStats) -> ModelEstimate:
     """Closed-form MLE of (f, A, B) from the decoupled normal equations."""
     _, a11, a12, a21, a22 = _checked_drift(cov)
-    mean_x1, mean_x2 = pair.x1w.mean(axis=-1), pair.x2w.mean(axis=-1)
+    x1, x2 = pair.x1w, pair.x2w
+    mean_x1, mean_x2 = x1.mean(axis=-1), x2.mean(axis=-1)
     f1 = pair.d1.mean(axis=-1) - a11 * mean_x1 - a12 * mean_x2
     f2 = pair.d2.mean(axis=-1) - a21 * mean_x1 - a22 * mean_x2
     col = functools.partial(np.expand_dims, axis=-1)  # a value per row, as a column
-    r1 = pair.d1 - (col(f1) + col(a11) * pair.x1w + col(a12) * pair.x2w)
-    r2 = pair.d2 - (col(f2) + col(a21) * pair.x1w + col(a22) * pair.x2w)
-    q1, q2 = _dot(r1, r1), _dot(r2, r2)
+    r, work = np.empty((2, *np.broadcast_shapes(col(a11).shape, x1.shape, x2.shape)))
+
+    def squares(d, f, a1, a2):
+        """The sum of r * r for the residual r = d - ((f + a1 * x1) + a2 * x2)."""
+        np.add(col(f), np.multiply(col(a1), x1, out=r), out=r)
+        np.add(r, np.multiply(col(a2), x2, out=work), out=r)
+        np.subtract(d, r, out=r)
+        return np.add.reduce(np.multiply(r, r, out=r), axis=-1)
+
+    q1, q2 = squares(pair.d1, f1, a11, a12), squares(pair.d2, f2, a21, a22)
     dt = pair.dt
     return ModelEstimate(
         f1_hat=f1,
@@ -391,7 +425,8 @@ def bootstrap_ci(
     chunk building its eleven prefix columns once in O(m):
     O(m + n_boot * m / block_len) in all. Memory is O(m) whatever n_boot:
     the chunk's starts, held as int32, take as much as four float64 columns
-    of m, and block sums are gathered a slice of rows at a time. The
+    of m, and block sums are gathered a slice of rows, or of one row's
+    blocks when a row is longer than a slice, at a time. The
     covariances then go through that floor, the collinearity floor and the
     drift closed form of flow(), elementwise. The random draws are those of
     one rng.integers(0, m - block_len + 1, size=n_blocks) call per resample,
@@ -420,8 +455,8 @@ def bootstrap_ci(
         t21s[:] = t21
         t12s[:] = t12
     else:
-        chunk, rows = _chunk_rows(m, n_blocks)
-        sums = _BlockSums(pair, block_len, n_blocks, min(chunk, n_boot), rows)
+        chunk, rows, cols = _chunk_rows(m, n_blocks)
+        sums = _BlockSums(pair, block_len, n_blocks, min(chunk, n_boot), rows, cols)
         floors = (_PREFIX_FLOOR * m * cov.c11, _PREFIX_FLOOR * m * cov.c22)
         rng = np.random.default_rng(seed)
         max_draws = 10 * n_boot
@@ -473,10 +508,18 @@ def bootstrap_ci(
 _GATHER_ELEMS = 1 << 16
 
 
-def _chunk_rows(m: int, n_blocks: int) -> tuple[int, int]:
-    """Resamples per bootstrap chunk, and per gather slice of a chunk."""
+def _chunk_rows(m: int, n_blocks: int) -> tuple[int, int, int]:
+    """Resamples per bootstrap chunk and per gather slice, and blocks per slice of a row.
+
+    A slice holds whole rows of n_blocks blocks or, when one row is longer
+    than a slice, a slice of one row's blocks.
+    """
     elems = max(m, _GATHER_ELEMS)
-    return max(1, 8 * elems // n_blocks), max(1, elems // (4 * n_blocks))
+    return (
+        max(1, 8 * elems // n_blocks),
+        max(1, elems // (4 * n_blocks)),
+        min(n_blocks, max(1, elems // 4)),
+    )
 
 
 def _index_dtype(n: int):
@@ -491,34 +534,42 @@ class _BlockSums:
     the term's prefix sums; the last block of a resample is cut to `tail`
     rows. One prefix column is built at a time, into buffers allocated once;
     the block starts of up to `chunk` resamples are held in `starts`, and
-    their block sums gathered `rows` resamples at a time.
+    their block sums gathered `rows` resamples at a time, `cols` blocks of
+    a row at a time.
     """
 
-    def __init__(self, pair, block_len, n_blocks, chunk, rows):
-        m = pair.m
+    def __init__(self, pair, block_len, n_blocks, chunk, rows, cols):
+        m = self.m = pair.m
         self.series = [(x, x.mean()) for x in (pair.x1w, pair.x2w, pair.d1, pair.d2)]
         self.block_len = block_len
         self.tail = m - (n_blocks - 1) * block_len
         self.prefix = np.zeros(m + 1)
-        self.work = np.empty(m)
+        rows = min(rows, chunk)
+        self.work = np.empty(max(m, rows * n_blocks))
+        # _totals gathers into work, whose centred series it no longer needs
+        self.gathered = self.work[: rows * n_blocks].reshape(rows, n_blocks)
+        self.cols = cols
         self.blocks = np.empty(m - block_len + 1)
         # a start plus `tail` indexes prefix up to m
         self.starts = np.empty((chunk, n_blocks), dtype=_index_dtype(m))
-        self.gathered = np.empty((min(rows, chunk), n_blocks))
 
     def _slices(self, k):
-        rows = len(self.gathered)
-        return (slice(r, r + rows) for r in range(0, k, rows))
+        """(rows, column slices) of the starts of k resamples, a gather slice of rows at a time."""
+        rows, n_blocks = self.gathered.shape
+        cols = [slice(c, c + self.cols) for c in range(0, n_blocks, self.cols)]
+        return ((slice(r, r + rows), cols) for r in range(0, k, rows))
 
     def draw(self, rng, k):
         """Block starts of the next k resamples.
 
-        Drawn a slice of rows at a time, they are the stream of one
-        rng.integers(0, n_starts, size=(k, n_blocks)) call.
+        Drawn a slice at a time, straight in the dtype of starts, they are
+        the stream of one rng.integers(0, n_starts, size=(k, n_blocks)) call.
         """
         starts = self.starts[:k]
-        for part in self._slices(k):
-            starts[part] = rng.integers(0, self.blocks.size, size=starts[part].shape)
+        for rows, cols in self._slices(k):
+            for c in cols:
+                part = starts[rows, c]
+                part[...] = rng.integers(0, self.blocks.size, size=part.shape, dtype=part.dtype)
         return starts
 
     def _centred(self, a, out):
@@ -529,26 +580,27 @@ class _BlockSums:
         """Sums over each resample's blocks of the term in prefix[1:].
 
         Turns prefix into the term's prefix sums (prefix[0] stays 0). Each
-        row of gathered block sums is summed alone, so the slicing changes
-        no bit.
+        row of gathered block sums is summed alone and whole, so the slicing
+        changes no bit.
         """
         prefix, blocks, n = self.prefix, self.blocks, self.blocks.size
         np.cumsum(prefix[1:], out=prefix[1:])
         np.subtract(prefix[self.block_len : self.block_len + n], prefix[:n], out=blocks)
         totals = np.empty(len(starts))
-        for part in self._slices(len(starts)):
-            part_starts = starts[part]
+        for rows, cols in self._slices(len(starts)):
+            part_starts = starts[rows]
             gathered = self.gathered[: len(part_starts)]
-            # starts are in range, so "clip" changes no index; "raise" would buffer out
-            np.take(blocks, part_starts, out=gathered, mode="clip")
+            for c in cols:
+                # starts are in range, so "clip" changes no index; "raise" would buffer out
+                np.take(blocks, part_starts[:, c], out=gathered[:, c], mode="clip")
             last = part_starts[:, -1]
             gathered[:, -1] = prefix[last + self.tail] - prefix[last]
-            gathered.sum(axis=1, out=totals[part])
+            gathered.sum(axis=1, out=totals[rows])
         return totals
 
     def covariances(self, starts) -> CovarianceStats:
         """CovarianceStats of the resamples with block starts (k, n_blocks)."""
-        m = self.work.size
+        m = self.m
         term = self.prefix[1:]
         sums = []
         for a in range(4):
@@ -556,7 +608,7 @@ class _BlockSums:
             sums.append(self._totals(starts))
 
         def cov(a, b):
-            np.multiply(self._centred(a, term), self._centred(b, self.work), out=term)
+            np.multiply(self._centred(a, term), self._centred(b, self.work[:m]), out=term)
             return (self._totals(starts) - sums[a] * sums[b] / m) / (m - 1)
 
         return CovarianceStats(

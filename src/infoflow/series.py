@@ -268,18 +268,25 @@ def load_csv(path, column_x1: str, column_x2: str, dt: float) -> tuple[TimeSerie
 
     Lines starting with '#' are ignored. Every cell of the requested columns
     must parse as a finite real; missing cells and absent columns are errors.
+    The parsed blocks are concatenated into one read-only (columns, rows)
+    table whose rows both series keep as they are, so at its peak the load
+    holds the blocks and the table: four columns of the file.
     """
     with open(path, newline="") as fh:
         cols = _header_columns(path, fh, (column_x1, column_x2))
         scan = functools.partial(_scan_rows, path, cols)
         blocks = list(_read_blocks(fh, list(cols.values()), len(cols), scan, finite=True))
-    table = np.concatenate(blocks) if blocks else np.empty((0, len(cols)))
-    if not len(table):
+    n = sum(len(block) for block in blocks)
+    if not n:
         raise EmptyFile(f"{path}: no data rows")
+    table = np.empty((len(cols), n))
+    np.concatenate(blocks, out=table.T)
+    del blocks
+    table.setflags(write=False)
     names = list(cols)
     return (
-        TimeSeries(table[:, names.index(column_x1)], dt, label=column_x1),
-        TimeSeries(table[:, names.index(column_x2)], dt, label=column_x2),
+        TimeSeries(table[names.index(column_x1)], dt, label=column_x1),
+        TimeSeries(table[names.index(column_x2)], dt, label=column_x2),
     )
 
 

@@ -134,7 +134,11 @@ def integrate_moments(
     bad = np.flatnonzero(~np.isfinite(ys).all(axis=1))
     if bad.size:
         raise NonFiniteState(f"moments are not finite from t={t[bad[0]]}", step=int(bad[0]))
-    return MomentTrajectory(t=t, mu=ys[:, :2], sigma=ys[:, [2, 3, 3, 4]].reshape(-1, 2, 2))
+    # fresh C-ordered arrays, made read-only: MomentTrajectory keeps them without a copy
+    mu, sigma = np.take(ys, [0, 1], axis=1), np.take(ys, [[2, 3], [3, 4]], axis=1)
+    for a in (t, mu, sigma):
+        a.setflags(write=False)
+    return MomentTrajectory(t=t, mu=mu, sigma=sigma)
 
 
 def stationary_covariance(model: LinearModel2D) -> np.ndarray:

@@ -2,10 +2,55 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import linalg
 
-from infoflow.estimator import _checked_noise
+from infoflow.errors import DegenerateSeries
+from infoflow.estimator import (
+    CovarianceStats,
+    ModelEstimate,
+    _checked_drift,
+    _checked_noise,
+    _degenerate,
+    _floor,
+    _mean_rounding_floor,
+)
+from infoflow.series import _dot
+
+
+def covariances_four_arrays(x1, x2, d1, d2) -> CovarianceStats:
+    """The centred covariances with x1 and x2 centred, one difference series
+    centred at a time and the products alive at once: the reference for the
+    two work arrays of estimator._covariances, which must give its bits."""
+    m = x1.shape[-1]
+    floor11, floor22 = (_mean_rounding_floor(x) for x in (x1, x2))
+    w1, w2 = (x - x.mean(axis=-1, keepdims=True) for x in (x1, x2))
+    sums = [_dot(w1, w1), _dot(w1, w2), _dot(w2, w2)]
+    for d in (d1, d2):
+        dc = d - d.mean(axis=-1, keepdims=True)
+        sums += [_dot(w1, dc), _dot(w2, dc)]
+    c11, c12, c22, c1d1, c2d1, c1d2, c2d2 = (s / (m - 1) for s in sums)
+    keep = _floor(_degenerate(c11, c22, floor11, floor22), DegenerateSeries,
+                  lambda: f"degenerate variance: c11={c11}, c22={c22}")
+    return CovarianceStats(*(c * keep for c in (c11, c12, c22, c1d1, c2d1, c1d2, c2d2)), m=m)
+
+
+def fit_mle_whole_residuals(pair, cov) -> ModelEstimate:
+    """fit_mle with both residual series and their temporaries alive at once:
+    the reference for the two work arrays of estimator.fit_mle."""
+    _, a11, a12, a21, a22 = _checked_drift(cov)
+    mean_x1, mean_x2 = pair.x1w.mean(axis=-1), pair.x2w.mean(axis=-1)
+    f1 = pair.d1.mean(axis=-1) - a11 * mean_x1 - a12 * mean_x2
+    f2 = pair.d2.mean(axis=-1) - a21 * mean_x1 - a22 * mean_x2
+    col = functools.partial(np.expand_dims, axis=-1)
+    r1 = pair.d1 - (col(f1) + col(a11) * pair.x1w + col(a12) * pair.x2w)
+    r2 = pair.d2 - (col(f2) + col(a21) * pair.x1w + col(a22) * pair.x2w)
+    q1, q2 = _dot(r1, r1), _dot(r2, r2)
+    return ModelEstimate(
+        f1, f2, a11, a12, a21, a22, np.sqrt(q1 * pair.dt / pair.m), np.sqrt(q2 * pair.dt / pair.m)
+    )
 
 
 def observed_information(pair, model, component: int = 1) -> np.ndarray:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,7 @@ from infoflow import estimator
 from infoflow.estimator import Variant, _covariances, default_block_len, z_quantile
 
 from conftest import make_pair, random_walk_pair
-from oracles import observed_information
+from oracles import covariances_four_arrays, fit_mle_whole_residuals, observed_information
 
 
 def brute_force_covariance(a, b):
@@ -149,6 +150,61 @@ class TestFitMle:
         assert abs(resid.sum()) / scale < 1e-8
         assert abs(resid @ pair.x1w) / (scale * np.abs(pair.x1w).max()) < 1e-8
         assert abs(resid @ pair.x2w) / (scale * np.abs(pair.x2w).max()) < 1e-8
+
+
+class TestWorkArrays:
+    """covariances() and fit_mle() form their products in two work arrays."""
+
+    PAIRS = ["pair", "stacked", "index-stack", "stack-index"]
+
+    def pair(self, name, n=301, k=6):
+        rng = np.random.default_rng(35)
+        index = TimeSeries(np.cumsum(rng.standard_normal(n)), 0.1)
+        rows = np.cumsum(rng.standard_normal((k, n)), axis=1) + 0.4 * index.values
+        rows[1] = 0.3  # degenerate: a NaN row in every field
+        stack = TimeSeries(rows, 0.1)
+        x1, x2 = {
+            "pair": (TimeSeries(rows[0], 0.1), TimeSeries(rows[3] + 1e3, 0.1)),
+            "stacked": (stack, TimeSeries(rows[::-1] + 1e3, 0.1)),
+            "index-stack": (index, stack),
+            "stack-index": (stack, index),
+        }[name]
+        return align(x1, x2)
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        for field in dataclasses.fields(want):
+            np.testing.assert_array_equal(
+                getattr(got, field.name), getattr(want, field.name), strict=True
+            )
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_bits_equal_the_four_array_reference(self, name):
+        pair = self.pair(name)
+        cov = covariances(pair)
+        want = covariances_four_arrays(pair.x1w, pair.x2w, pair.d1, pair.d2)
+        self.assert_same_bits(cov, want)
+        self.assert_same_bits(fit_mle(pair, cov), fit_mle_whole_residuals(pair, want))
+        # a star slab: strided views of a stack
+        slab = [a[..., 50:250] for a in (pair.x1w, pair.x2w, pair.d1, pair.d2)]
+        self.assert_same_bits(_covariances(*slab), covariances_four_arrays(*slab))
+
+    @pytest.mark.parametrize("name", ["pair", "index-stack"])
+    def test_memory_stays_within_two_columns(self, name):
+        # the two work arrays, each of the largest input (m = 100k values in
+        # all: one pair, or 10 rows of 10k against a 1-D index), and 64 KiB
+        pair = self.pair(name, *((100_001, 6) if name == "pair" else (10_001, 10)))
+        cov = covariances(pair)
+        size = math.prod(np.broadcast_shapes(pair.x1w.shape, pair.x2w.shape))
+        assert size == 100_000
+        for run in (lambda: covariances(pair), lambda: fit_mle(pair, cov)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 8 * size + 64 * 1024
 
 
 class TestFlow:
@@ -445,10 +501,12 @@ class TestBootstrap:
     def test_chunking_changes_no_bit(self, monkeypatch, pair, n_boot, block_len, seed):
         default = estimator._chunk_rows
         cases = [
-            lambda m, n_blocks: (1, 1),  # one resample per chunk
-            lambda m, n_blocks: (default(m, n_blocks)[0], 1),  # gather slices of one row
+            lambda m, n_blocks: (1, 1, n_blocks),  # one resample per chunk
+            lambda m, n_blocks: (default(m, n_blocks)[0], 1, n_blocks),  # gather slices of one row
             default,
-            lambda m, n_blocks: (n_boot, default(m, n_blocks)[1]),  # one chunk for all
+            lambda m, n_blocks: (n_boot, *default(m, n_blocks)[1:]),  # one chunk for all
+            # gather slices of 999 blocks of one row: five to a row at m5000-L1
+            lambda m, n_blocks: (default(m, n_blocks)[0], 1, min(n_blocks, 999)),
         ]
         cov = covariances(pair)
         results = []
@@ -464,16 +522,18 @@ class TestBootstrap:
 
     def test_memory_stays_within_eight_columns(self):
         # the chunk's starts, its prefix and block buffers and the gather
-        # slices: at most 8 * m float64 values, 6.4 MB, at m = 100k
+        # slices: at most 8 * m float64 values, 6.4 MB, at m = 100k; at
+        # block lengths 1 and 2 one row of starts outgrows a gather slice
         pair = random_walk_pair(np.random.default_rng(27), n=100_001)
         cov = covariances(pair)
-        tracemalloc.start()
-        try:
-            bootstrap_ci(pair, cov, n_boot=1000, seed=11)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * pair.m * 8
+        for block_len in (None, 1, 2):
+            tracemalloc.start()
+            try:
+                bootstrap_ci(pair, cov, n_boot=1000, block_len=block_len, seed=11)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * pair.m * 8, block_len
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(16)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,24 @@ class TestLoadCsv:
             load_csv(write_csv(tmp_path, ""), "x1", "x2", dt=1.0)
         with pytest.raises(EmptyFile):
             load_csv(write_csv(tmp_path, "x1,x2\n", name="d2.csv"), "x1", "x2", dt=1.0)
+
+    def test_memory_holds_the_blocks_and_one_table(self, tmp_path):
+        # at the peak, the parsed blocks and the (2, n) table whose rows both
+        # series keep: four columns of n, and at most one chunk of text
+        n = 100_000
+        path = str(tmp_path / "large.csv")
+        with open(path, "w") as fh:
+            fh.write("t,x1,x2\n")
+            series._write_rows(fh, np.random.default_rng(37).standard_normal((n, 3)))
+        load_csv(path, "x1", "x2", dt=1.0)  # warm-up: lazy imports
+        tracemalloc.start()
+        try:
+            s1, s2 = load_csv(path, "x1", "x2", dt=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * 8 + series.CHUNK_CHARS
+        assert s1.values.base is s2.values.base is not None
 
 
 def _planted(token, row, column="x2", n_rows=10):

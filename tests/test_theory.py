@@ -16,6 +16,7 @@ from infoflow import (
     reference_model,
     stationary_covariance,
 )
+from infoflow import theory
 
 from oracles import exact_moments
 
@@ -213,6 +214,21 @@ class TestIntegrateMoments:
         for arr in (trajectory.t, trajectory.mu, trajectory.sigma):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+    def test_trajectory_arrays_are_not_copied(self, monkeypatch):
+        # integrate_moments hands over fresh read-only arrays, kept as they are
+        model = reference_model()
+        init = MomentState(mu=np.array([1.0, 2.0]), sigma=np.eye(2) * 0.1, t=0.0)
+        freeze, kept = theory._freeze, []
+
+        def spy(values, dtype=float):
+            frozen = freeze(values, dtype)
+            kept.append(frozen is values)
+            return frozen
+
+        monkeypatch.setattr(theory, "_freeze", spy)
+        integrate_moments(model, init, t_end=1.0, dt=1e-2)
+        assert kept == [True, True, True]
 
     def test_argument_validation(self):
         model = reference_model()

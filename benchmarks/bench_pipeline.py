@@ -17,6 +17,8 @@ reference path, m = 100,000 aligned rows:
                        directory; also records the tracemalloc peak of one
                        untimed call after a warm-up (peak_mb, in units of
                        10^6 bytes)
+    align              align of the path's two series, which forms their
+                       difference series; also records peak_mb
     analyze_core       covariances + fit_mle + fisher_ci, the estimator work
                        of one Fisher `analyze`; also records peak_mb, as
                        load_csv does
@@ -122,6 +124,13 @@ def load_csv_stage(pair):
     return {"rows": len(rows), "peak_mb": traced_peak_mb(run)}, run
 
 
+def align_stage(pair):
+    def run():
+        return align(pair.x1, pair.x2)
+
+    return {"rows": len(pair.x1), "peak_mb": traced_peak_mb(run)}, run
+
+
 def analyze_core_stage(pair):
     def run():
         cov = covariances(pair)
@@ -204,6 +213,7 @@ def simulate_stage(kernel):
 
 STAGES = {
     "load_csv": load_csv_stage,
+    "align": align_stage,
     "analyze_core": analyze_core_stage,
     "bootstrap_ci": bootstrap_stage,
     "integrate_moments": integrate_moments_stage,

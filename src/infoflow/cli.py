@@ -170,6 +170,8 @@ def cmd_analyze(args) -> int:
         raise InputError(
             "bootstrap intervals are not defined for the star variant; use --ci fisher"
         )
+    if args.subsample < 1:
+        raise InputError(f"--subsample must be >= 1, got {args.subsample}")
     span = _parse_window(args.window, "--window") if args.window else None
     star_span = _parse_window(args.star_window, "--star-window") if args.star_window else None
     x1, x2 = load_csv(args.input, args.x1, args.x2, args.dt)

@@ -28,18 +28,24 @@ def covariances_four_arrays(x1, x2, d1, d2) -> CovarianceStats:
     floor11, floor22 = (_mean_rounding_floor(x) for x in (x1, x2))
     w1, w2 = (x - x.mean(axis=-1, keepdims=True) for x in (x1, x2))
     sums = [_dot(w1, w1), _dot(w1, w2), _dot(w2, w2)]
+    squares = []
     for d in (d1, d2):
         dc = d - d.mean(axis=-1, keepdims=True)
         sums += [_dot(w1, dc), _dot(w2, dc)]
-    c11, c12, c22, c1d1, c2d1, c1d2, c2d2 = (s / (m - 1) for s in sums)
+        squares.append(_dot(dc, dc))
+    c11, c12, c22, c1d1, c2d1, c1d2, c2d2, c_d1d1, c_d2d2 = (
+        s / (m - 1) for s in sums + squares
+    )
     keep = _floor(_degenerate(c11, c22, floor11, floor22), DegenerateSeries,
                   lambda: f"degenerate variance: c11={c11}, c22={c22}")
-    return CovarianceStats(*(c * keep for c in (c11, c12, c22, c1d1, c2d1, c1d2, c2d2)), m=m)
+    drift_terms = (c * keep for c in (c11, c12, c22, c1d1, c2d1, c1d2, c2d2))
+    return CovarianceStats(*drift_terms, m, c_d1d1 * keep, c_d2d2 * keep)
 
 
 def fit_mle_whole_residuals(pair, cov) -> ModelEstimate:
-    """fit_mle with both residual series and their temporaries alive at once:
-    the reference for the two work arrays of estimator.fit_mle."""
+    """fit_mle with b_hat from the sums of squares of both residual series:
+    the two-pass reference for the closed-form residual sums of
+    estimator.fit_mle, with f_hat and a_hat its bits and no residual floor."""
     _, a11, a12, a21, a22 = _checked_drift(cov)
     mean_x1, mean_x2 = pair.x1w.mean(axis=-1), pair.x2w.mean(axis=-1)
     f1 = pair.d1.mean(axis=-1) - a11 * mean_x1 - a12 * mean_x2

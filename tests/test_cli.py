@@ -179,6 +179,23 @@ class TestAnalyze:
                 outputs.append(out.read_bytes())
             assert outputs[0] == outputs[1]
 
+    def test_noiseless_path_is_singular_for_fisher_only(self, capsys, tmp_path, schema):
+        # an Euler path without noise: both residual sums are below the floor
+        path = tmp_path / "noiseless.csv"
+        rc = main(["simulate", "--b", "0,0", "--steps", "2000", "--out", str(path)])
+        assert rc == 0
+        capsys.readouterr()
+        rc, captured = run_analyze(capsys, str(path), "--ci", "fisher")
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("SingularFisher: residual noise estimate b=0.0")
+        rc, captured = run_analyze(capsys, str(path), "--ci", "bootstrap", "--n-boot", "100")
+        assert rc == 0
+        payload = json.loads(captured.out)
+        jsonschema.validate(payload, schema)
+        assert payload["b_hat"] == [0.0, 0.0]
+        assert all(np.copysign(1.0, b) == 1.0 for b in payload["b_hat"])
+
     def test_collinear_input_exit_code(self, capsys, tmp_path):
         path = tmp_path / "collinear.csv"
         rows = "\n".join(f"{v},{v}" for v in np.linspace(0, 1, 32))
@@ -260,8 +277,18 @@ class TestSimulate:
             ),
             (["--f", "inf,0"], "ValueError: model coefficient f must be finite, got [inf, 0.0]"),
         ]
-        for flags, message in cases:
-            rc = main(["simulate", *flags, "--out", str(out)])
+        cases = [(["simulate", *flags, "--out", str(out)], message) for flags, message in cases]
+        # analyze rejects a bad --subsample before it reads its input
+        absent = str(tmp_path / "absent.csv")
+        cases += [
+            (
+                ["analyze", "--input", absent, *REF_ARGS, "--subsample", n, "--output", str(out)],
+                f"InputError: --subsample must be >= 1, got {n}",
+            )
+            for n in ("0", "-3")
+        ]
+        for argv, message in cases:
+            rc = main(argv)
             assert rc == 2
             assert capsys.readouterr().err.startswith(message)
             assert not out.exists()

@@ -11,6 +11,7 @@ from infoflow import (
     AlignedPair,
     CollinearSeries,
     DegenerateSeries,
+    LinearModel2D,
     NumericalError,
     SimConfig,
     SingularFisher,
@@ -25,10 +26,17 @@ from infoflow import (
     flow,
     reference_model,
     simulate,
+    subsample,
     window,
 )
 from infoflow import estimator
-from infoflow.estimator import Variant, _covariances, default_block_len, z_quantile
+from infoflow.estimator import (
+    RESIDUAL_FLOOR,
+    Variant,
+    _covariances,
+    default_block_len,
+    z_quantile,
+)
 
 from conftest import make_pair, random_walk_pair
 from oracles import covariances_four_arrays, fit_mle_whole_residuals, observed_information
@@ -153,7 +161,7 @@ class TestFitMle:
 
 
 class TestWorkArrays:
-    """covariances() and fit_mle() form their products in two work arrays."""
+    """covariances() forms its products in two work arrays; fit_mle() forms none."""
 
     PAIRS = ["pair", "stacked", "index-stack", "stack-index"]
 
@@ -184,27 +192,103 @@ class TestWorkArrays:
         cov = covariances(pair)
         want = covariances_four_arrays(pair.x1w, pair.x2w, pair.d1, pair.d2)
         self.assert_same_bits(cov, want)
-        self.assert_same_bits(fit_mle(pair, cov), fit_mle_whole_residuals(pair, want))
+        got, ref = fit_mle(pair, cov), fit_mle_whole_residuals(pair, want)
+        # b_hat from the closed-form residual sums: within 4 eps of the two-pass
+        # sums, not bitwise; f_hat and a_hat keep their bits
+        for b in ("b1_hat", "b2_hat"):
+            np.testing.assert_allclose(
+                getattr(got, b), getattr(ref, b), rtol=4 * np.finfo(float).eps, atol=0, strict=True
+            )
+        self.assert_same_bits(dataclasses.replace(got, b1_hat=ref.b1_hat, b2_hat=ref.b2_hat), ref)
         # a star slab: strided views of a stack
         slab = [a[..., 50:250] for a in (pair.x1w, pair.x2w, pair.d1, pair.d2)]
         self.assert_same_bits(_covariances(*slab), covariances_four_arrays(*slab))
 
     @pytest.mark.parametrize("name", ["pair", "index-stack"])
     def test_memory_stays_within_two_columns(self, name):
-        # the two work arrays, each of the largest input (m = 100k values in
-        # all: one pair, or 10 rows of 10k against a 1-D index), and 64 KiB
+        # covariances: the two work arrays, each of the largest input (m = 100k
+        # values in all: one pair, or 10 rows of 10k against a 1-D index), and
+        # 64 KiB; fit_mle: no column at all, 64 KiB
         pair = self.pair(name, *((100_001, 6) if name == "pair" else (10_001, 10)))
         cov = covariances(pair)
         size = math.prod(np.broadcast_shapes(pair.x1w.shape, pair.x2w.shape))
         assert size == 100_000
-        for run in (lambda: covariances(pair), lambda: fit_mle(pair, cov)):
+        for run, bound in (
+            (lambda: covariances(pair), 2 * 8 * size + 64 * 1024),
+            (lambda: fit_mle(pair, cov), 64 * 1024),
+        ):
             tracemalloc.start()
             try:
                 run()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 2 * 8 * size + 64 * 1024
+            assert peak <= bound
+
+
+class TestDriftDominated:
+    """b_hat's closed form where drift dominates noise, down to RESIDUAL_FLOOR."""
+
+    NOISE = [10.0**-e for e in range(1, 10)]
+
+    @staticmethod
+    def paths(delta_n):
+        """(x1, x2) of one model at each noise level: 20k steps, subsampled."""
+        for b in TestDriftDominated.NOISE:
+            model = LinearModel2D(f=np.zeros(2), a=np.array([[-1.0, 0.5], [0.0, -1.0]]), b1=b, b2=b)
+            x1, x2 = simulate(SimConfig(model, (1.0, 2.0), 1e-3, 20_000, seed=149))
+            yield subsample(x1, delta_n), subsample(x2, delta_n)
+
+    @pytest.mark.parametrize("delta_n", [1, 100])
+    def test_floor_splits_accurate_from_singular(self, delta_n):
+        regimes = set()
+        for x1, x2 in self.paths(delta_n):
+            pair = align(x1, x2)
+            cov = covariances(pair)
+            model, ref = fit_mle(pair, cov), fit_mle_whole_residuals(pair, cov)
+            below = False
+            for b, b_ref, c_dd in (
+                (model.b1_hat, ref.b1_hat, cov.c_d1d1),
+                (model.b2_hat, ref.b2_hat, cov.c_d2d2),
+            ):
+                # the two-pass residual sum against the floor, clear of it
+                ratio = b_ref**2 * pair.m / pair.dt / (RESIDUAL_FLOOR * (pair.m - 1) * c_dd)
+                assert abs(ratio - 1) > 1e-3
+                if ratio > 1:
+                    assert b == pytest.approx(b_ref, rel=1e-6, abs=0)
+                else:
+                    assert b == 0.0 and math.copysign(1.0, b) == 1.0
+                    below = True
+                regimes.add(ratio > 1)
+            if below:
+                with pytest.raises(SingularFisher):
+                    fisher_ci(pair, model, cov)
+        assert regimes == {True, False}
+
+    @pytest.mark.parametrize("delta_n", [1, 100])
+    def test_singular_rows_of_a_stack_are_nan(self, delta_n):
+        x1s, x2s = zip(*self.paths(delta_n))
+        dt = x1s[0].dt
+        stack = align(*(TimeSeries(np.stack([x.values for x in xs]), dt) for xs in (x1s, x2s)))
+        cov = covariances(stack)
+        model = fit_mle(stack, cov)
+        est = fisher_ci(stack, model, cov)
+        singular = 0
+        for k, (x1, x2) in enumerate(zip(x1s, x2s)):
+            pair = align(x1, x2)
+            cov_k = covariances(pair)
+            model_k = fit_mle(pair, cov_k)
+            for field in dataclasses.fields(model_k):
+                assert getattr(model, field.name)[k] == getattr(model_k, field.name)
+            if model_k.b1_hat == 0.0 or model_k.b2_hat == 0.0:
+                singular += 1
+                assert np.isnan([est.t21[k], est.t12[k], est.se21[k], est.ci12[1][k]]).all()
+                continue
+            est_k = fisher_ci(pair, model_k, cov_k)
+            for name in ("t21", "t12", "se21", "se12"):
+                assert getattr(est, name)[k] == getattr(est_k, name)
+            assert (est.ci21[0][k], est.ci12[1][k]) == (est_k.ci21[0], est_k.ci12[1])
+        assert 0 < singular < len(self.NOISE)
 
 
 class TestFlow:
@@ -402,17 +486,28 @@ class TestFisherCi:
             fisher_ci(pair, model, cov)
 
     def test_near_zero_noise_gives_tiny_intervals(self):
-        a = np.array([[-1.0, 0.5], [0.2, -2.0]])
         dt = 0.01
-        x = np.empty((200, 2))
-        x[0] = (1.0, 2.0)
-        for n in range(199):
-            x[n + 1] = x[n] + (a @ x[n]) * dt
-        pair = make_pair(x[:, 0], x[:, 1], dt=dt)
-        cov = covariances(pair)
-        model = fit_mle(pair, cov)
-        est = fisher_ci(pair, model, cov)
-        assert est.se21 < 1e-6 and est.se12 < 1e-6
+
+        def pair(a, n, b):
+            rng = np.random.default_rng(36)
+            noise = b * math.sqrt(dt) * rng.standard_normal((n, 2))
+            x = np.empty((n, 2))
+            x[0] = (1.0, 2.0)
+            for k in range(n - 1):
+                x[k + 1] = x[k] + (a @ x[k]) * dt + noise[k]
+            return make_pair(x[:, 0], x[:, 1], dt=dt)
+
+        # a noiseless path: its residuals are rounding noise, below the floor
+        noiseless = pair(np.array([[-1.0, 0.5], [0.2, -2.0]]), 200, 0.0)
+        cov = covariances(noiseless)
+        with pytest.raises(SingularFisher):
+            fisher_ci(noiseless, fit_mle(noiseless, cov), cov)
+        # a damped oscillator with noise 1e-4, about 450 times above the floor
+        noisy = pair(np.array([[-0.01, 1.0], [-1.0, -0.01]]), 2000, 1e-4)
+        cov = covariances(noisy)
+        model = fit_mle(noisy, cov)
+        est = fisher_ci(noisy, model, cov)
+        assert 0 < est.se21 < 1e-6 and 0 < est.se12 < 1e-6
 
     def test_alpha_validation(self):
         rng = np.random.default_rng(15)

@@ -5,13 +5,17 @@ Usage:
     PYTHONPATH=src python3 benchmarks/bench_pipeline.py [--out PATH]
 
 Every stage runs on fixed sizes and seeds, so two runs time the same work, and
-reports the best and the median wall time of REPEATS = 5 runs. The record also
+reports the best and the median wall time of REPEATS = 5 runs, and the ratio
+of its median to the median of the reference stage, a fixed numpy workload
+that runs no infoflow code. On a shared machine whose speed drifts between
+sessions, the ratios of two records compare where their times do not. The record also
 holds the kernel backend, the numpy version, the CPU count, the
 OPENBLAS_NUM_THREADS setting (null when unset) and the git commit (with a flag
 for uncommitted changes).
 
-Stages, all but integrate_moments, map_flows and simulate_* on the seed-149
-reference path, m = 100,000 aligned rows:
+Stages, all but reference, integrate_moments, map_flows and simulate_* on the
+seed-149 reference path, m = 100,000 aligned rows:
+    reference          np.sort of 2^21 standard normals drawn from seed 0
     load_csv           load_csv of the path's 100,001 rows (t, x1, x2),
                        written with `simulate`'s writer into a temporary
                        directory; also records the tracemalloc peak of one
@@ -109,6 +113,11 @@ def path_rows(pair):
     """The reference path as `simulate` writes it: columns t, x1, x2."""
     x1, x2 = pair.x1.values, pair.x2.values
     return np.column_stack([np.arange(len(x1)) * pair.x1.dt, x1, x2])
+
+
+def reference_stage(pair):
+    values = np.random.default_rng(0).standard_normal(1 << 21)
+    return {"values": values.size}, lambda: np.sort(values)
 
 
 def load_csv_stage(pair):
@@ -212,6 +221,7 @@ def simulate_stage(kernel):
 
 
 STAGES = {
+    "reference": reference_stage,
     "load_csv": load_csv_stage,
     "align": align_stage,
     "analyze_core": analyze_core_stage,
@@ -264,7 +274,11 @@ def main():
         run()  # warm-up: imports, first-touch allocations
         stages[name] = {**params, **time_stage(run)}
         best, median = stages[name]["best_s"], stages[name]["median_s"]
-        print(f"{name:>17s}: best {best * 1e3:8.1f} ms  median {median * 1e3:8.1f} ms")
+        ratio = stages[name]["ratio"] = median / stages["reference"]["median_s"]
+        print(
+            f"{name:>17s}: best {best * 1e3:8.1f} ms  median {median * 1e3:8.1f} ms"
+            f"  ratio {ratio:8.3f}"
+        )
 
     sha, dirty = git_commit()
     record = {

@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Check that two checkouts of infoflow give byte-identical CLI results.
+
+Usage:
+    python3 benchmarks/compare_cli.py BASE_SRC [NEW_SRC]
+
+BASE_SRC and NEW_SRC are `src` directories of two checkouts (NEW_SRC defaults
+to this checkout's). Make the base one with, for example,
+`git archive PARENT | tar -x -C DIR`, and build its kernel
+(`python setup.py build_ext --inplace`) if this one's is built.
+
+Each checkout runs the same sequence of `python -m infoflow.cli` commands in
+a fresh working directory at one fixed path, so that absolute paths in
+manifests agree. The sequence covers every subcommand: simulate (to a file
+and to stdout, and from a config file), theory, analyze with Fisher, star
+plus detrend and bootstrap intervals, an analyze that exits 2 and one that
+exits 3, map, and validate. For each command the exit code, stdout and stderr
+are compared, and at the end every file in the working directory. Prints one
+line per command and exits 1 if anything differs.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+REF = ["--x1", "x1", "--x2", "x2", "--dt", "0.001"]
+COMMANDS = {
+    "simulate_file": ["simulate", "--steps", "20000", "--seed", "149", "--out", "path.csv"],
+    "simulate_stdout": ["simulate", "--steps", "300", "--seed", "3"],
+    "simulate_config": ["simulate", "--config", "sim.cfg", "--out", "config.csv"],
+    "theory": ["theory", "--t-end", "2", "--dt", "0.01", "--out", "traj.csv"],
+    "analyze_fisher": ["analyze", "--input", "path.csv", *REF, "--output", "fisher.json"],
+    "analyze_star_detrend": [
+        "analyze", "--input", "path.csv", *REF, "--window", "2:18", "--star-window", "5:10",
+        "--detrend-star", "--output", "star.json",
+    ],
+    "analyze_bootstrap": [
+        "analyze", "--input", "path.csv", *REF, "--ci", "bootstrap", "--n-boot", "200",
+        "--seed", "11",
+    ],
+    "analyze_exit_2": ["analyze", "--input", "path.csv", "--x1", "nope", "--x2", "x2", "--dt", "1"],
+    "analyze_exit_3": ["analyze", "--input", "collinear.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
+    "map": ["map", "--index", "index.csv", "--grid-manifest", "grid.csv", "--out-dir", "maps"],
+    "validate": ["validate"],
+}
+
+
+def write_inputs(work: str) -> None:
+    """The files the commands read besides those an earlier command writes."""
+    with open(os.path.join(work, "sim.cfg"), "w") as fh:
+        fh.write("dt=0.01\nsteps=400\nx0=0,0\nb=0.2,0.2\nseed=5\n")
+    with open(os.path.join(work, "collinear.csv"), "w") as fh:
+        fh.write("a,b\n" + "".join(f"{v!r},{v!r}\n" for v in np.linspace(0, 1, 32).tolist()))
+    rng = np.random.default_rng(21)
+    n_time, n_lat, n_lon = 400, 4, 5
+    index = np.cumsum(rng.standard_normal(n_time))
+    values = 0.5 * index[:, None] + np.cumsum(rng.standard_normal((n_time, n_lat * n_lon)), axis=0)
+    values[:, 7] = 7.25  # a constant cell: missing in the maps
+    with open(os.path.join(work, "index.csv"), "w") as fh:
+        fh.write("t,index\n" + "".join(f"{i * 0.5!r},{v!r}\n" for i, v in enumerate(index.tolist())))
+    with open(os.path.join(work, "vals.csv"), "w") as fh:
+        fh.write("".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
+    with open(os.path.join(work, "mask.csv"), "w") as fh:
+        fh.write("1,1,1,1,1\n1,1,1,1,1\n0,0,1,1,1\n1,1,1,1,1\n")
+    with open(os.path.join(work, "grid.csv"), "w") as fh:
+        fh.write(f"n_lat,{n_lat}\nn_lon,{n_lon}\nn_time,{n_time}\ndt,0.5\n")
+        fh.write("values_file,vals.csv\nmask_file,mask.csv\n")
+
+
+def run_checkout(src: str, work: str) -> tuple[dict, dict]:
+    """(command name -> (exit code, stdout, stderr), relative path -> bytes) for one checkout."""
+    shutil.rmtree(work, ignore_errors=True)
+    os.makedirs(work)
+    write_inputs(work)
+    env = {k: v for k, v in os.environ.items() if k != "INFOFLOW_SEED"}
+    env.update(PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1")
+    results = {}
+    for name, argv in COMMANDS.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "infoflow.cli", *argv], cwd=work, env=env, capture_output=True
+        )
+        results[name] = (proc.returncode, proc.stdout, proc.stderr)
+    files = {}
+    for root, _, names in os.walk(work):
+        for file_name in names:
+            path = os.path.join(root, file_name)
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, work)] = fh.read()
+    return results, files
+
+
+def main() -> int:
+    if len(sys.argv) not in (2, 3):
+        print(__doc__, file=sys.stderr)
+        return 2
+    base_src = sys.argv[1]
+    new_src = sys.argv[2] if len(sys.argv) == 3 else os.path.join(os.path.dirname(__file__), "..", "src")
+    with tempfile.TemporaryDirectory() as tmp:
+        work = os.path.join(tmp, "work")
+        base, base_files = run_checkout(base_src, work)
+        new, new_files = run_checkout(new_src, work)
+    differ = 0
+    for name in COMMANDS:
+        same = base[name] == new[name]
+        differ += not same
+        print(f"{name:22s} exit {base[name][0]} -> {new[name][0]}  {'same' if same else 'DIFFERS'}")
+    for path in sorted(set(base_files) | set(new_files)):
+        if base_files.get(path) != new_files.get(path):
+            differ += 1
+            print(f"{path}: DIFFERS")
+    print(f"{len(COMMANDS)} commands, {len(base_files)} files: {differ} difference(s)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

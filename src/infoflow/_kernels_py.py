@@ -1,7 +1,7 @@
 """Pure-Python fallback for the path-generation hot loop.
 
-Keep the update expressions byte-for-byte identical to _kernels.c so both
-backends produce bit-identical paths for the same increments.
+Keep the update expressions identical to _kernels.c so both backends produce
+bit-identical paths for the same increments.
 """
 
 from __future__ import annotations
@@ -16,24 +16,23 @@ def euler_path_2d(out1, out2, dw1, dw2, f1, f2, a11, a12, a21, a22, b1, b2, dt, 
     "d" argument format converts them, so the loop runs on plain floats even
     when the caller passes numpy float64 scalars (unpacked from a model's
     arrays, say). The conversion is exact and both types round each add and
-    multiply the same way, so it changes only the speed, about 2x.
+    multiply the same way, so it changes only the speed, about 2x. The noise
+    terms b1 * dw1 and b2 * dw2 are formed in numpy: one rounded multiply
+    each, as in the C loop.
     """
     f1, f2, a11, a12, a21, a22, b1, b2, dt, x1, x2 = map(
         float, (f1, f2, a11, a12, a21, a22, b1, b2, dt, x01, x02)
     )
-    n = len(dw1)
-    w1 = np.asarray(dw1).tolist()
-    w2 = np.asarray(dw2).tolist()
-    o1 = [0.0] * (n + 1)
-    o2 = [0.0] * (n + 1)
-    o1[0] = x1
-    o2[0] = x2
-    for i in range(n):
-        n1 = x1 + (f1 + a11 * x1 + a12 * x2) * dt + b1 * w1[i]
-        n2 = x2 + (f2 + a21 * x1 + a22 * x2) * dt + b2 * w2[i]
-        x1 = n1
-        x2 = n2
-        o1[i + 1] = x1
-        o2[i + 1] = x2
+    o1 = [x1]
+    o2 = [x2]
+    noise1 = (b1 * np.asarray(dw1, dtype=float)).tolist()
+    noise2 = (b2 * np.asarray(dw2, dtype=float)).tolist()
+    for s1, s2 in zip(noise1, noise2):
+        x1, x2 = (
+            x1 + (f1 + a11 * x1 + a12 * x2) * dt + s1,
+            x2 + (f2 + a21 * x1 + a22 * x2) * dt + s2,
+        )
+        o1.append(x1)
+        o2.append(x2)
     out1[:] = o1
     out2[:] = o2

@@ -68,14 +68,33 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _env_seed(default: int = 0) -> int:
-    raw = os.environ.get("INFOFLOW_SEED")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"INFOFLOW_SEED must be an integer, got {raw!r}")
+def _seed(*sources: tuple[str, object], default: int = 0) -> int:
+    """The first seed set among (name, value) sources and INFOFLOW_SEED, else default.
+
+    A value that is not a non-negative integer is an InputError naming its source.
+    """
+    for name, raw in (*sources, ("INFOFLOW_SEED", os.environ.get("INFOFLOW_SEED"))):
+        if raw is None:
+            continue
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise InputError(f"{name} must be an integer, got {raw!r}")
+        if seed < 0:
+            raise InputError(f"{name} must be >= 0, got {seed}")
+        return seed
+    return default
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:
+        raise InputError(f"--alpha must be in (0, 1), got {alpha}")
+
+
+def _manifest(args, output: str | None = None, input_digests=None, **resolved) -> RunManifest:
+    """The command's manifest: its parsed flags bar the output path, resolved values over them."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", output)}
+    return RunManifest(args.command, {**flags, **resolved}, input_digests or {})
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
@@ -124,22 +143,12 @@ def _parse_model(f: str, a: str, b: str, prefix: str) -> LinearModel2D:
 
 
 def _flow_json(est: FlowEstimate, model, cov, manifest: RunManifest, units: str) -> dict:
+    fields = asdict(est)
+    del fields["block_len"]  # the manifest records it
     return {
+        **fields,
         "variant": est.variant.value,
-        "t21": est.t21,
-        "t12": est.t12,
-        "se21": est.se21,
-        "se12": est.se12,
-        "ci21": list(est.ci21),
-        "ci12": list(est.ci12),
-        "alpha": est.alpha,
-        "m": est.m,
-        "dt": est.dt,
-        "n_discarded": est.n_discarded,
-        "a_hat": [
-            [model.a11_hat, model.a12_hat],
-            [model.a21_hat, model.a22_hat],
-        ],
+        "a_hat": [[model.a11_hat, model.a12_hat], [model.a21_hat, model.a22_hat]],
         "f_hat": [model.f1_hat, model.f2_hat],
         "b_hat": [model.b1_hat, model.b2_hat],
         "det_c": cov.det,
@@ -163,7 +172,12 @@ def _summary_line(direction: str, t: float, significant: bool, alpha: float, uni
 
 
 def cmd_analyze(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed()
+    seed = _seed(("--seed", args.seed))
+    _check_alpha(args.alpha)
+    if args.ci == "bootstrap" and args.n_boot < 100:
+        raise InputError(f"--n-boot must be >= 100, got {args.n_boot}")
+    if args.ci == "bootstrap" and args.block_len is not None and args.block_len < 1:
+        raise InputError(f"--block-len must be >= 1, got {args.block_len}")
     if args.detrend_star and not args.star_window:
         raise InputError("--detrend-star needs --star-window")
     if args.star_window and args.ci == "bootstrap":
@@ -194,25 +208,13 @@ def cmd_analyze(args) -> int:
         )
 
     units = f"nats/{args.time_unit}"
-    manifest = RunManifest(
-        command="analyze",
-        parameters={
-            "input": args.input,
-            "x1": args.x1,
-            "x2": args.x2,
-            "dt": args.dt,
-            "subsample": args.subsample,
-            "window": args.window,
-            "star_window": args.star_window,
-            "detrend_star": args.detrend_star,
-            "alpha": args.alpha,
-            "ci": args.ci,
-            "n_boot": args.n_boot if args.ci == "bootstrap" else None,
-            "block_len": est.block_len,
-            "seed": seed,
-            "time_unit": args.time_unit,
-        },
-        input_digests={args.input: _sha256(args.input)},
+    manifest = _manifest(
+        args,
+        "output",
+        {args.input: _sha256(args.input)},
+        seed=seed,
+        n_boot=args.n_boot if args.ci == "bootstrap" else None,
+        block_len=est.block_len,
     )
     payload = _flow_json(est, model, cov, manifest, units)
     with _output(args.output) as out:
@@ -267,19 +269,11 @@ def cmd_simulate(args) -> int:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
         config.update(file_cfg)
         digests[args.config] = _sha256(args.config)
-    for key in ("dt", "steps", "x0", "f", "a", "b"):
+    for key in _SIM_DEFAULTS:
         flag = getattr(args, key)
         if flag is not None:
             config[key] = str(flag)
-    if args.seed is not None:
-        seed = args.seed
-    elif "seed" in config:
-        try:
-            seed = int(config["seed"])
-        except ValueError:
-            raise InputError(f"{args.config}: seed must be an integer, got {config['seed']!r}")
-    else:
-        seed = _env_seed()
+    seed = _seed(("--seed", args.seed), (f"{args.config}: seed", config.get("seed")))
 
     try:
         dt = float(config["dt"])
@@ -325,18 +319,7 @@ def cmd_theory(args) -> int:
     t21, t12 = analytic_flows(model, trajectory.sigma)
     s11_s12_s22 = trajectory.sigma[:, [0, 0, 1], [0, 1, 1]]
 
-    manifest = RunManifest(
-        command="theory",
-        parameters={
-            "f": args.f,
-            "a": args.a,
-            "b": args.b,
-            "mu0": args.mu0,
-            "sigma0": args.sigma0,
-            "t_end": args.t_end,
-            "dt": args.dt,
-        },
-    )
+    manifest = _manifest(args, "out")
     with _output(args.out) as out:
         out.write(f"# {manifest.comment()}\n")
         out.write("t,mu1,mu2,s11,s12,s22,t21,t12\n")
@@ -344,10 +327,7 @@ def cmd_theory(args) -> int:
     print(
         json.dumps(
             {
-                "stationary_sigma": [
-                    [sigma[0, 0], sigma[0, 1]],
-                    [sigma[1, 0], sigma[1, 1]],
-                ],
+                "stationary_sigma": sigma.tolist(),
                 "t21": t21_inf,
                 "t12": t12_inf,
                 "manifest": manifest.to_dict(),
@@ -363,6 +343,7 @@ def cmd_theory(args) -> int:
 
 
 def cmd_map(args) -> int:
+    _check_alpha(args.alpha)
     field_grid = load_grid(args.grid_manifest)
     index, _ = load_csv(args.index, args.index_col, args.index_col, field_grid.dt)
     flow_map = map_flows(index, field_grid, alpha=args.alpha)
@@ -371,16 +352,7 @@ def cmd_map(args) -> int:
     grid = read_manifest(args.grid_manifest)
     inputs = (args.grid_manifest, grid["values_file"], grid.get("mask_file"), args.index)
     digests = {path: _sha256(path) for path in inputs if path is not None}
-    manifest = RunManifest(
-        command="map",
-        parameters={
-            "index": args.index,
-            "index_col": args.index_col,
-            "grid_manifest": args.grid_manifest,
-            "alpha": args.alpha,
-        },
-        input_digests=digests,
-    )
+    manifest = _manifest(args, "out_dir", digests)
     paths = write_flow_maps(flow_map, args.out_dir, manifest.comment())
     n_cells = int(field_grid.mask.sum())
     n_sig_i2f = int(flow_map.significant_index_to_field.sum())
@@ -400,8 +372,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    seed = args.seed if args.seed is not None else _env_seed(FIXTURE_SEEDS[0])
-    manifest = RunManifest(command="validate", parameters={"seed": seed})
+    seed = _seed(("--seed", args.seed), default=FIXTURE_SEEDS[0])
+    manifest = _manifest(args, seed=seed)
     rows = run_validation(seed)
     print(f"# {manifest.comment()}")
     print(f"{'check':44s} {'value':>12s} {'reference':>10s} {'band':>24s} result")
@@ -507,15 +479,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, NumericalError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -174,10 +174,11 @@ def _loadtxt(chunk, usecols, ncols: int):
     return block if block.shape == (len(chunk), ncols) else None
 
 
-def _read_blocks(fh, usecols, ncols: int, scan, finite: bool):
-    """Parse the remaining data lines of fh into float arrays of ncols columns.
+def _read_blocks(fh, usecols, width: int, scan, finite: bool):
+    """Parse the remaining data lines of fh, rows of width cells, into float arrays.
 
-    Yields the table's rows in order, one block of rows at a time.
+    Yields the table's rows in order, one block of rows at a time, each of the
+    columns usecols (every column if None).
 
     A chunk of lines whose text holds no '#' and no quote goes to np.loadtxt
     as it is. Numpy skips empty lines and rejects whitespace-only ones, so if
@@ -185,12 +186,14 @@ def _read_blocks(fh, usecols, ncols: int, scan, finite: bool):
     check; then, as for every other chunk, its data lines alone are converted.
     The first chunk whose data lines hold a quote (csv quoting: a quoted cell
     may hold a comma or a line break), that numpy rejects, whose result has
-    the wrong shape or (if finite) a non-finite value goes, with every data
-    line after it, to scan(lines, first_row): the reference row-by-row
-    parser, which returns the rest of the table or raises the error for the
-    first bad row. Both routes convert text with CPython's correctly rounded
-    string-to-double, so they give the same bits.
+    the wrong shape, whose text holds other than width - 1 commas per line
+    or (if finite) a non-finite value goes, with every data line after it, to
+    scan(lines, first_row): the reference row-by-row parser, which returns
+    the rest of the table or raises the error for the first bad row. Both
+    routes convert text with CPython's correctly rounded string-to-double, so
+    they give the same bits.
     """
+    ncols = width if usecols is None else len(usecols)
     row = 1
     chunks = _chunks(fh)
     for chunk in chunks:
@@ -202,8 +205,14 @@ def _read_blocks(fh, usecols, ncols: int, scan, finite: bool):
             chunk = list(_data_lines(chunk))
             if not chunk:
                 continue
-            block = None if '"' in "".join(chunk) else _loadtxt(chunk, usecols, ncols)
-        if block is None or (finite and not np.isfinite(block).all()):
+            text = "".join(chunk)
+            block = None if '"' in text else _loadtxt(chunk, usecols, ncols)
+        if (
+            block is None
+            # numpy reads the columns usecols of a row with cells to spare
+            or (usecols is not None and text.count(",") != len(chunk) * (width - 1))
+            or (finite and not np.isfinite(block).all())
+        ):
             rest = _data_lines(itertools.chain.from_iterable(chunks))
             yield scan(itertools.chain(chunk, rest), row)
             return
@@ -228,8 +237,8 @@ def _write_rows(out, table) -> None:
         out.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def _header_columns(path, fh, names) -> dict[str, int]:
-    """Read the header of an open CSV file; map each requested name to its index."""
+def _header_columns(path, fh, names) -> tuple[dict[str, int], int]:
+    """Read the header of an open CSV file: each requested name's index, and the cell count."""
     header = next(csv.reader(_data_lines(fh)), None)
     if header is None:
         raise EmptyFile(f"{path}: no header row")
@@ -239,19 +248,20 @@ def _header_columns(path, fh, names) -> dict[str, int]:
         if name not in header:
             raise MissingColumn(f"{path}: column {name!r} not in header {header}")
         cols[name] = header.index(name)
-    return cols
+    return cols, len(header)
 
 
-def _scan_rows(path, cols: dict[str, int], lines, first_row: int) -> np.ndarray:
+def _scan_rows(path, cols: dict[str, int], width: int, lines, first_row: int) -> np.ndarray:
     """Row-by-row reference parse of the columns `cols` of data rows `lines`.
 
-    Returns one column per entry of cols; rows are numbered from first_row.
+    Every row must have the header's width cells. Returns one column per
+    entry of cols; rows are numbered from first_row.
     """
     out: list[float] = []
     for i, row in enumerate(csv.reader(lines), start=first_row):
+        if len(row) != width:
+            raise LengthMismatch(f"{path}: row {i}: expected {width} columns, found {len(row)}")
         for name, j in cols.items():
-            if j >= len(row):
-                raise LengthMismatch(f"{path}: row {i} has no cell for column {name!r}")
             cell = row[j].strip()
             try:
                 value = float(cell)
@@ -266,16 +276,17 @@ def _scan_rows(path, cols: dict[str, int], lines, first_row: int) -> np.ndarray:
 def load_csv(path, column_x1: str, column_x2: str, dt: float) -> tuple[TimeSeries, TimeSeries]:
     """Read two named columns from a headered CSV into TimeSeries.
 
-    Lines starting with '#' are ignored. Every cell of the requested columns
-    must parse as a finite real; missing cells and absent columns are errors.
+    Lines starting with '#' are ignored. Every data row must have as many
+    cells as the header, and every cell of the requested columns must parse
+    as a finite real; absent columns are errors.
     The parsed blocks are concatenated into one read-only (columns, rows)
     table whose rows both series keep as they are, so at its peak the load
     holds the blocks and the table: four columns of the file.
     """
     with open(path, newline="") as fh:
-        cols = _header_columns(path, fh, (column_x1, column_x2))
-        scan = functools.partial(_scan_rows, path, cols)
-        blocks = list(_read_blocks(fh, list(cols.values()), len(cols), scan, finite=True))
+        cols, width = _header_columns(path, fh, (column_x1, column_x2))
+        scan = functools.partial(_scan_rows, path, cols, width)
+        blocks = list(_read_blocks(fh, list(cols.values()), width, scan, finite=True))
     n = sum(len(block) for block in blocks)
     if not n:
         raise EmptyFile(f"{path}: no data rows")

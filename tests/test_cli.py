@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -278,20 +279,58 @@ class TestSimulate:
             (["--f", "inf,0"], "ValueError: model coefficient f must be finite, got [inf, 0.0]"),
         ]
         cases = [(["simulate", *flags, "--out", str(out)], message) for flags, message in cases]
-        # analyze rejects a bad --subsample before it reads its input
+        # analyze and map reject a bad flag before they read their input, so
+        # the flag's error wins over the absent file's
         absent = str(tmp_path / "absent.csv")
+        analyze = ["analyze", "--input", absent, *REF_ARGS, "--output", str(out)]
+        boot = [*analyze, "--ci", "bootstrap"]
         cases += [
-            (
-                ["analyze", "--input", absent, *REF_ARGS, "--subsample", n, "--output", str(out)],
-                f"InputError: --subsample must be >= 1, got {n}",
-            )
+            ([*analyze, "--subsample", n], f"InputError: --subsample must be >= 1, got {n}")
             for n in ("0", "-3")
+        ]
+        cases += [
+            ([*analyze, "--alpha", a], f"InputError: --alpha must be in (0, 1), got {float(a)}")
+            for a in ("0", "1", "-0.5", "nan")
+        ]
+        cases += [
+            ([*boot, "--n-boot", "99"], "InputError: --n-boot must be >= 100, got 99"),
+            ([*boot, "--block-len", "0"], "InputError: --block-len must be >= 1, got 0"),
+            (
+                ["map", "--index", absent, "--grid-manifest", absent, "--out-dir", str(out),
+                 "--alpha", "1.5"],
+                "InputError: --alpha must be in (0, 1), got 1.5",
+            ),
         ]
         for argv, message in cases:
             rc = main(argv)
             assert rc == 2
             assert capsys.readouterr().err.startswith(message)
             assert not out.exists()
+
+    def test_negative_seed_names_its_source(self, tmp_path, capsys, path_csv, monkeypatch):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("steps=400\nseed=-5\n")
+        out = tmp_path / "out.csv"
+        boot = ["analyze", "--input", path_csv, *REF_ARGS, "--ci", "bootstrap", "--output", str(out)]
+        simulate = ["simulate", "--steps", "400", "--out", str(out)]
+        cases = [
+            (None, [*boot, "--seed", "-5"], "InputError: --seed must be >= 0, got -5"),
+            (None, [*simulate, "--seed", "-5"], "InputError: --seed must be >= 0, got -5"),
+            (None, ["validate", "--seed", "-5"], "InputError: --seed must be >= 0, got -5"),
+            ("-5", boot, "InputError: INFOFLOW_SEED must be >= 0, got -5"),
+            ("-5", simulate, "InputError: INFOFLOW_SEED must be >= 0, got -5"),
+            ("-5", ["validate"], "InputError: INFOFLOW_SEED must be >= 0, got -5"),
+            (None, [*simulate, "--config", str(cfg)], f"InputError: {cfg}: seed must be >= 0, got -5"),
+        ]
+        for env, argv, message in cases:
+            if env is None:
+                monkeypatch.delenv("INFOFLOW_SEED", raising=False)
+            else:
+                monkeypatch.setenv("INFOFLOW_SEED", env)
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(message), argv
+            assert captured.out == "" and not out.exists()
 
     def test_bad_config_seed_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "sim.cfg"
@@ -544,3 +583,39 @@ class TestValidate:
         rc = main(["validate", "--seed", "248"])
         capsys.readouterr()
         assert rc == 0
+
+
+def parser_destinations(command: str) -> set[str]:
+    """The destinations of a subcommand's flags, as build_parser declares them."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+class TestManifestParameters:
+    """Each manifest records every flag its command parses, bar the output path,
+    so a flag added to the parser cannot be left out of the record."""
+
+    def test_keys_are_the_parsed_flags(self, capsys, path_csv, tmp_path, monkeypatch):
+        manifests = {}
+        assert main(["analyze", "--input", path_csv, *REF_ARGS, "--window", "1:3"]) == 0
+        manifests["analyze"] = json.loads(capsys.readouterr().out)["manifest"]
+        assert main(["theory", "--t-end", "0.1", "--out", "-"]) == 0
+        manifests["theory"] = json.loads(capsys.readouterr().err.splitlines()[-1])["manifest"]
+        grid = TestMap()._write_single_cell_grid(tmp_path, np.sin(np.arange(50)), 1.0)
+        index_csv = tmp_path / "index.csv"
+        index_csv.write_text("index\n" + "\n".join(f"{np.cos(i):.17g}" for i in range(50)) + "\n")
+        argv = ["map", "--index", str(index_csv), "--grid-manifest", grid, "--out-dir"]
+        assert main([*argv, str(tmp_path / "maps")]) == 0
+        capsys.readouterr()
+        first = (tmp_path / "maps" / "flow_index_to_field.csv").read_text().splitlines()[0]
+        manifests["map"] = json.loads(first.removeprefix("# manifest: "))
+        monkeypatch.setattr(cli, "run_validation", lambda seed: [])
+        assert main(["validate"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        manifests["validate"] = json.loads(first.removeprefix("# manifest: "))
+
+        outputs = {"analyze": {"output"}, "theory": {"out"}, "map": {"out_dir"}, "validate": set()}
+        for command, manifest in manifests.items():
+            assert manifest["command"] == command
+            assert set(manifest["parameters"]) == parser_destinations(command) - outputs[command]

@@ -129,8 +129,8 @@ DIFFERENTIAL_BODIES["-inf in x1 of the first row"] = _planted("-inf", 1, column=
 def _row_scan(path, x1, x2):
     """The retained reference parse: every data row through series._scan_rows."""
     with open(path, newline="") as fh:
-        cols = series._header_columns(path, fh, (x1, x2))
-        table = series._scan_rows(path, cols, series._data_lines(fh), 1)
+        cols, width = series._header_columns(path, fh, (x1, x2))
+        table = series._scan_rows(path, cols, width, series._data_lines(fh), 1)
     names = list(cols)
     return table[:, names.index(x1)], table[:, names.index(x2)]
 

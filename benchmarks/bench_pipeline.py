@@ -8,10 +8,10 @@ Every stage runs on fixed sizes and seeds, so two runs time the same work, and
 reports the best and the median wall time of REPEATS = 5 runs, and the ratio
 of its median to the median of the reference stage, a fixed numpy workload
 that runs no infoflow code. On a shared machine whose speed drifts between
-sessions, the ratios of two records compare where their times do not. The record also
-holds the kernel backend, the numpy version, the CPU count, the
-OPENBLAS_NUM_THREADS setting (null when unset) and the git commit (with a flag
-for uncommitted changes).
+sessions, the ratios of two records compare where their times do not. The
+record also holds the kernel backend, the numpy version, the CPU count, the
+OPENBLAS_NUM_THREADS setting (null when unset) and the git commit (with a
+flag for uncommitted changes).
 
 Stages, all but reference, integrate_moments, map_flows and simulate_* on the
 seed-149 reference path, m = 100,000 aligned rows:

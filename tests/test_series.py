@@ -67,6 +67,15 @@ class TestLoadCsv:
         with pytest.raises(LengthMismatch):
             load_csv(path, "x1", "x2", dt=1.0)
 
+    @pytest.mark.parametrize("row", [1, 4, 500])
+    def test_row_with_extra_cells(self, tmp_path, row):
+        # a decimal-comma row "1,5" would otherwise read as two cells of a wider row
+        rows = [f"{i},{2 * i}\n" for i in range(600)]
+        rows[row - 1] = "1,5,1\n"
+        path = write_csv(tmp_path, "a,b\n" + "".join(rows))
+        with pytest.raises(LengthMismatch, match=f"row {row}: expected 2 columns, found 3"):
+            load_csv(path, "a", "b", dt=1.0)
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyFile):
             load_csv(write_csv(tmp_path, ""), "x1", "x2", dt=1.0)

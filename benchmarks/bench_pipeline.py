@@ -5,9 +5,11 @@ Usage:
     PYTHONPATH=src python3 benchmarks/bench_pipeline.py [--out PATH]
 
 Every stage runs on fixed sizes and seeds, so two runs time the same work, and
-reports the best and the median wall time of REPEATS = 5 runs, and the ratio
-of its median to the median of the reference stage, a fixed numpy workload
-that runs no infoflow code. On a shared machine whose speed drifts between
+reports the best and the median wall time of REPEATS = 5 runs, the median CPU
+time of the child processes it ended (children_cpu_s: the parsers of an input
+cut into byte ranges, which tracemalloc and the process's own CPU time do not
+see), and the ratio of its median to the median of the reference stage, a
+fixed numpy workload that runs no infoflow code. On a shared machine whose speed drifts between
 sessions, the ratios of two records compare where their times do not. The
 record also holds the kernel backend, the numpy version, the CPU count, the
 OPENBLAS_NUM_THREADS setting (null when unset) and the git commit (with a
@@ -21,6 +23,9 @@ seed-149 reference path, m = 100,000 aligned rows:
                        directory; also records the tracemalloc peak of one
                        untimed call after a warm-up (peak_mb, in units of
                        10^6 bytes)
+    load_csv_500k      load_csv of a 500,001-row path of the same model and
+                       seed, 500,000 steps, written the same way; also
+                       records peak_mb
     align              align of the path's two series, which forms their
                        difference series; also records peak_mb
     analyze_core       covariances + fit_mle + fisher_ci, the estimator work
@@ -56,6 +61,7 @@ import functools
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import tempfile
@@ -120,8 +126,8 @@ def reference_stage(pair):
     return {"values": values.size}, lambda: np.sort(values)
 
 
-def load_csv_stage(pair):
-    path = os.path.join(work_dir().name, "path.csv")
+def load_csv_stage(pair, name="path.csv"):
+    path = os.path.join(work_dir().name, name)
     rows = path_rows(pair)
     with open(path, "w") as out:
         out.write("t,x1,x2\n")
@@ -131,6 +137,11 @@ def load_csv_stage(pair):
         return load_csv(path, "x1", "x2", pair.dt)
 
     return {"rows": len(rows), "peak_mb": traced_peak_mb(run)}, run
+
+
+def load_csv_500k_stage(pair):
+    x1, x2 = simulate(SimConfig(reference_model(), (1.0, 2.0), 1e-3, 500_000, 149))
+    return load_csv_stage(align(x1, x2), "path_500k.csv")
 
 
 def align_stage(pair):
@@ -223,6 +234,7 @@ def simulate_stage(kernel):
 STAGES = {
     "reference": reference_stage,
     "load_csv": load_csv_stage,
+    "load_csv_500k": load_csv_500k_stage,
     "align": align_stage,
     "analyze_core": analyze_core_stage,
     "bootstrap_ci": bootstrap_stage,
@@ -236,13 +248,24 @@ STAGES = {
 REPEATS = 5
 
 
+def children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def time_stage(run):
-    times = []
+    times, children = [], []
     for _ in range(REPEATS):
-        start = time.perf_counter()
+        start, cpu = time.perf_counter(), children_cpu_s()
         run()
         times.append(time.perf_counter() - start)
-    return {"best_s": min(times), "median_s": statistics.median(times), "runs_s": times}
+        children.append(children_cpu_s() - cpu)
+    return {
+        "best_s": min(times),
+        "median_s": statistics.median(times),
+        "runs_s": times,
+        "children_cpu_s": statistics.median(children),
+    }
 
 
 def git_commit():
@@ -275,9 +298,10 @@ def main():
         stages[name] = {**params, **time_stage(run)}
         best, median = stages[name]["best_s"], stages[name]["median_s"]
         ratio = stages[name]["ratio"] = median / stages["reference"]["median_s"]
+        children = stages[name]["children_cpu_s"]
         print(
             f"{name:>17s}: best {best * 1e3:8.1f} ms  median {median * 1e3:8.1f} ms"
-            f"  ratio {ratio:8.3f}"
+            f"  children {children * 1e3:8.1f} ms  ratio {ratio:8.3f}"
         )
 
     sha, dirty = git_commit()

@@ -194,6 +194,10 @@ def cmd_analyze(args) -> int:
     if args.subsample > 1:
         x1, x2 = subsample(x1, args.subsample), subsample(x2, args.subsample)
     pair = align(x1, x2)
+    if args.ci == "bootstrap" and args.block_len is not None and args.block_len > pair.m:
+        raise InputError(
+            f"--block-len must be at most m = {pair.m}, the aligned length, got {args.block_len}"
+        )
     cov = covariances(pair)
     model = fit_mle(pair, cov)
 

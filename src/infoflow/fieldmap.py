@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import GridFormatError
 from .estimator import covariances, fisher_ci, fit_mle
-from .series import TimeSeries, _data_lines, _freeze, _read_blocks, _write_rows, align
+from .series import TimeSeries, _data_lines, _fill, _freeze, _read_rows, _write_rows, align
 
 MISSING = float("nan")
 
@@ -188,16 +188,14 @@ def load_grid(manifest_path) -> GridField:
     values_path = entries["values_file"]
     n_cells = n_lat * n_lon
     scan = functools.partial(_scan_values, values_path, n_cells)
-    found = 0
     with _open(values_path) as fh:
         # the file holds at most `fits` rows: one of n_cells values takes at
         # least 2 * n_cells - 1 characters, and a line break ends all but the last
         fits = (os.fstat(fh.fileno()).st_size + 1) // (2 * n_cells) if n_cells > 0 else 0
         flat = np.empty((min(max(n_time, 0), fits), max(n_cells, 0)))
         # rows past it are parsed, for their errors and their count, and dropped
-        for block in _read_blocks(fh, None, n_cells, scan, finite=False):
-            flat[found : found + len(block)] = block[: max(len(flat) - found, 0)]
-            found += len(block)
+        place = functools.partial(_fill, out=flat)
+        found = _read_rows(fh, 0, None, n_cells, scan, False, "C", place)
     if found != n_time:
         raise GridFormatError(f"{values_path}: expected {n_time} rows, found {found}")
     flat.setflags(write=False)  # so that GridField keeps it without a copy

@@ -10,6 +10,7 @@ import csv
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,17 +152,40 @@ class StationaryWindow:
 CHUNK_ROWS = 8192
 CHUNK_CHARS = 1 << 19
 
+# The data of a file is parsed as one byte range per available CPU, none
+# shorter than SPLIT_BYTES, the ranges after the first in forked children
+# (see _read_rows). On two vCPUs two ranges first beat one between 0.5 and
+# 1 MB of data (benchmarks/split_crossover.py), so no smaller file forks.
+SPLIT_BYTES = 1 << 19
+
+_SIGKILL = 9  # its number on Linux, the one platform that forks children here
+
 
 def _data_lines(lines):
     """The data lines among `lines`: neither blank nor a whole-line '#' comment."""
     return (line for line in lines if (text := line.strip()) and text[0] != "#")
 
 
-def _chunks(fh):
-    """Yield the remaining lines of an open text file as lists of lines."""
-    while raw := fh.readlines(CHUNK_CHARS):
-        for start in range(0, len(raw), CHUNK_ROWS):
-            yield raw[start : start + CHUNK_ROWS]
+def _size(text: str, encoding: str) -> int:
+    """The length of text in bytes."""
+    return len(text) if text.isascii() else len(text.encode(encoding))
+
+
+def _chunks(fh, start=None, end=None):
+    """Yield lines of an open text file as lists of lines.
+
+    The lines run from byte offset start (where fh stands if None) to byte
+    offset end (the end of the file if None); both are line starts.
+    """
+    if start is not None:
+        fh.seek(start)
+    while (end is None or start < end) and (raw := fh.readlines(CHUNK_CHARS)):
+        if end is not None:
+            start += _size("".join(raw), fh.encoding)
+            while start > end:
+                start -= _size(raw.pop(), fh.encoding)
+        for first in range(0, len(raw), CHUNK_ROWS):
+            yield raw[first : first + CHUNK_ROWS]
 
 
 def _loadtxt(chunk, usecols, ncols: int):
@@ -174,11 +198,13 @@ def _loadtxt(chunk, usecols, ncols: int):
     return block if block.shape == (len(chunk), ncols) else None
 
 
-def _read_blocks(fh, usecols, width: int, scan, finite: bool):
-    """Parse the remaining data lines of fh, rows of width cells, into float arrays.
+def _read_blocks(fh, usecols, width: int, finite: bool, row=1, scan=None, start=None, end=None):
+    """Parse data lines of fh, rows of width cells, into float arrays.
 
-    Yields the table's rows in order, one block of rows at a time, each of the
-    columns usecols (every column if None).
+    Reads the lines from byte offset start to byte offset end, as _chunks
+    does, and yields the table's rows in order, one block of rows at a time,
+    each of the columns usecols (every column if None). Rows are numbered
+    from row.
 
     A chunk of lines whose text holds no '#' and no quote goes to np.loadtxt
     as it is. Numpy skips empty lines and rejects whitespace-only ones, so if
@@ -186,18 +212,30 @@ def _read_blocks(fh, usecols, width: int, scan, finite: bool):
     check; then, as for every other chunk, its data lines alone are converted.
     The first chunk whose data lines hold a quote (csv quoting: a quoted cell
     may hold a comma or a line break), that numpy rejects, whose result has
-    the wrong shape, whose text holds other than width - 1 commas per line
-    or (if finite) a non-finite value goes, with every data line after it, to
-    scan(lines, first_row): the reference row-by-row parser, which returns
-    the rest of the table or raises the error for the first bad row. Both
-    routes convert text with CPython's correctly rounded string-to-double, so
-    they give the same bits.
+    the wrong shape, whose lines hold other than width - 1 commas each or (if
+    finite) a non-finite value needs the row scan. With scan given, it
+    goes, with every data line after it, to scan(lines, first_row): the
+    reference row-by-row parser, which returns the rest of the table or
+    raises the error for the first bad row. Both routes convert text with
+    CPython's correctly rounded string-to-double, so they give the same
+    bits. Without scan, the read stops before that chunk.
+
+    Returns (stop, row): the byte offset of the chunk the read stopped at
+    (None if it did not stop), and the number of the next row.
     """
     ncols = width if usecols is None else len(usecols)
-    row = 1
-    chunks = _chunks(fh)
+    # numpy reads the columns usecols of a row with more cells than width,
+    # and of a row with fewer that still holds them. Unless usecols holds the
+    # last column, rows of both kinds can balance a chunk's comma total, so
+    # then each line's commas are counted.
+    per_line = usecols is not None and width - 1 not in usecols
+    commas = itertools.repeat(",")
+    chunks = _chunks(fh, start, end)
     for chunk in chunks:
         text = "".join(chunk)
+        at = start
+        if start is not None:
+            start += _size(text, fh.encoding)
         # numpy warns on a chunk of blank lines alone
         plain = not ("#" in text or '"' in text or text.isspace())
         block = _loadtxt(chunk, usecols, ncols) if plain else None
@@ -209,17 +247,202 @@ def _read_blocks(fh, usecols, width: int, scan, finite: bool):
             block = None if '"' in text else _loadtxt(chunk, usecols, ncols)
         if (
             block is None
-            # numpy reads the columns usecols of a row with cells to spare
+            or (per_line and set(map(str.count, chunk, commas)) != {width - 1})
             or (usecols is not None and text.count(",") != len(chunk) * (width - 1))
             or (finite and not np.isfinite(block).all())
         ):
+            if scan is None:
+                return at, row
             rest = _data_lines(itertools.chain.from_iterable(chunks))
             yield scan(itertools.chain(chunk, rest), row)
-            return
+            return None, row
         yield block
         row += len(chunk)
+    return None, row
 
 
+def _ranges(fh, start: int) -> list[tuple[int, int]]:
+    """Byte ranges [start, end) that cover fh from byte offset start, a line
+    start, to the end of the file.
+
+    There is one range per available CPU, none shorter than about
+    SPLIT_BYTES, each cut just after a line break. There is one range unless
+    the platform is Linux with os.fork and fh is read as UTF-8, in which no
+    character spans a line break.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    n = (size - start) // SPLIT_BYTES
+    if n < 2 or not (
+        hasattr(os, "fork")
+        and os.uname().sysname == "Linux"
+        and fh.encoding.lower() in ("utf-8", "utf8")
+    ):
+        return [(start, size)]
+    n = min(n, len(os.sched_getaffinity(0)))
+    cuts = [start]
+    for i in range(1, n):
+        cut = _line_start(fh.fileno(), start + (size - start) * i // n, size)
+        if cuts[-1] < cut < size:
+            cuts.append(cut)
+    return list(zip(cuts, cuts[1:] + [size]))
+
+
+def _line_start(fd: int, at: int, size: int) -> int:
+    """The first byte offset at or after at > 0 that follows a newline byte, or size."""
+    at -= 1
+    while data := os.pread(fd, 1 << 16, at):
+        if (i := data.find(b"\n")) >= 0:
+            return at + i + 1
+        at += len(data)
+    return size
+
+
+def _readinto(fd: int, array: np.ndarray) -> bool:
+    """Fill the C-contiguous array from fd; False if fd ends first."""
+    view = memoryview(array.reshape(-1).view(np.uint8))
+    while view:
+        n = os.readv(fd, [view])
+        if not n:
+            return False
+        view = view[n:]
+    return True
+
+
+class _Worker:
+    """A forked child that parses the byte range [start, end) of fh and
+    sends its rows back through a pipe.
+
+    The child writes two int64 values, the number of rows it parsed and the
+    byte offset at which its read stopped (see _read_blocks; -1 if it read the
+    whole range), then the rows: in C order, or with order "F" one column
+    after another. A child that raises, dies or cannot be forked sends less:
+    one that sends no header counts as stopped at start with no rows. The
+    child calls no BLAS routine, so it needs none of the parent's threads.
+    """
+
+    def __init__(self, fh, start: int, end: int, fmt, order: str):
+        self.fh, self.start, self.end, self.fmt, self.order = fh, start, end, fmt, order
+        self.rows, self.stop = 0, start
+        self.fd, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            self.pid = None
+        if self.pid == 0:
+            try:
+                os.close(self.fd)
+                _send(write, fh.name, start, end, fmt, order)
+            finally:
+                os._exit(0)  # no exit handlers, no flush of the parent's buffers
+        os.close(write)
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def result(self) -> tuple[int, int | None]:
+        """(rows, stop) as the child reports them, once it has parsed its range."""
+        header = np.empty(2, dtype=np.int64)
+        if _readinto(self.fd, header):
+            self.rows, stop = header.tolist()
+            self.stop = None if stop < 0 else stop
+        return self.rows, self.stop
+
+    def fill(self, dest: np.ndarray) -> None:
+        """Read the first len(dest) of the rows into dest."""
+        parts = dest.T if self.order == "F" else [dest]
+        if not all(_readinto(self.fd, part) for part in parts):
+            # the child ended before it sent every row: parse them here
+            reader = _read_blocks(self.fh, *self.fmt, start=self.start, end=self.end)
+            _fill(reader, dest)
+
+    def close(self) -> None:
+        """End the child if it still runs, and reap it."""
+        if self.fd is not None:
+            os.close(self.fd)
+            self.fd = None
+        if self.pid:
+            os.kill(self.pid, _SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _send(fd: int, path, start: int, end: int, fmt, order: str) -> None:
+    """In a forked child: parse [start, end) of the file at path with its own
+    file offset, and write what _Worker describes to fd."""
+    with open(path, newline="") as fh:
+        reader = _read_blocks(fh, *fmt, start=start, end=end)
+        blocks = []
+        while True:
+            try:
+                blocks.append(next(reader))
+            except StopIteration as done:
+                stop = done.value[0]
+                break
+    rows = sum(map(len, blocks))
+    with open(fd, "wb") as out:
+        out.write(np.array([rows, -1 if stop is None else stop], dtype=np.int64))
+        if rows:
+            table = np.concatenate(blocks)
+            out.write(table.T.copy() if order == "F" else table)
+
+
+def _fill(pieces, out: np.ndarray) -> int:
+    """Write pieces in order into the rows of out, dropping the rows past
+    its end; return the number of rows they hold."""
+    n = 0
+    for piece in pieces:
+        dest = out[n : n + len(piece)]
+        if isinstance(piece, _Worker):
+            piece.fill(dest)
+        else:
+            dest[...] = piece[: len(dest)]
+        n += len(piece)
+    return n
+
+
+def _pieces(fh, first, workers, fmt, scan):
+    """The rows of _read_rows in file order: the first range parsed here,
+    then each child's rows, up to the first range that stopped; from its
+    stop on, the rest of the file parsed here with the row scan."""
+    stop, row = yield from _read_blocks(fh, *fmt, start=first[0], end=first[1])
+    for worker in workers:
+        if stop is None:
+            rows, stop = worker.result()
+            if rows:
+                yield worker
+            row += rows
+        else:
+            worker.close()  # its range is parsed here, and it would take a CPU
+    if stop is not None:
+        yield from _read_blocks(fh, *fmt, row, scan, stop)
+
+
+def _read_rows(fh, start: int, usecols, width: int, scan, finite: bool, order: str, place):
+    """Parse the data lines of fh from byte offset start, where fh stands,
+    to the end of the file, and return place(pieces).
+
+    pieces yields the table's rows in file order (see _read_blocks): arrays
+    of rows, and _Worker pieces whose rows _fill reads from a child straight
+    into place's array. The file is cut into byte ranges by _ranges; the
+    first is parsed here while forked children parse the others. Every value,
+    error and row number is that of one sequential read: the first range
+    that stops, at a chunk that needs the row scan, is read on from there
+    with the row scan, and the ranges after it are dropped. A quoted line
+    break can span a cut only after a range has stopped at its quote.
+    Every child has ended when this returns or raises.
+    """
+    fmt = (usecols, width, finite)
+    ranges = _ranges(fh, start)
+    if len(ranges) == 1:
+        return place(_read_blocks(fh, *fmt, scan=scan))
+    workers = []
+    try:
+        for range_start, range_end in ranges[1:]:
+            workers.append(_Worker(fh, range_start, range_end, fmt, order))
+        return place(_pieces(fh, ranges[0], workers, fmt, scan))
+    finally:
+        for worker in workers:
+            worker.close()
 def _write_rows(out, table) -> None:
     """Write a 2-D table as one CSV row of "%.17g" values per table row.
 
@@ -237,9 +460,18 @@ def _write_rows(out, table) -> None:
         out.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def _header_columns(path, fh, names) -> tuple[dict[str, int], int]:
-    """Read the header of an open CSV file: each requested name's index, and the cell count."""
-    header = next(csv.reader(_data_lines(fh)), None)
+def _header_columns(path, fh, names) -> tuple[dict[str, int], int, int]:
+    """Read the header of an open CSV file: each requested name's index, the
+    cell count, and the byte offset of the line after it."""
+    end = 0
+
+    def counted():
+        nonlocal end
+        for line in fh:
+            end += _size(line, fh.encoding)
+            yield line
+
+    header = next(csv.reader(_data_lines(counted())), None)
     if header is None:
         raise EmptyFile(f"{path}: no header row")
     header = [h.strip() for h in header]
@@ -248,7 +480,7 @@ def _header_columns(path, fh, names) -> tuple[dict[str, int], int]:
         if name not in header:
             raise MissingColumn(f"{path}: column {name!r} not in header {header}")
         cols[name] = header.index(name)
-    return cols, len(header)
+    return cols, len(header), end
 
 
 def _scan_rows(path, cols: dict[str, int], width: int, lines, first_row: int) -> np.ndarray:
@@ -279,20 +511,25 @@ def load_csv(path, column_x1: str, column_x2: str, dt: float) -> tuple[TimeSerie
     Lines starting with '#' are ignored. Every data row must have as many
     cells as the header, and every cell of the requested columns must parse
     as a finite real; absent columns are errors.
-    The parsed blocks are concatenated into one read-only (columns, rows)
-    table whose rows both series keep as they are, so at its peak the load
-    holds the blocks and the table: four columns of the file.
+    The parsed blocks are written into one read-only (columns, rows) table
+    whose rows both series keep as they are, so at its peak the load holds
+    the blocks parsed in this process and the table: at most four columns of
+    the file. Rows parsed in forked children are read into the table.
     """
+
+    def collect(pieces):
+        pieces = list(pieces)
+        n = sum(map(len, pieces))
+        if not n:
+            raise EmptyFile(f"{path}: no data rows")
+        table = np.empty((len(cols), n))
+        _fill(pieces, table.T)
+        return table
+
     with open(path, newline="") as fh:
-        cols, width = _header_columns(path, fh, (column_x1, column_x2))
+        cols, width, start = _header_columns(path, fh, (column_x1, column_x2))
         scan = functools.partial(_scan_rows, path, cols, width)
-        blocks = list(_read_blocks(fh, list(cols.values()), width, scan, finite=True))
-    n = sum(len(block) for block in blocks)
-    if not n:
-        raise EmptyFile(f"{path}: no data rows")
-    table = np.empty((len(cols), n))
-    np.concatenate(blocks, out=table.T)
-    del blocks
+        table = _read_rows(fh, start, list(cols.values()), width, scan, True, "F", collect)
     table.setflags(write=False)
     names = list(cols)
     return (

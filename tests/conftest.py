@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from infoflow import (
     reference_model,
     simulate,
 )
+from infoflow import series
 
 # canonical fixture path: system-1 realization used across test modules
 REFERENCE_SEED = 149
@@ -36,3 +39,25 @@ def random_walk_pair(rng, n=None, dt=0.5):
     x1 = np.cumsum(rng.standard_normal(n)) + rng.standard_normal(n)
     x2 = np.cumsum(rng.standard_normal(n)) + rng.standard_normal(n)
     return make_pair(x1, x2, dt=dt)
+
+
+def split_before_every_line(monkeypatch, path):
+    """Make the loaders cut path's data into one byte range per line; returns
+    the list that records each forked worker's range."""
+    monkeypatch.setattr(series, "SPLIT_BYTES", 1)
+    cpus = set(range(os.path.getsize(path)))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    forked = []
+
+    class Recorded(series._Worker):
+        def __init__(self, fh, start, end, *args):
+            forked.append((start, end))
+            super().__init__(fh, start, end, *args)
+
+    monkeypatch.setattr(series, "_Worker", Recorded)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -301,6 +301,16 @@ class TestSimulate:
                 "InputError: --alpha must be in (0, 1), got 1.5",
             ),
         ]
+        # a block longer than the aligned sample is known only once it is read
+        short = tmp_path / "short.csv"
+        short.write_text("x1,x2\n" + "".join(f"{i % 7},{i % 5}\n" for i in range(200)))
+        cases.append(
+            (
+                ["analyze", "--input", str(short), *REF_ARGS, "--ci", "bootstrap",
+                 "--block-len", "500", "--output", str(out)],
+                "InputError: --block-len must be at most m = 199, the aligned length, got 500",
+            )
+        )
         for argv, message in cases:
             rc = main(argv)
             assert rc == 2

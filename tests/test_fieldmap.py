@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,8 @@ from infoflow import (
     write_grid,
 )
 from infoflow import fieldmap, series
+
+from conftest import assert_no_child_left, split_before_every_line
 
 DT = 0.05
 N_TIME = 3000
@@ -421,6 +424,64 @@ class TestGridIO:
         monkeypatch.setattr(series, "CHUNK_ROWS", 2)
         with pytest.raises(GridFormatError, match=f"v.csv: row 6: {message}"):
             load_grid(str(path))
+
+    def test_parse_with_ranges_forced(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(series, "SPLIT_BYTES", 1 << 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        self.test_parse_holds_one_copy_of_the_grid(tmp_path)
+        assert_no_child_left()
+
+    def test_cut_before_every_line_matches_one_range(self, tmp_path, monkeypatch):
+        # CRLF line ends, '#' lines and NaN in the masked cell, in chunks of 2 rows
+        mask = np.ones((3, 4), dtype=bool)
+        mask[1, 2] = False
+        values = np.random.default_rng(5).standard_normal((12, 3, 4))
+        values[:, 1, 2] = np.nan
+        manifest = write_grid(GridField(values=values, dt=DT, mask=mask), tmp_path, "g")
+        values_file = tmp_path / "g_values.csv"
+        lines = values_file.read_text().splitlines()
+        lines[5:5] = ["# mid-file comment", ""]
+        values_file.write_bytes(("\r\n".join(lines) + "\r\n# end\r\n").encode())
+        monkeypatch.setattr(series, "CHUNK_ROWS", 2)
+        forked = split_before_every_line(monkeypatch, str(values_file))
+        assert load_grid(manifest).values.tobytes() == values.tobytes()
+        assert len(forked) == len(lines)  # a range for each line after the first
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "n_time, rows, found",
+        [
+            (3, "1,2,3,4\n" * 5, 5),
+            (3, '1,2,3,4\n"1",2,3,4\n' + "1,2,3,4\n" * 3, 5),
+            (10**15, "1,2,3,4\n" * 5, 5),
+        ],
+        ids=["too-many", "too-many-scanned", "beyond-file"],
+    )
+    def test_row_count_with_a_cut_before_every_line(self, tmp_path, monkeypatch, n_time, rows, found):
+        path = tmp_path / "m.csv"
+        path.write_text(f"n_lat,2\nn_lon,2\nn_time,{n_time}\ndt,1.0\nvalues_file,v.csv\n")
+        (tmp_path / "v.csv").write_text(rows)
+        split_before_every_line(monkeypatch, str(tmp_path / "v.csv"))
+        with pytest.raises(GridFormatError, match=f"expected {n_time} rows, found {found}$"):
+            load_grid(str(path))
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("9,x,9,9", "non-numeric cell"), ("9,9,9", "expected 4 columns, found 3")],
+        ids=["non-numeric", "short-row"],
+    )
+    def test_bad_value_row_named_with_a_cut_before_every_line(self, tmp_path, monkeypatch, bad, message):
+        path = tmp_path / "m.csv"
+        path.write_text("n_lat,2\nn_lon,2\nn_time,8\ndt,1.0\nvalues_file,v.csv\n")
+        rows = ["1,2,3,4"] * 8
+        rows[5] = bad
+        rows.insert(2, "# comment")
+        (tmp_path / "v.csv").write_text("\n".join(rows) + "\n")
+        split_before_every_line(monkeypatch, str(tmp_path / "v.csv"))
+        with pytest.raises(GridFormatError, match=f"v.csv: row 6: {message}"):
+            load_grid(str(path))
+        assert_no_child_left()
 
     def test_grid_invariants(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,8 @@ from infoflow import (
 )
 from infoflow import series
 from infoflow.series import detrend_values
+
+from conftest import assert_no_child_left, split_before_every_line
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -127,6 +130,8 @@ DIFFERENTIAL_BODIES = {
     "padded cells": "x1,x2\n 1 ,\t2\n3 , 4\n\u00a05,6\u00a0\n7,8\n",
     "empty cell": "x1,x2\n1,2\n3,4\n5,6\n,8\n9,10\n",
     "many chunks": "x1,x2\n" + "".join(f"{i * 0.37!r},{i * -1.1e-7!r}\n" for i in range(50)),
+    # rows 1-3 hold 9 commas, as three rows of four cells do
+    "ragged rows that balance": "t,x1,x2,x3\n0,1,2,3,9\n1,3,4\n2,5,6,7\n3,7,8,9\n",
 }
 for _token in ("nan", "inf", "n/a"):
     for _where, _row in (("first chunk", 2), ("middle chunk", 5), ("last chunk", 10),
@@ -138,7 +143,7 @@ DIFFERENTIAL_BODIES["-inf in x1 of the first row"] = _planted("-inf", 1, column=
 def _row_scan(path, x1, x2):
     """The retained reference parse: every data row through series._scan_rows."""
     with open(path, newline="") as fh:
-        cols, width = series._header_columns(path, fh, (x1, x2))
+        cols, width, _ = series._header_columns(path, fh, (x1, x2))
         table = series._scan_rows(path, cols, width, series._data_lines(fh), 1)
     names = list(cols)
     return table[:, names.index(x1)], table[:, names.index(x2)]
@@ -222,6 +227,104 @@ class TestChunkedIngest:
         rows.insert(5, "# note\n")
         s1, _ = load_csv(write_csv(tmp_path, "x1,x2\n" + "".join(rows)), "x1", "x2", dt=1.0)
         assert len(filtered) == 3 and s1.values.tolist() == list(range(12))
+
+
+class TestSplitIngest:
+    @pytest.mark.parametrize("columns", [("x1", "x2"), ("x1", "x1")], ids=["x1,x2", "x1=x2"])
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_BODIES))
+    def test_cut_before_every_line_matches_row_scan(self, tmp_path, monkeypatch, name, columns):
+        path = write_csv(tmp_path, DIFFERENTIAL_BODIES[name])
+        expected = _outcome(lambda: _row_scan(path, *columns))
+        monkeypatch.setattr(series, "CHUNK_ROWS", 3)
+        forked = split_before_every_line(monkeypatch, path)
+        assert _outcome(lambda: [s.values for s in load_csv(path, *columns, dt=1.0)]) == expected
+        assert_no_child_left()
+        # a worker for every line after the header's and the first data line
+        data = open(path, "rb").read()
+        starts = [i + 1 for i in range(len(data) - 1) if data[i : i + 1] == b"\n"]
+        assert [start for start, _ in forked] == starts[1:]
+
+    @pytest.mark.parametrize("kind", sorted(TestChunkedIngest.ODD_LINES))
+    def test_odd_line_next_to_every_cut_matches_row_scan(self, tmp_path, monkeypatch, kind):
+        monkeypatch.setattr(series, "CHUNK_ROWS", 4)
+        rows = [f"{0.1 * i!r},{-0.3 * i!r}\n" for i in range(1, 13)]
+        rows[3] = "\u0661\u0662,5\r\n"  # non-ASCII digits, a CRLF line end
+        odd = TestChunkedIngest.ODD_LINES[kind]
+        for at in range(len(rows) + 1):
+            text = "x1,x2\n" + "".join(rows[:at]) + odd + "".join(rows[at:])
+            path = write_csv(tmp_path, text, name=f"{at}.csv")
+            expected = _outcome(lambda: _row_scan(path, "x1", "x2"))
+            with monkeypatch.context() as patched:
+                split_before_every_line(patched, path)
+                got = _outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)])
+            assert got == expected, at
+            assert_no_child_left()
+
+    def test_quoted_line_break_across_a_cut(self, tmp_path, monkeypatch):
+        # the second range starts inside the quoted cell; the first stops at its quote
+        text = 't,note,x1,x2\n0,a,1,2\n1,"two\n5,6 lines",3,4\n2,c,5,6\n3,d,7,8\n'
+        path = write_csv(tmp_path, text)
+        forked = split_before_every_line(monkeypatch, path)
+        s1, s2 = load_csv(path, "x1", "x2", dt=1.0)
+        assert s1.values.tolist() == [1, 3, 5, 7] and s2.values.tolist() == [2, 4, 6, 8]
+        assert text.encode().index(b"5,6 lines") in [start for start, _ in forked]
+
+    @pytest.mark.parametrize("token, row", [(None, None), ("n/a", 2), ("n/a", 11)])
+    def test_dead_child_gives_the_same_result(self, tmp_path, monkeypatch, token, row):
+        text = _planted(token, row, n_rows=12) if token else _planted("0.5", 1, n_rows=12)
+        path = write_csv(tmp_path, text)
+        expected = _outcome(lambda: _row_scan(path, "x1", "x2"))
+        split_before_every_line(monkeypatch, path)
+
+        send = series._send
+
+        def dies(fd, *args):
+            os._exit(1)
+
+        def dies_after_the_header(fd, *args):
+            read, write = os.pipe()
+            send(write, *args)
+            os.write(fd, os.read(read, 16))
+            os._exit(1)
+
+        for send in (dies, dies_after_the_header):
+            monkeypatch.setattr(series, "_send", send)
+            assert _outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)]) == expected
+            assert_no_child_left()
+
+    def test_without_fork_one_range(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path, DIFFERENTIAL_BODIES["many chunks"])
+        expected = _outcome(lambda: _row_scan(path, "x1", "x2"))
+        forked = split_before_every_line(monkeypatch, path)
+        monkeypatch.delattr(os, "fork")
+        assert _outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)]) == expected
+        assert forked == []
+
+    def test_ranges_cut_after_line_breaks(self, tmp_path, monkeypatch):
+        text = "x1,x2\r\n" + "".join(f"{i},{i}\r\n" for i in range(1000))
+        path = write_csv(tmp_path, text)
+        monkeypatch.setattr(series, "SPLIT_BYTES", 1000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        with open(path, newline="") as fh:
+            ranges = series._ranges(fh, 7)
+        assert len(ranges) == 3 and ranges[0][0] == 7 and ranges[-1][1] == len(text)
+        assert all(end == start for (_, end), (start, _) in zip(ranges, ranges[1:]))
+        assert all(text[start - 2 : start] == "\r\n" for start, _ in ranges)
+        assert min(end - start for start, end in ranges) >= 1000 - 20
+        # too small for two ranges of SPLIT_BYTES, or one CPU: one range
+        monkeypatch.setattr(series, "SPLIT_BYTES", len(text))
+        with open(path, newline="") as fh:
+            assert series._ranges(fh, 7) == [(7, len(text))]
+        monkeypatch.setattr(series, "SPLIT_BYTES", 1000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with open(path, newline="") as fh:
+            assert series._ranges(fh, 7) == [(7, len(text))]
+
+    def test_memory_with_ranges_forced(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(series, "SPLIT_BYTES", 1 << 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        TestLoadCsv().test_memory_holds_the_blocks_and_one_table(tmp_path)
+        assert_no_child_left()
 
 
 class TestTimeSeries:

@@ -348,7 +348,8 @@ class _Worker:
         return self.rows, self.stop
 
     def fill(self, dest: np.ndarray) -> None:
-        """Read the first len(dest) of the rows into dest."""
+        """Read the rows into dest; in C order dest may take fewer rows,
+        and those after them are not read."""
         parts = dest.T if self.order == "F" else [dest]
         if not all(_readinto(self.fd, part) for part in parts):
             # the child ended before it sent every row: parse them here
@@ -378,12 +379,12 @@ def _send(fd: int, path, start: int, end: int, fmt, order: str) -> None:
             except StopIteration as done:
                 stop = done.value[0]
                 break
-    rows = sum(map(len, blocks))
+    parts = blocks
+    if order == "F" and blocks:
+        parts = (block[:, j].copy() for j in range(blocks[0].shape[1]) for block in blocks)
     with open(fd, "wb") as out:
-        out.write(np.array([rows, -1 if stop is None else stop], dtype=np.int64))
-        if rows:
-            table = np.concatenate(blocks)
-            out.write(table.T.copy() if order == "F" else table)
+        out.write(np.array([sum(map(len, blocks)), -1 if stop is None else stop], dtype=np.int64))
+        out.writelines(parts)
 
 
 def _fill(pieces, out: np.ndarray) -> int:

@@ -154,9 +154,10 @@ CHUNK_CHARS = 1 << 19
 
 # The data of a file is parsed as one byte range per available CPU, none
 # shorter than SPLIT_BYTES, the ranges after the first in forked children
-# (see _read_rows). On two vCPUs two ranges first beat one between 0.5 and
-# 1 MB of data (benchmarks/split_crossover.py), so no smaller file forks.
-SPLIT_BYTES = 1 << 19
+# (see _read_rows). On two vCPUs two ranges of a 1 MB file took 0.73-1.02
+# times as long as one, and of a 2 MB file 0.69-0.72 times
+# (benchmarks/split_crossover.py), so a file splits from 2 MiB of data.
+SPLIT_BYTES = 1 << 20
 
 _SIGKILL = 9  # its number on Linux, the one platform that forks children here
 

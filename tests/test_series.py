@@ -239,9 +239,9 @@ class TestSplitIngest:
         forked = split_before_every_line(monkeypatch, path)
         assert _outcome(lambda: [s.values for s in load_csv(path, *columns, dt=1.0)]) == expected
         assert_no_child_left()
-        # a worker for every line after the header's and the first data line
+        # a worker for each line but the header and the line after it
         data = open(path, "rb").read()
-        starts = [i + 1 for i in range(len(data) - 1) if data[i : i + 1] == b"\n"]
+        starts = [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")]
         assert [start for start, _ in forked] == starts[1:]
 
     @pytest.mark.parametrize("kind", sorted(TestChunkedIngest.ODD_LINES))
@@ -287,10 +287,16 @@ class TestSplitIngest:
             os.write(fd, os.read(read, 16))
             os._exit(1)
 
-        for send in (dies, dies_after_the_header):
-            monkeypatch.setattr(series, "_send", send)
+        # the rows of a child that dies after its header are parsed here
+        fills = []
+        fill = series._fill
+        monkeypatch.setattr(series, "_fill", lambda pieces, out: fills.append(out) or fill(pieces, out))
+        for child in (dies, dies_after_the_header):
+            monkeypatch.setattr(series, "_send", child)
             assert _outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)]) == expected
             assert_no_child_left()
+        if token is None:  # one _fill per load, and one per child that died after its header
+            assert len(fills) > 2
 
     def test_without_fork_one_range(self, tmp_path, monkeypatch):
         path = write_csv(tmp_path, DIFFERENTIAL_BODIES["many chunks"])

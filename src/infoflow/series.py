@@ -445,6 +445,8 @@ def _read_rows(fh, start: int, usecols, width: int, scan, finite: bool, order: s
     finally:
         for worker in workers:
             worker.close()
+
+
 def _write_rows(out, table) -> None:
     """Write a 2-D table as one CSV row of "%.17g" values per table row.
 

@@ -457,7 +457,7 @@ class TestGridIO:
         ],
         ids=["too-many", "too-many-scanned", "beyond-file"],
     )
-    def test_row_count_with_a_cut_before_every_line(self, tmp_path, monkeypatch, n_time, rows, found):
+    def test_row_count_with_cuts(self, tmp_path, monkeypatch, n_time, rows, found):
         path = tmp_path / "m.csv"
         path.write_text(f"n_lat,2\nn_lon,2\nn_time,{n_time}\ndt,1.0\nvalues_file,v.csv\n")
         (tmp_path / "v.csv").write_text(rows)
@@ -471,7 +471,7 @@ class TestGridIO:
         [("9,x,9,9", "non-numeric cell"), ("9,9,9", "expected 4 columns, found 3")],
         ids=["non-numeric", "short-row"],
     )
-    def test_bad_value_row_named_with_a_cut_before_every_line(self, tmp_path, monkeypatch, bad, message):
+    def test_bad_value_row_named_with_cuts(self, tmp_path, monkeypatch, bad, message):
         path = tmp_path / "m.csv"
         path.write_text("n_lat,2\nn_lon,2\nn_time,8\ndt,1.0\nvalues_file,v.csv\n")
         rows = ["1,2,3,4"] * 8

@@ -240,7 +240,8 @@ class TestSplitIngest:
         assert _outcome(lambda: [s.values for s in load_csv(path, *columns, dt=1.0)]) == expected
         assert_no_child_left()
         # a worker for each line but the header and the line after it
-        data = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            data = fh.read()
         starts = [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")]
         assert [start for start, _ in forked] == starts[1:]
 

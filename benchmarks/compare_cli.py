@@ -14,7 +14,10 @@ a fresh working directory at one fixed path, so that absolute paths in
 manifests agree. The sequence covers every subcommand: simulate (to a file
 and to stdout, and from a config file), theory, analyze with Fisher, star
 plus detrend and bootstrap intervals, an analyze that exits 2 and one that
-exits 3, map, and validate. For each command the exit code, stdout and stderr
+exits 3, map, and validate. Three more analyze calls drive the CSV reader's
+other routes: a file with a comment line and a quoted cell (the row scan),
+one with a bad cell (exit 2, naming its row), and a 2.4 MB simulate output
+(cut into byte ranges parsed in parallel where two CPUs are available). For each command the exit code, stdout and stderr
 are compared, and at the end every file in the working directory. Prints one
 line per command and exits 1 if anything differs.
 """
@@ -46,6 +49,10 @@ COMMANDS = {
     ],
     "analyze_exit_2": ["analyze", "--input", "path.csv", "--x1", "nope", "--x2", "x2", "--dt", "1"],
     "analyze_exit_3": ["analyze", "--input", "collinear.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
+    "analyze_row_scan": ["analyze", "--input", "odd.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
+    "analyze_bad_cell": ["analyze", "--input", "bad.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
+    "simulate_long": ["simulate", "--steps", "40000", "--seed", "7", "--out", "long.csv"],
+    "analyze_split": ["analyze", "--input", "long.csv", *REF, "--output", "split.json"],
     "map": ["map", "--index", "index.csv", "--grid-manifest", "grid.csv", "--out-dir", "maps"],
     "validate": ["validate"],
 }
@@ -57,6 +64,15 @@ def write_inputs(work: str) -> None:
         fh.write("dt=0.01\nsteps=400\nx0=0,0\nb=0.2,0.2\nseed=5\n")
     with open(os.path.join(work, "collinear.csv"), "w") as fh:
         fh.write("a,b\n" + "".join(f"{v!r},{v!r}\n" for v in np.linspace(0, 1, 32).tolist()))
+    walk = np.cumsum(np.random.default_rng(5).standard_normal((64, 2)), axis=0).tolist()
+    rows = [f"{a!r},{b!r}\n" for a, b in walk]
+    rows[40] = f'"{walk[40][0]!r}",{walk[40][1]!r}\n'  # a quoted cell
+    rows.insert(20, "# a comment line\n")
+    with open(os.path.join(work, "odd.csv"), "w") as fh:
+        fh.write("a,b\n" + "".join(rows))
+    rows[50] = "0.5,n/a\n"
+    with open(os.path.join(work, "bad.csv"), "w") as fh:
+        fh.write("a,b\n" + "".join(rows))
     rng = np.random.default_rng(21)
     n_time, n_lat, n_lon = 400, 4, 5
     index = np.cumsum(rng.standard_normal(n_time))

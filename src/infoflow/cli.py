@@ -32,7 +32,15 @@ from .estimator import (
     fit_mle,
 )
 from .fieldmap import load_grid, map_flows, read_manifest, write_flow_maps
-from .series import _write_rows, align, load_csv, star_window_from_times, subsample, window
+from .series import (
+    _regular_size,
+    _write_rows,
+    align,
+    load_csv,
+    star_window_from_times,
+    subsample,
+    window,
+)
 from .simulator import SimConfig, simulate
 from .theory import LinearModel2D, MomentState, analytic_flows, integrate_moments, stationary_covariance
 from .validate import FIXTURE_SEEDS, run_validation
@@ -61,8 +69,10 @@ class RunManifest:
 
 
 def _sha256(path: str) -> str:
+    """The digest of the regular file at path (see series._regular_size)."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
+        _regular_size(fh)
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()

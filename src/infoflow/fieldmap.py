@@ -31,7 +31,16 @@ import numpy as np
 
 from .errors import GridFormatError
 from .estimator import covariances, fisher_ci, fit_mle
-from .series import TimeSeries, _data_lines, _fill, _freeze, _read_rows, _write_rows, align
+from .series import (
+    TimeSeries,
+    _data_lines,
+    _fill,
+    _freeze,
+    _read_rows,
+    _regular_size,
+    _write_rows,
+    align,
+)
 
 MISSING = float("nan")
 
@@ -123,6 +132,7 @@ def _open(path):
 
 def _csv_rows(path) -> list[list[str]]:
     with _open(path) as fh:
+        _regular_size(fh)
         return list(csv.reader(_data_lines(fh)))
 
 
@@ -191,7 +201,7 @@ def load_grid(manifest_path) -> GridField:
     with _open(values_path) as fh:
         # the file holds at most `fits` rows: one of n_cells values takes at
         # least 2 * n_cells - 1 characters, and a line break ends all but the last
-        fits = (os.fstat(fh.fileno()).st_size + 1) // (2 * n_cells) if n_cells > 0 else 0
+        fits = (_regular_size(fh) + 1) // (2 * n_cells) if n_cells > 0 else 0
         flat = np.empty((min(max(n_time, 0), fits), max(n_cells, 0)))
         # rows past it are parsed, for their errors and their count, and dropped
         place = functools.partial(_fill, out=flat)

@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import (
     DtMismatch,
     EmptyFile,
+    InputError,
     LengthMismatch,
     MissingColumn,
     NonFiniteValue,
@@ -84,9 +86,6 @@ class TimeSeries:
     @property
     def t_end(self) -> float:
         return self.t0 + (len(self) - 1) * self.dt
-
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self))
 
 
 @dataclass(frozen=True)
@@ -172,19 +171,24 @@ def _size(text: str, encoding: str) -> int:
     return len(text) if text.isascii() else len(text.encode(encoding))
 
 
-def _chunks(fh, start=None, end=None):
-    """Yield lines of an open text file as lists of lines.
+def _regular_size(fh) -> int:
+    """The size in bytes of the open file fh, which must be a regular file:
+    an input is read at byte offsets and digested whole, and a pipe allows
+    neither, so it is an InputError."""
+    st = os.fstat(fh.fileno())
+    if not stat.S_ISREG(st.st_mode):
+        raise InputError(f"{fh.name}: not a regular file")
+    return st.st_size
 
-    The lines run from byte offset start (where fh stands if None) to byte
-    offset end (the end of the file if None); both are line starts.
-    """
-    if start is not None:
-        fh.seek(start)
-    while (end is None or start < end) and (raw := fh.readlines(CHUNK_CHARS)):
-        if end is not None:
-            start += _size("".join(raw), fh.encoding)
-            while start > end:
-                start -= _size(raw.pop(), fh.encoding)
+
+def _chunks(fh, start: int, end: int):
+    """Yield the lines of an open text file from byte offset start to byte
+    offset end, both line starts, as lists of lines."""
+    fh.seek(start)
+    while start < end and (raw := fh.readlines(CHUNK_CHARS)):
+        start += _size("".join(raw), fh.encoding)
+        while start > end:
+            start -= _size(raw.pop(), fh.encoding)
         for first in range(0, len(raw), CHUNK_ROWS):
             yield raw[first : first + CHUNK_ROWS]
 
@@ -199,13 +203,12 @@ def _loadtxt(chunk, usecols, ncols: int):
     return block if block.shape == (len(chunk), ncols) else None
 
 
-def _read_blocks(fh, usecols, width: int, finite: bool, row=1, scan=None, start=None, end=None):
-    """Parse data lines of fh, rows of width cells, into float arrays.
+def _read_blocks(fh, start: int, end: int, usecols, width: int, finite: bool):
+    """Parse the data lines of fh, rows of width cells, into float arrays.
 
     Reads the lines from byte offset start to byte offset end, as _chunks
-    does, and yields the table's rows in order, one block of rows at a time,
-    each of the columns usecols (every column if None). Rows are numbered
-    from row.
+    does, and yields their rows in order, one block of rows at a time, each
+    of the columns usecols (every column if None).
 
     A chunk of lines whose text holds no '#' and no quote goes to np.loadtxt
     as it is. Numpy skips empty lines and rejects whitespace-only ones, so if
@@ -214,15 +217,12 @@ def _read_blocks(fh, usecols, width: int, finite: bool, row=1, scan=None, start=
     The first chunk whose data lines hold a quote (csv quoting: a quoted cell
     may hold a comma or a line break), that numpy rejects, whose result has
     the wrong shape, whose lines hold other than width - 1 commas each or (if
-    finite) a non-finite value needs the row scan. With scan given, it
-    goes, with every data line after it, to scan(lines, first_row): the
-    reference row-by-row parser, which returns the rest of the table or
-    raises the error for the first bad row. Both routes convert text with
-    CPython's correctly rounded string-to-double, so they give the same
-    bits. Without scan, the read stops before that chunk.
+    finite) a non-finite value needs the row scan (see _pieces), and the
+    read stops before it.
 
     Returns (stop, row): the byte offset of the chunk the read stopped at
-    (None if it did not stop), and the number of the next row.
+    (None if it read the whole range), and the number of the next row,
+    counted from 1 at start.
     """
     ncols = width if usecols is None else len(usecols)
     # numpy reads the columns usecols of a row with more cells than width,
@@ -231,12 +231,10 @@ def _read_blocks(fh, usecols, width: int, finite: bool, row=1, scan=None, start=
     # then each line's commas are counted.
     per_line = usecols is not None and width - 1 not in usecols
     commas = itertools.repeat(",")
-    chunks = _chunks(fh, start, end)
-    for chunk in chunks:
+    row = 1
+    for chunk in _chunks(fh, start, end):
         text = "".join(chunk)
-        at = start
-        if start is not None:
-            start += _size(text, fh.encoding)
+        at, start = start, start + _size(text, fh.encoding)
         # numpy warns on a chunk of blank lines alone
         plain = not ("#" in text or '"' in text or text.isspace())
         block = _loadtxt(chunk, usecols, ncols) if plain else None
@@ -252,11 +250,7 @@ def _read_blocks(fh, usecols, width: int, finite: bool, row=1, scan=None, start=
             or (usecols is not None and text.count(",") != len(chunk) * (width - 1))
             or (finite and not np.isfinite(block).all())
         ):
-            if scan is None:
-                return at, row
-            rest = _data_lines(itertools.chain.from_iterable(chunks))
-            yield scan(itertools.chain(chunk, rest), row)
-            return None, row
+            return at, row
         yield block
         row += len(chunk)
     return None, row
@@ -271,7 +265,7 @@ def _ranges(fh, start: int) -> list[tuple[int, int]]:
     the platform is Linux with os.fork and fh is read as UTF-8, in which no
     character spans a line break.
     """
-    size = os.fstat(fh.fileno()).st_size
+    size = _regular_size(fh)
     n = (size - start) // SPLIT_BYTES
     if n < 2 or not (
         hasattr(os, "fork")
@@ -354,8 +348,7 @@ class _Worker:
         parts = dest.T if self.order == "F" else [dest]
         if not all(_readinto(self.fd, part) for part in parts):
             # the child ended before it sent every row: parse them here
-            reader = _read_blocks(self.fh, *self.fmt, start=self.start, end=self.end)
-            _fill(reader, dest)
+            _fill(_read_blocks(self.fh, self.start, self.end, *self.fmt), dest)
 
     def close(self) -> None:
         """End the child if it still runs, and reap it."""
@@ -372,7 +365,7 @@ def _send(fd: int, path, start: int, end: int, fmt, order: str) -> None:
     """In a forked child: parse [start, end) of the file at path with its own
     file offset, and write what _Worker describes to fd."""
     with open(path, newline="") as fh:
-        reader = _read_blocks(fh, *fmt, start=start, end=end)
+        reader = _read_blocks(fh, start, end, *fmt)
         blocks = []
         while True:
             try:
@@ -404,9 +397,15 @@ def _fill(pieces, out: np.ndarray) -> int:
 
 def _pieces(fh, first, workers, fmt, scan):
     """The rows of _read_rows in file order: the first range parsed here,
-    then each child's rows, up to the first range that stopped; from its
-    stop on, the rest of the file parsed here with the row scan."""
-    stop, row = yield from _read_blocks(fh, *fmt, start=first[0], end=first[1])
+    then each child's rows, up to the first range that stopped.
+
+    From that stop on, the data lines to the end of the file go to
+    scan(lines, first_row): the reference row-by-row parser, which returns
+    the rest of the table or raises the error for the first bad row. Both
+    it and _read_blocks convert text with CPython's correctly rounded
+    string-to-double, so they give the same bits.
+    """
+    stop, row = yield from _read_blocks(fh, *first, *fmt)
     for worker in workers:
         if stop is None:
             rows, stop = worker.result()
@@ -416,32 +415,32 @@ def _pieces(fh, first, workers, fmt, scan):
         else:
             worker.close()  # its range is parsed here, and it would take a CPU
     if stop is not None:
-        yield from _read_blocks(fh, *fmt, row, scan, stop)
+        fh.seek(stop)
+        yield scan(_data_lines(fh), row)
 
 
 def _read_rows(fh, start: int, usecols, width: int, scan, finite: bool, order: str, place):
-    """Parse the data lines of fh from byte offset start, where fh stands,
-    to the end of the file, and return place(pieces).
+    """Parse the data lines of the regular file fh from byte offset start,
+    a line start, to the end of the file, and return place(pieces).
 
-    pieces yields the table's rows in file order (see _read_blocks): arrays
-    of rows, and _Worker pieces whose rows _fill reads from a child straight
+    pieces yields the table's rows in file order (see _pieces): arrays of
+    rows, and _Worker pieces whose rows _fill reads from a child straight
     into place's array. The file is cut into byte ranges by _ranges; the
-    first is parsed here while forked children parse the others. Every value,
-    error and row number is that of one sequential read: the first range
-    that stops, at a chunk that needs the row scan, is read on from there
-    with the row scan, and the ranges after it are dropped. A quoted line
-    break can span a cut only after a range has stopped at its quote.
-    Every child has ended when this returns or raises.
+    first is parsed here while forked children parse the others, and a file
+    of one range forks none. Every value, error and row number is that of
+    one sequential read: the first range that stops, at a chunk that needs
+    the row scan, is read on from there with the row scan, and the ranges
+    after it are dropped. A quoted line break can span a cut only after a
+    range has stopped at its quote. Every child has ended when this returns
+    or raises.
     """
     fmt = (usecols, width, finite)
-    ranges = _ranges(fh, start)
-    if len(ranges) == 1:
-        return place(_read_blocks(fh, *fmt, scan=scan))
+    first, *rest = _ranges(fh, start)
     workers = []
     try:
-        for range_start, range_end in ranges[1:]:
+        for range_start, range_end in rest:
             workers.append(_Worker(fh, range_start, range_end, fmt, order))
-        return place(_pieces(fh, ranges[0], workers, fmt, scan))
+        return place(_pieces(fh, first, workers, fmt, scan))
     finally:
         for worker in workers:
             worker.close()

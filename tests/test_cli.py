@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -25,6 +26,8 @@ from infoflow import (
 )
 from infoflow.cli import main
 from infoflow.validate import CheckRow
+
+from conftest import assert_no_child_left
 
 REF_ARGS = ["--x1", "x1", "--x2", "x2", "--dt", "0.001"]
 
@@ -560,6 +563,63 @@ class TestMap:
             (tmp_path / "vals.csv").write_text("\n".join(rows) + "\n")
             assert main(argv) == 2
             assert f"GridFormatError: {tmp_path / 'vals.csv'}: {message}" in capsys.readouterr().err
+
+
+@contextlib.contextmanager
+def piped(text):
+    """A /dev/fd path to the read end of a pipe that holds text and whose
+    write end is closed, so that no read of it can block."""
+    read, write = os.pipe()
+    try:
+        with open(write, "w") as fh:  # text fits in the pipe's buffer
+            fh.write(text)
+        yield f"/dev/fd/{read}"
+    finally:
+        os.close(read)
+
+
+class TestPipedInput:
+    """A pipe given as an input exits 2 before any output is written: it
+    cannot be read in byte ranges, and its digest would be that of whatever
+    the first read left in it."""
+
+    def test_analyze_input(self, capsys, tmp_path):
+        out = tmp_path / "flow.json"
+        body = "x1,x2\n" + "".join(f"{np.sin(i):.17g},{np.cos(3 * i):.17g}\n" for i in range(50))
+        with piped(body) as path:
+            rc = main(["analyze", "--input", path, *REF_ARGS, "--output", str(out)])
+        assert rc == 2
+        assert f"InputError: {path}: not a regular file" in capsys.readouterr().err
+        assert not out.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("which", ["index", "manifest", "mask"])
+    def test_map_inputs(self, capsys, tmp_path, which):
+        manifest = TestMap()._write_single_cell_grid(tmp_path, np.sin(np.arange(50)), 1.0)
+        index_csv = tmp_path / "index.csv"
+        index_csv.write_text("index\n" + "".join(f"{np.cos(i):.17g}\n" for i in range(50)))
+        grid_csv = tmp_path / "grid.csv"
+        body = {"index": index_csv.read_text(), "manifest": grid_csv.read_text(), "mask": "1\n"}
+        out_dir = tmp_path / "maps"
+        with piped(body[which]) as path:
+            if which == "mask":
+                grid_csv.write_text(body["manifest"].replace("mask.csv", path))
+            rc = main(["map", "--index", path if which == "index" else str(index_csv),
+                       "--grid-manifest", path if which == "manifest" else manifest,
+                       "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert f"InputError: {path}: not a regular file" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert_no_child_left()
+
+    def test_simulate_config(self, capsys, tmp_path):
+        out = tmp_path / "path.csv"
+        with piped("dt=0.01\nsteps=400\nseed=5\n") as path:
+            rc = main(["simulate", "--config", path, "--out", str(out)])
+        assert rc == 2
+        assert f"InputError: {path}: not a regular file" in capsys.readouterr().err
+        assert not out.exists()
+        assert_no_child_left()
 
 
 class TestValidate:

@@ -14,12 +14,14 @@ a fresh working directory at one fixed path, so that absolute paths in
 manifests agree. The sequence covers every subcommand: simulate (to a file
 and to stdout, and from a config file), theory, analyze with Fisher, star
 plus detrend and bootstrap intervals, an analyze that exits 2 and one that
-exits 3, map, and validate. Three more analyze calls drive the CSV reader's
+exits 3, map, and validate. Four more analyze calls drive the CSV reader's
 other routes: a file with a comment line and a quoted cell (the row scan),
-one with a bad cell (exit 2, naming its row), and a 2.4 MB simulate output
-(cut into byte ranges parsed in parallel where two CPUs are available). For each command the exit code, stdout and stderr
-are compared, and at the end every file in the working directory. Prints one
-line per command and exits 1 if anything differs.
+one with a bad cell (exit 2, naming its row), a 2.4 MB simulate output, and
+a 2.4 MB file with comment lines of multi-byte UTF-8 characters throughout
+(both cut into byte ranges parsed in parallel where two CPUs are available).
+For each command the exit code, stdout and stderr are compared, and at the
+end every file in the working directory. Prints one line per command and
+exits 1 if anything differs.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ COMMANDS = {
     "analyze_bad_cell": ["analyze", "--input", "bad.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
     "simulate_long": ["simulate", "--steps", "40000", "--seed", "7", "--out", "long.csv"],
     "analyze_split": ["analyze", "--input", "long.csv", *REF, "--output", "split.json"],
+    "analyze_utf8_split": ["analyze", "--input", "utf8.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
     "map": ["map", "--index", "index.csv", "--grid-manifest", "grid.csv", "--out-dir", "maps"],
     "validate": ["validate"],
 }
@@ -72,6 +75,12 @@ def write_inputs(work: str) -> None:
         fh.write("a,b\n" + "".join(rows))
     rows[50] = "0.5,n/a\n"
     with open(os.path.join(work, "bad.csv"), "w") as fh:
+        fh.write("a,b\n" + "".join(rows))
+    walk = np.cumsum(np.random.default_rng(6).standard_normal((60000, 2)), axis=0).tolist()
+    rows = [f"{a!r},{b!r}\n" for a, b in walk]
+    for at in range(len(rows) - 1, 0, -25):
+        rows.insert(at, f"# relevé {at}: température °C, µ ✓\n")
+    with open(os.path.join(work, "utf8.csv"), "w", encoding="utf-8") as fh:
         fh.write("a,b\n" + "".join(rows))
     rng = np.random.default_rng(21)
     n_time, n_lat, n_lon = 400, 4, 5

@@ -249,7 +249,7 @@ def cmd_analyze(args) -> int:
 def _read_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for i, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):

@@ -170,44 +170,30 @@ def covariances(pair: AlignedPair) -> CovarianceStats:
 def _covariances(x1, x2, d1, d2) -> CovarianceStats:
     """covariances() of the series x1, x2 and their differences d1, d2.
 
-    The inputs are not modified. Each of the nine centred products is formed
-    and summed in one of two work arrays, in the product's own broadcast
-    shape, so the products of a map block's 1-D index stay 1-D. A centred
-    series stays in its work array until a product overwrites it and is
-    recomputed after that, which costs less than keeping it: the two work
-    arrays, each the size of the largest input, are all this allocates.
+    The inputs are not modified. Each of the nine products centres its two
+    series into two work arrays, each the size of the largest input, and is
+    formed in place in the one of them that has the product's broadcast
+    shape, so the products of a map block's 1-D index stay 1-D. The two work
+    arrays are all this allocates.
     """
     m = x1.shape[-1]
     floor11, floor22 = (_mean_rounding_floor(x) for x in (x1, x2))
     terms = [(x, x.mean(axis=-1, keepdims=True)) for x in (x1, x2, d1, d2)]
-    work = np.empty((2, max(x.size for x in (x1, x2, d1, d2))))
-    held = [None, None]  # the term whose centred values each work array holds
-
-    def shaped(w, shape):
-        return work[w, : math.prod(shape)].reshape(shape)
+    work = np.empty((2, max(x.size for x, _ in terms)))
 
     def centred(t, w):
         x, mean = terms[t]
-        out = shaped(w, x.shape)
-        if held[w] != t:
-            np.subtract(x, mean, out=out)
-            held[w] = t
-        return out
+        return np.subtract(x, mean, out=work[w, : x.size].reshape(x.shape))
 
     def total(s, t):
-        # the product overwrites term t in work[1] if it has the product's
-        # shape, else term s in work[0]; a square keeps term s
         a = centred(s, 0)
         b = a if s == t else centred(t, 1)
-        shape = np.broadcast_shapes(a.shape, b.shape)
-        w = 1 if s == t or b.shape == shape else 0
-        held[w] = None
-        return np.add.reduce(np.multiply(a, b, out=shaped(w, shape)), axis=-1)
+        out = a if a.shape == np.broadcast_shapes(a.shape, b.shape) else b
+        return np.add.reduce(np.multiply(a, b, out=out), axis=-1) / (m - 1)
 
-    # work[0] holds d1, d2, x2, then x1, while the products leave it intact
-    c_d1d1, c_d2d2, c22, c2d2, c12, c2d1, c1d2, c11, c1d1 = (
-        total(s, t) / (m - 1)
-        for s, t in ((2, 2), (3, 3), (1, 1), (1, 3), (1, 0), (1, 2), (0, 3), (0, 0), (0, 2))
+    c11, c12, c22, c1d1, c2d1, c1d2, c2d2, c_d1d1, c_d2d2 = (
+        total(s, t)
+        for s, t in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 2), (3, 3))
     )
     keep = _floor(_degenerate(c11, c22, floor11, floor22), DegenerateSeries,
                   lambda: f"degenerate variance: c11={c11}, c22={c22}")

@@ -125,7 +125,7 @@ def map_flows(index: TimeSeries, field: GridField, alpha: float = 0.05) -> FlowM
 
 def _open(path):
     try:
-        return open(path, newline="")
+        return open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise GridFormatError(f"cannot read {path}: {exc}")
 

@@ -144,11 +144,10 @@ class StationaryWindow:
         return self.end_index - self.start_index
 
 
-# Data lines are parsed in chunks of at most CHUNK_ROWS lines read from about
-# CHUNK_CHARS characters of text; the text cap bounds a chunk of grid rows,
-# which run to tens of kilobytes each. Tables are written in chunks of at
-# most CHUNK_CHARS characters.
-CHUNK_ROWS = 8192
+# Data lines are parsed a chunk at a time, a chunk being the lines of one
+# fh.readlines(CHUNK_CHARS): about CHUNK_CHARS characters of text, whether
+# the lines are pair rows of tens of bytes or grid rows of tens of kilobytes.
+# Tables are written in chunks of at most CHUNK_CHARS characters.
 CHUNK_CHARS = 1 << 19
 
 # The data of a file is parsed as one byte range per available CPU, none
@@ -166,9 +165,9 @@ def _data_lines(lines):
     return (line for line in lines if (text := line.strip()) and text[0] != "#")
 
 
-def _size(text: str, encoding: str) -> int:
-    """The length of text in bytes."""
-    return len(text) if text.isascii() else len(text.encode(encoding))
+def _size(text: str) -> int:
+    """The length of text in UTF-8 bytes, the encoding every input is read in."""
+    return len(text) if text.isascii() else len(text.encode())
 
 
 def _regular_size(fh) -> int:
@@ -179,18 +178,6 @@ def _regular_size(fh) -> int:
     if not stat.S_ISREG(st.st_mode):
         raise InputError(f"{fh.name}: not a regular file")
     return st.st_size
-
-
-def _chunks(fh, start: int, end: int):
-    """Yield the lines of an open text file from byte offset start to byte
-    offset end, both line starts, as lists of lines."""
-    fh.seek(start)
-    while start < end and (raw := fh.readlines(CHUNK_CHARS)):
-        start += _size("".join(raw), fh.encoding)
-        while start > end:
-            start -= _size(raw.pop(), fh.encoding)
-        for first in range(0, len(raw), CHUNK_ROWS):
-            yield raw[first : first + CHUNK_ROWS]
 
 
 def _loadtxt(chunk, usecols, ncols: int):
@@ -206,9 +193,10 @@ def _loadtxt(chunk, usecols, ncols: int):
 def _read_blocks(fh, start: int, end: int, usecols, width: int, finite: bool):
     """Parse the data lines of fh, rows of width cells, into float arrays.
 
-    Reads the lines from byte offset start to byte offset end, as _chunks
-    does, and yields their rows in order, one block of rows at a time, each
-    of the columns usecols (every column if None).
+    Reads the lines from byte offset start to byte offset end, both line
+    starts, a chunk at a time: the lines of one fh.readlines(CHUNK_CHARS),
+    less those at or past end. Yields their rows in order, one block of rows
+    per chunk, each of the columns usecols (every column if None).
 
     A chunk of lines whose text holds no '#' and no quote goes to np.loadtxt
     as it is. Numpy skips empty lines and rejects whitespace-only ones, so if
@@ -232,9 +220,14 @@ def _read_blocks(fh, start: int, end: int, usecols, width: int, finite: bool):
     per_line = usecols is not None and width - 1 not in usecols
     commas = itertools.repeat(",")
     row = 1
-    for chunk in _chunks(fh, start, end):
+    fh.seek(start)
+    while start < end and (chunk := fh.readlines(CHUNK_CHARS)):
         text = "".join(chunk)
-        at, start = start, start + _size(text, fh.encoding)
+        at, start = start, start + _size(text)
+        if start > end:  # the lines past end are the next range's
+            while start > end:
+                start -= _size(chunk.pop())
+            text = "".join(chunk)
         # numpy warns on a chunk of blank lines alone
         plain = not ("#" in text or '"' in text or text.isspace())
         block = _loadtxt(chunk, usecols, ncols) if plain else None
@@ -261,17 +254,12 @@ def _ranges(fh, start: int) -> list[tuple[int, int]]:
     start, to the end of the file.
 
     There is one range per available CPU, none shorter than about
-    SPLIT_BYTES, each cut just after a line break. There is one range unless
-    the platform is Linux with os.fork and fh is read as UTF-8, in which no
-    character spans a line break.
+    SPLIT_BYTES, each cut just after a line break; in UTF-8 no character
+    spans one. There is one range unless the platform is Linux with os.fork.
     """
     size = _regular_size(fh)
     n = (size - start) // SPLIT_BYTES
-    if n < 2 or not (
-        hasattr(os, "fork")
-        and os.uname().sysname == "Linux"
-        and fh.encoding.lower() in ("utf-8", "utf8")
-    ):
+    if n < 2 or not (hasattr(os, "fork") and os.uname().sysname == "Linux"):
         return [(start, size)]
     n = min(n, len(os.sched_getaffinity(0)))
     cuts = [start]
@@ -364,7 +352,7 @@ class _Worker:
 def _send(fd: int, path, start: int, end: int, fmt, order: str) -> None:
     """In a forked child: parse [start, end) of the file at path with its own
     file offset, and write what _Worker describes to fd."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = _read_blocks(fh, start, end, *fmt)
         blocks = []
         while True:
@@ -471,7 +459,7 @@ def _header_columns(path, fh, names) -> tuple[dict[str, int], int, int]:
     def counted():
         nonlocal end
         for line in fh:
-            end += _size(line, fh.encoding)
+            end += _size(line)
             yield line
 
     header = next(csv.reader(_data_lines(counted())), None)
@@ -529,7 +517,7 @@ def load_csv(path, column_x1: str, column_x2: str, dt: float) -> tuple[TimeSerie
         _fill(pieces, table.T)
         return table
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         cols, width, start = _header_columns(path, fh, (column_x1, column_x2))
         scan = functools.partial(_scan_rows, path, cols, width)
         table = _read_rows(fh, start, list(cols.values()), width, scan, True, "F", collect)

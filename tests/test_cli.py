@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -620,6 +621,50 @@ class TestPipedInput:
         assert f"InputError: {path}: not a regular file" in capsys.readouterr().err
         assert not out.exists()
         assert_no_child_left()
+
+
+# A C locale with neither UTF-8 mode nor locale coercion: there, Python's
+# default text encoding is ASCII.
+C_LOCALE = {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+
+
+class TestLocale:
+    """Every input is read as UTF-8, so the locale changes no output byte."""
+
+    # the commands' inputs, each with a comment line of non-ASCII characters
+    INPUTS = {
+        "pair.csv": "x1,x2\n# café µ\n"
+                    + "".join(f"{np.sin(i):.17g},{np.cos(3 * i):.17g}\n" for i in range(200)),
+        "sim.cfg": "# réglage °C\ndt=0.01\nsteps=400\nseed=5\n",
+        "index.csv": "index\n" + "".join(f"{np.cos(i):.17g}\n" for i in range(50)),
+        "grid.csv": "# grille µ\nn_lat,1\nn_lon,2\nn_time,50\ndt,1.0\n"
+                    "values_file,vals.csv\nmask_file,mask.csv\n",
+        "vals.csv": "# température\n" + "".join(f"{np.sin(i):.17g},{i % 7}\n" for i in range(50)),
+        "mask.csv": "# masque é\n1,1\n",
+    }
+    COMMANDS = {
+        "analyze": ["analyze", "--input", "pair.csv", *REF_ARGS, "--output", "out/flow.json"],
+        "map": ["map", "--index", "index.csv", "--grid-manifest", "grid.csv", "--out-dir", "out"],
+        "simulate_config": ["simulate", "--config", "sim.cfg", "--out", "out/path.csv"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_output_bytes_do_not_depend_on_the_locale(self, tmp_path, command):
+        for name, text in self.INPUTS.items():
+            (tmp_path / name).write_bytes(text.encode("utf-8"))
+        src = os.path.dirname(os.path.dirname(infoflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        runs = []
+        for extra in ({}, C_LOCALE):
+            out = tmp_path / "out"
+            out.mkdir()
+            proc = subprocess.run([sys.executable, "-m", "infoflow.cli", *self.COMMANDS[command]],
+                                  cwd=tmp_path, env={**env, **extra}, capture_output=True)
+            written = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            runs.append((proc.returncode, proc.stdout, proc.stderr, written))
+            shutil.rmtree(out)
+        assert runs[0][0] == 0 and runs[0][3], runs[0][2]
+        assert runs[1] == runs[0]
 
 
 class TestValidate:

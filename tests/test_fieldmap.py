@@ -338,7 +338,8 @@ class TestGridIO:
         path = tmp_path / "m.csv"
         path.write_text(f"n_lat,2\nn_lon,2\nn_time,{n_time}\ndt,1.0\nvalues_file,v.csv\n")
         (tmp_path / "v.csv").write_text(rows)
-        monkeypatch.setattr(series, "CHUNK_ROWS", 2)  # rows past n_time in later chunks
+        # two rows of 8 characters per chunk: rows past n_time in later chunks
+        monkeypatch.setattr(series, "CHUNK_CHARS", 9)
         with pytest.raises(GridFormatError, match=f"expected {n_time} rows, found {found}$"):
             load_grid(str(path))
 
@@ -413,15 +414,15 @@ class TestGridIO:
         ids=["non-numeric", "short-row"],
     )
     def test_bad_value_row_is_named(self, tmp_path, monkeypatch, bad, message):
-        # data row 6, after a comment and in the third chunk of two lines:
-        # rows keep their numbers across chunks and skip comment lines
+        # data row 6, after a comment and in the fourth chunk of at most two
+        # lines: rows keep their numbers across chunks and skip comment lines
         path = tmp_path / "m.csv"
         path.write_text("n_lat,2\nn_lon,2\nn_time,8\ndt,1.0\nvalues_file,v.csv\n")
         rows = ["1,2,3,4"] * 8
         rows[5] = bad
         rows.insert(2, "# comment")
         (tmp_path / "v.csv").write_text("\n".join(rows) + "\n")
-        monkeypatch.setattr(series, "CHUNK_ROWS", 2)
+        monkeypatch.setattr(series, "CHUNK_CHARS", 9)
         with pytest.raises(GridFormatError, match=f"v.csv: row 6: {message}"):
             load_grid(str(path))
 
@@ -432,7 +433,7 @@ class TestGridIO:
         assert_no_child_left()
 
     def test_cut_before_every_line_matches_one_range(self, tmp_path, monkeypatch):
-        # CRLF line ends, '#' lines and NaN in the masked cell, in chunks of 2 rows
+        # CRLF line ends, '#' lines and NaN in the masked cell
         mask = np.ones((3, 4), dtype=bool)
         mask[1, 2] = False
         values = np.random.default_rng(5).standard_normal((12, 3, 4))
@@ -442,7 +443,6 @@ class TestGridIO:
         lines = values_file.read_text().splitlines()
         lines[5:5] = ["# mid-file comment", ""]
         values_file.write_bytes(("\r\n".join(lines) + "\r\n# end\r\n").encode())
-        monkeypatch.setattr(series, "CHUNK_ROWS", 2)
         forked = split_before_every_line(monkeypatch, str(values_file))
         assert load_grid(manifest).values.tobytes() == values.tobytes()
         assert len(forked) == len(lines)  # a range for each line after the first

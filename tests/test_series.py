@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import tracemalloc
 
@@ -30,7 +31,7 @@ from conftest import assert_no_child_left, split_before_every_line
 
 def write_csv(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -112,7 +113,12 @@ def _planted(token, row, column="x2", n_rows=10):
     return "t,x1,x2\n" + "".join(",".join(r) + "\n" for r in rows)
 
 
-# With CHUNK_ROWS = 3 the ten data rows fall in chunks 1-3, 4-6, 7-9 and 10.
+# The chunk sizes, in characters, at which the chunked parse is compared with
+# the row scan. At 1 a read takes one line. A read stops once its lines pass
+# 50 characters, so the ten data rows of _planted fall in chunks 1-3, 4-6,
+# 7-9 and 10.
+CHUNKINGS = (1, 50)
+
 DIFFERENTIAL_BODIES = {
     "quoted cells": 'x1,x2\n1,2\n"3.5",4\n5,"6"\n7,8\n9,10\n',
     "quoted comma in another column": 't,x1,note,x2\n0,1,a,2\n1,3,"b,c",4\n2,5,d,6\n3,7,e,8\n',
@@ -143,7 +149,7 @@ DIFFERENTIAL_BODIES["-inf in x1 of the first row"] = _planted("-inf", 1, column=
 
 def _row_scan(path, x1, x2):
     """The retained reference parse: every data row through series._scan_rows."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         cols, width, _ = series._header_columns(path, fh, (x1, x2))
         table = series._scan_rows(path, cols, width, series._data_lines(fh), 1)
     names = list(cols)
@@ -163,14 +169,16 @@ class TestChunkedIngest:
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_BODIES))
     def test_matches_row_scan(self, tmp_path, monkeypatch, name, columns):
         path = write_csv(tmp_path, DIFFERENTIAL_BODIES[name])
-        monkeypatch.setattr(series, "CHUNK_ROWS", 3)
         x1, x2 = columns
-        chunked = _outcome(lambda: [s.values for s in load_csv(path, x1, x2, dt=1.0)])
-        assert chunked == _outcome(lambda: _row_scan(path, x1, x2))
+        expected = _outcome(lambda: _row_scan(path, x1, x2))
+        for chars in CHUNKINGS:
+            monkeypatch.setattr(series, "CHUNK_CHARS", chars)
+            chunked = _outcome(lambda: [s.values for s in load_csv(path, x1, x2, dt=1.0)])
+            assert chunked == expected, chars
 
     def test_planted_errors_name_their_row(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(series, "CHUNK_ROWS", 3)
-        for row in (1, 4, 5, 10):
+        for chars, row in itertools.product(CHUNKINGS, (1, 4, 5, 10)):
+            monkeypatch.setattr(series, "CHUNK_CHARS", chars)
             path = write_csv(tmp_path, _planted("n/a", row), name=f"r{row}.csv")
             with pytest.raises(NonFiniteValue, match=f"row {row}, column 'x2': 'n/a'") as exc:
                 load_csv(path, "x1", "x2", dt=1.0)
@@ -178,17 +186,18 @@ class TestChunkedIngest:
 
     def test_clean_file_never_reaches_row_scan(self, tmp_path, monkeypatch):
         path = write_csv(tmp_path, DIFFERENTIAL_BODIES["comment lines mid-file"])
-        monkeypatch.setattr(series, "CHUNK_ROWS", 2)
 
         def no_scan(*args):
             pytest.fail("a clean file fell back to the row scan")
 
         monkeypatch.setattr(series, "_scan_rows", no_scan)
-        s1, s2 = load_csv(path, "x1", "x2", dt=1.0)
-        assert s1.values.tolist() == [1, 3, 5, 7, 9] and s2.values.tolist() == [2, 4, 6, 8, 10]
+        for chars in CHUNKINGS:
+            monkeypatch.setattr(series, "CHUNK_CHARS", chars)
+            s1, s2 = load_csv(path, "x1", "x2", dt=1.0)
+            assert s1.values.tolist() == [1, 3, 5, 7, 9] and s2.values.tolist() == [2, 4, 6, 8, 10]
 
     # Every kind of line at every position of a 12-row file, read in chunks
-    # of 4 lines or of about 30 characters (3-4 lines), so that each kind
+    # of one line or of about 30 characters (2-4 lines), so that each kind
     # lands inside a chunk and on both edges of one.
     ODD_LINES = {
         "comment": "# note\n",
@@ -198,11 +207,10 @@ class TestChunkedIngest:
         "bad cell": "7.5,n/a\n",
     }
 
-    @pytest.mark.parametrize("chunking", [(4, 1 << 19), (1 << 13, 30)], ids=["rows", "chars"])
+    @pytest.mark.parametrize("chars", [1, 30], ids=["line", "chars"])
     @pytest.mark.parametrize("kind", sorted(ODD_LINES))
-    def test_odd_line_anywhere_matches_row_scan(self, tmp_path, monkeypatch, kind, chunking):
-        monkeypatch.setattr(series, "CHUNK_ROWS", chunking[0])
-        monkeypatch.setattr(series, "CHUNK_CHARS", chunking[1])
+    def test_odd_line_anywhere_matches_row_scan(self, tmp_path, monkeypatch, kind, chars):
+        monkeypatch.setattr(series, "CHUNK_CHARS", chars)
         rows = [f"{0.1 * i!r},{-0.3 * i!r}\n" for i in range(1, 13)]
         for at in range(len(rows) + 1):
             text = "x1,x2\n" + "".join(rows[:at]) + self.ODD_LINES[kind] + "".join(rows[at:])
@@ -213,7 +221,7 @@ class TestChunkedIngest:
     def test_plain_chunks_skip_the_line_filter(self, tmp_path, monkeypatch):
         # only the header goes through _data_lines when no line is a comment
         # or blank; a chunk with a comment line is filtered, the others not
-        monkeypatch.setattr(series, "CHUNK_ROWS", 4)
+        monkeypatch.setattr(series, "CHUNK_CHARS", 15)  # up to four lines
         filtered = []
         data_lines = series._data_lines
 
@@ -230,12 +238,13 @@ class TestChunkedIngest:
         assert len(filtered) == 3 and s1.values.tolist() == list(range(12))
 
     def test_row_scan_seeks_past_non_ascii_text(self, tmp_path, monkeypatch):
-        # a Latin-1 file is one range; the row scan starts at the quoted row's
-        # byte offset, counted past a comment whose bytes differ from UTF-8's
-        monkeypatch.setattr(series, "CHUNK_ROWS", 2)
-        path = tmp_path / "latin1.csv"
-        path.write_bytes('x1,x2\n1,2\n# café µ\n3,4\n5,6\n"7",8\n9,10\n'.encode("latin-1"))
-        with open(path, newline="", encoding="latin-1") as fh:
+        # in a file of one range, read a line at a time, the row scan starts
+        # at the quoted row's byte offset, counted past a comment whose
+        # characters take two UTF-8 bytes each
+        monkeypatch.setattr(series, "CHUNK_CHARS", 1)
+        path = tmp_path / "utf8.csv"
+        path.write_bytes('x1,x2\n1,2\n# café µ\n3,4\n5,6\n"7",8\n9,10\n'.encode("utf-8"))
+        with open(path, newline="", encoding="utf-8") as fh:
             cols, width, start = series._header_columns(path, fh, ("x1", "x2"))
             scan = functools.partial(series._scan_rows, path, cols, width)
             assert len(series._ranges(fh, start)) == 1
@@ -255,7 +264,6 @@ class TestSplitIngest:
     def test_cut_before_every_line_matches_row_scan(self, tmp_path, monkeypatch, name, columns):
         path = write_csv(tmp_path, DIFFERENTIAL_BODIES[name])
         expected = _outcome(lambda: _row_scan(path, *columns))
-        monkeypatch.setattr(series, "CHUNK_ROWS", 3)
         forked = split_before_every_line(monkeypatch, path)
         assert _outcome(lambda: [s.values for s in load_csv(path, *columns, dt=1.0)]) == expected
         assert_no_child_left()
@@ -267,7 +275,6 @@ class TestSplitIngest:
 
     @pytest.mark.parametrize("kind", sorted(TestChunkedIngest.ODD_LINES))
     def test_odd_line_next_to_every_cut_matches_row_scan(self, tmp_path, monkeypatch, kind):
-        monkeypatch.setattr(series, "CHUNK_ROWS", 4)
         rows = [f"{0.1 * i!r},{-0.3 * i!r}\n" for i in range(1, 13)]
         rows[3] = "\u0661\u0662,5\r\n"  # non-ASCII digits, a CRLF line end
         odd = TestChunkedIngest.ODD_LINES[kind]

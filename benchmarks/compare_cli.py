@@ -19,13 +19,17 @@ other routes: a file with a comment line and a quoted cell (the row scan),
 one with a bad cell (exit 2, naming its row), a 2.4 MB simulate output, and
 a 2.4 MB file with comment lines of multi-byte UTF-8 characters throughout
 (both cut into byte ranges parsed in parallel where two CPUs are available).
-For each command the exit code, stdout and stderr are compared, and at the
-end every file in the working directory. Prints one line per command and
-exits 1 if anything differs.
+Two more read inputs with non-ASCII names, which their manifests record: a
+simulate config and a copy of the row-scan file. For each command the exit
+code, stdout and stderr are compared, and at the end every file in the
+working directory. Prints one line per command and one per file that
+differs, each difference followed by up to ten lines of its diff, and exits
+1 if anything differs.
 """
 
 from __future__ import annotations
 
+import difflib
 import os
 import shutil
 import subprocess
@@ -56,6 +60,8 @@ COMMANDS = {
     "simulate_long": ["simulate", "--steps", "40000", "--seed", "7", "--out", "long.csv"],
     "analyze_split": ["analyze", "--input", "long.csv", *REF, "--output", "split.json"],
     "analyze_utf8_split": ["analyze", "--input", "utf8.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
+    "simulate_config_utf8": ["simulate", "--config", "réglage.cfg", "--out", "config_utf8.csv"],
+    "analyze_utf8_name": ["analyze", "--input", "données.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
     "map": ["map", "--index", "index.csv", "--grid-manifest", "grid.csv", "--out-dir", "maps"],
     "validate": ["validate"],
 }
@@ -65,6 +71,8 @@ def write_inputs(work: str) -> None:
     """The files the commands read besides those an earlier command writes."""
     with open(os.path.join(work, "sim.cfg"), "w") as fh:
         fh.write("dt=0.01\nsteps=400\nx0=0,0\nb=0.2,0.2\nseed=5\n")
+    with open(os.path.join(work, "réglage.cfg"), "w") as fh:
+        fh.write("dt=0.02\nsteps=300\nseed=6\n")
     with open(os.path.join(work, "collinear.csv"), "w") as fh:
         fh.write("a,b\n" + "".join(f"{v!r},{v!r}\n" for v in np.linspace(0, 1, 32).tolist()))
     walk = np.cumsum(np.random.default_rng(5).standard_normal((64, 2)), axis=0).tolist()
@@ -73,6 +81,7 @@ def write_inputs(work: str) -> None:
     rows.insert(20, "# a comment line\n")
     with open(os.path.join(work, "odd.csv"), "w") as fh:
         fh.write("a,b\n" + "".join(rows))
+    shutil.copyfile(os.path.join(work, "odd.csv"), os.path.join(work, "données.csv"))
     rows[50] = "0.5,n/a\n"
     with open(os.path.join(work, "bad.csv"), "w") as fh:
         fh.write("a,b\n" + "".join(rows))
@@ -120,6 +129,15 @@ def run_checkout(src: str, work: str) -> tuple[dict, dict]:
     return results, files
 
 
+def print_diff(name: str, base: bytes, new: bytes, limit: int = 10) -> None:
+    """The first `limit` lines of a unified diff of two outputs, if they differ."""
+    if base != new:
+        lines = [text.decode("utf-8", "replace").splitlines() for text in (base, new)]
+        diff = difflib.unified_diff(*lines, f"base {name}", f"new {name}", n=0, lineterm="")
+        for line in list(diff)[:limit]:
+            print(f"    {line}")
+
+
 def main() -> int:
     if len(sys.argv) not in (2, 3):
         print(__doc__, file=sys.stderr)
@@ -135,10 +153,13 @@ def main() -> int:
         same = base[name] == new[name]
         differ += not same
         print(f"{name:22s} exit {base[name][0]} -> {new[name][0]}  {'same' if same else 'DIFFERS'}")
+        for i, stream in ((1, "stdout"), (2, "stderr")):
+            print_diff(f"{name} {stream}", base[name][i], new[name][i])
     for path in sorted(set(base_files) | set(new_files)):
         if base_files.get(path) != new_files.get(path):
             differ += 1
             print(f"{path}: DIFFERS")
+            print_diff(path, base_files.get(path, b""), new_files.get(path, b""))
     print(f"{len(COMMANDS)} commands, {len(base_files)} files: {differ} difference(s)")
     return 1 if differ else 0
 

@@ -18,7 +18,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .estimator import (
     fisher_ci,
     fit_mle,
 )
-from .fieldmap import load_grid, map_flows, read_manifest, write_flow_maps
+from .fieldmap import load_grid, map_flows, write_flow_maps
 from .series import (
     _regular_size,
     _write_rows,
@@ -49,23 +49,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record embedded verbatim in every output."""
-
-    command: str
-    parameters: dict = field(default_factory=dict)
-    input_digests: dict = field(default_factory=dict)
-    tool_version: str = __version__
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def comment(self) -> str:
-        """The text of the '# manifest: {...}' line that heads a text output."""
-        return f"manifest: {json.dumps(self.to_dict(), sort_keys=True)}"
 
 
 def _sha256(path: str) -> str:
@@ -101,10 +84,32 @@ def _check_alpha(alpha: float) -> None:
         raise InputError(f"--alpha must be in (0, 1), got {alpha}")
 
 
-def _manifest(args, output: str | None = None, input_digests=None, **resolved) -> RunManifest:
-    """The command's manifest: its parsed flags bar the output path, resolved values over them."""
+def _utf8(value):
+    """A string as the UTF-8 decoding of its bytes in the locale's encoding, so that
+    a path is spelled alike under any locale; text that has no such bytes (read
+    from a UTF-8 file) and other values as they are."""
+    if isinstance(value, str):
+        with contextlib.suppress(UnicodeEncodeError):
+            return os.fsencode(value).decode("utf-8", "surrogateescape")
+    return value
+
+
+def _manifest(args, output: str | None = None, inputs=(), **resolved) -> dict:
+    """The run record every output embeds: the parsed flags bar the output path,
+    resolved values over them, and the SHA-256 of each input path that is not
+    None, every string spelled by _utf8."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", output)}
-    return RunManifest(args.command, {**flags, **resolved}, input_digests or {})
+    return {
+        "command": args.command,
+        "parameters": {k: _utf8(v) for k, v in {**flags, **resolved}.items()},
+        "input_digests": {_utf8(path): _sha256(path) for path in inputs if path is not None},
+        "tool_version": __version__,
+    }
+
+
+def _comment(manifest: dict) -> str:
+    """The text of the '# manifest: {...}' line that heads a text output."""
+    return f"manifest: {json.dumps(manifest, sort_keys=True)}"
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
@@ -152,7 +157,7 @@ def _parse_model(f: str, a: str, b: str, prefix: str) -> LinearModel2D:
     return LinearModel2D(f=f_vec, a=a_mat, b1=b1, b2=b2)
 
 
-def _flow_json(est: FlowEstimate, model, cov, manifest: RunManifest, units: str) -> dict:
+def _flow_json(est: FlowEstimate, model, cov, manifest: dict, units: str) -> dict:
     fields = asdict(est)
     del fields["block_len"]  # the manifest records it
     return {
@@ -163,7 +168,7 @@ def _flow_json(est: FlowEstimate, model, cov, manifest: RunManifest, units: str)
         "b_hat": [model.b1_hat, model.b2_hat],
         "det_c": cov.det,
         "units": units,
-        "manifest": manifest.to_dict(),
+        "manifest": manifest,
     }
 
 
@@ -196,6 +201,8 @@ def cmd_analyze(args) -> int:
         )
     if args.subsample < 1:
         raise InputError(f"--subsample must be >= 1, got {args.subsample}")
+    if not 0 < args.dt < np.inf:
+        raise InputError(f"--dt must be a positive finite real, got {args.dt}")
     span = _parse_window(args.window, "--window") if args.window else None
     star_span = _parse_window(args.star_window, "--star-window") if args.star_window else None
     x1, x2 = load_csv(args.input, args.x1, args.x2, args.dt)
@@ -222,14 +229,8 @@ def cmd_analyze(args) -> int:
         )
 
     units = f"nats/{args.time_unit}"
-    manifest = _manifest(
-        args,
-        "output",
-        {args.input: _sha256(args.input)},
-        seed=seed,
-        n_boot=args.n_boot if args.ci == "bootstrap" else None,
-        block_len=est.block_len,
-    )
+    n_boot = args.n_boot if args.ci == "bootstrap" else None
+    manifest = _manifest(args, "output", [args.input], seed=seed, n_boot=n_boot, block_len=est.block_len)
     payload = _flow_json(est, model, cov, manifest, units)
     with _output(args.output) as out:
         json.dump(payload, out, indent=2, sort_keys=True)
@@ -275,19 +276,19 @@ _SIM_DEFAULTS = {
 
 def cmd_simulate(args) -> int:
     config = dict(_SIM_DEFAULTS)
-    digests = {}
     if args.config:
         file_cfg = _read_config_file(args.config)
         unknown = set(file_cfg) - set(_SIM_DEFAULTS) - {"seed"}
         if unknown:
             raise InputError(f"unknown config keys: {sorted(unknown)}")
         config.update(file_cfg)
-        digests[args.config] = _sha256(args.config)
     for key in _SIM_DEFAULTS:
         flag = getattr(args, key)
         if flag is not None:
             config[key] = str(flag)
     seed = _seed(("--seed", args.seed), (f"{args.config}: seed", config.get("seed")))
+    # built before the run, so a config that is not a regular file is refused before any step
+    manifest = _manifest(args, "out", [args.config], **{**config, "seed": seed})
 
     try:
         dt = float(config["dt"])
@@ -302,13 +303,8 @@ def cmd_simulate(args) -> int:
         raise InputError(str(exc))
     x1, x2 = simulate(cfg)
 
-    manifest = RunManifest(
-        command="simulate",
-        parameters={**config, "seed": seed},
-        input_digests=digests,
-    )
     with _output(args.out) as out:
-        out.write(f"# {manifest.comment()}\n")
+        out.write(f"# {_comment(manifest)}\n")
         out.write("t,x1,x2\n")
         _write_rows(out, np.column_stack([np.arange(len(x1)) * dt, x1.values, x2.values]))
     if out is not sys.stdout:
@@ -335,21 +331,11 @@ def cmd_theory(args) -> int:
 
     manifest = _manifest(args, "out")
     with _output(args.out) as out:
-        out.write(f"# {manifest.comment()}\n")
+        out.write(f"# {_comment(manifest)}\n")
         out.write("t,mu1,mu2,s11,s12,s22,t21,t12\n")
         _write_rows(out, np.column_stack([trajectory.t, trajectory.mu, s11_s12_s22, t21, t12]))
-    print(
-        json.dumps(
-            {
-                "stationary_sigma": sigma.tolist(),
-                "t21": t21_inf,
-                "t12": t12_inf,
-                "manifest": manifest.to_dict(),
-            },
-            sort_keys=True,
-        ),
-        file=sys.stderr,
-    )
+    summary = {"stationary_sigma": sigma.tolist(), "t21": t21_inf, "t12": t12_inf, "manifest": manifest}
+    print(json.dumps(summary, sort_keys=True), file=sys.stderr)
     return EXIT_OK
 
 
@@ -361,13 +347,8 @@ def cmd_map(args) -> int:
     field_grid = load_grid(args.grid_manifest)
     index, _ = load_csv(args.index, args.index_col, args.index_col, field_grid.dt)
     flow_map = map_flows(index, field_grid, alpha=args.alpha)
-
-    # every file map reads: the grid's values and mask files as load_grid resolves them
-    grid = read_manifest(args.grid_manifest)
-    inputs = (args.grid_manifest, grid["values_file"], grid.get("mask_file"), args.index)
-    digests = {path: _sha256(path) for path in inputs if path is not None}
-    manifest = _manifest(args, "out_dir", digests)
-    paths = write_flow_maps(flow_map, args.out_dir, manifest.comment())
+    manifest = _manifest(args, "out_dir", [*field_grid.files, args.index])
+    paths = write_flow_maps(flow_map, args.out_dir, _comment(manifest))
     n_cells = int(field_grid.mask.sum())
     n_sig_i2f = int(flow_map.significant_index_to_field.sum())
     n_sig_f2i = int(flow_map.significant_field_to_index.sum())
@@ -389,7 +370,7 @@ def cmd_validate(args) -> int:
     seed = _seed(("--seed", args.seed), default=FIXTURE_SEEDS[0])
     manifest = _manifest(args, seed=seed)
     rows = run_validation(seed)
-    print(f"# {manifest.comment()}")
+    print(f"# {_comment(manifest)}")
     print(f"{'check':44s} {'value':>12s} {'reference':>10s} {'band':>24s} result")
     failed = []
     for row in rows:

@@ -51,12 +51,17 @@ BLOCK_VALUES = 1 << 18
 
 @dataclass(frozen=True)
 class GridField:
-    """A dense [time][lat][lon] field with a validity mask."""
+    """A dense [time][lat][lon] field with a validity mask.
+
+    files records where the data came from: the grid manifest, values and mask
+    files that load_grid read, or () for a field built in memory.
+    """
 
     values: np.ndarray
     dt: float
     mask: np.ndarray
     t0: float = 0.0
+    files: tuple[str, ...] = ()
 
     def __post_init__(self):
         values = _freeze(self.values)
@@ -162,7 +167,7 @@ def _read_mask(mask_path, n_lat: int, n_lon: int) -> np.ndarray:
     return np.array(rows, dtype=str).reshape(n_lat, n_lon) == "1"
 
 
-def read_manifest(manifest_path) -> dict[str, str]:
+def _read_manifest(manifest_path) -> dict[str, str]:
     """The key -> value entries of a grid manifest CSV.
 
     values_file and mask_file (if given) come back as paths resolved against
@@ -185,7 +190,7 @@ def read_manifest(manifest_path) -> dict[str, str]:
 
 def load_grid(manifest_path) -> GridField:
     """Load a GridField from its manifest CSV."""
-    entries = read_manifest(manifest_path)
+    entries = _read_manifest(manifest_path)
     try:
         n_lat = int(entries["n_lat"])
         n_lon = int(entries["n_lon"])
@@ -211,11 +216,13 @@ def load_grid(manifest_path) -> GridField:
     flat.setflags(write=False)  # so that GridField keeps it without a copy
     values = flat.reshape(n_time, n_lat, n_lon)
 
-    if "mask_file" in entries:
-        mask = _read_mask(entries["mask_file"], n_lat, n_lon)
+    mask_path = entries.get("mask_file")
+    if mask_path is not None:
+        mask = _read_mask(mask_path, n_lat, n_lon)
     else:
         mask = np.ones((n_lat, n_lon), dtype=bool)
-    return GridField(values=values, dt=dt, mask=mask, t0=t0)
+    files = tuple(os.fspath(p) for p in (manifest_path, values_path, mask_path) if p is not None)
+    return GridField(values=values, dt=dt, mask=mask, t0=t0, files=files)
 
 
 def write_grid(field: GridField, out_dir, basename: str = "grid") -> str:

@@ -568,13 +568,18 @@ def window(series: TimeSeries, t_start: float, t_end: float) -> TimeSeries:
 def star_window_from_times(
     series: TimeSeries, t_start: float, t_end: float
 ) -> StationaryWindow:
-    """Convert user times to a StationaryWindow over the aligned sample of series."""
+    """Convert user times to a StationaryWindow over the aligned sample of series.
+
+    The star window must lie inside the series' span and select at least 3
+    aligned samples; a star window that ends at the series' last sample drops
+    that sample, which has no forward difference.
+    """
     start, last = _time_span(series, t_start, t_end)
     end = min(len(series) - 1, last + 1)
-    if start < 0 or end - start < _MIN_LENGTH:
+    if start < 0 or last > len(series) - 1 or end - start < _MIN_LENGTH:
         raise WindowTooShort(
             f"star window [{t_start}, {t_end}] does not select >= 3 aligned samples "
-            f"of the analyzed window [{series.t0}, {series.t_end}]"
+            f"inside the analyzed window [{series.t0}, {series.t_end}]"
         )
     return StationaryWindow(start, end)
 

@@ -16,10 +16,12 @@ from infoflow import (
     NonFiniteValue,
     TimeSeries,
     TooShortAfterSubsample,
+    WindowTooShort,
     align,
     covariances,
     flow,
     load_csv,
+    star_window_from_times,
     subsample,
     window,
 )
@@ -390,6 +392,17 @@ class TestTimeSeries:
         assert np.shares_memory(w1.values, x1.values)
         copied = align(TimeSeries(w1.values.copy(), 0.5), TimeSeries(w2.values.copy(), 0.5))
         assert covariances(align(w1, w2)) == covariances(copied)
+
+
+    def test_star_window_must_lie_inside_the_series(self):
+        s = TimeSeries(np.arange(31.0), dt=1.0, t0=10.0)  # times 10..40
+        # ending at the last sample keeps the samples that have a difference
+        star = star_window_from_times(s, 30.0, 40.0)
+        assert (star.start_index, star.end_index) == (20, 30)
+        # a star window that reaches past either end is refused, not clipped
+        for t_start, t_end in ((30.0, 45.0), (30.0, 41.0), (5.0, 20.0)):
+            with pytest.raises(WindowTooShort, match=r"inside the analyzed window \[10.0, 40.0\]"):
+                star_window_from_times(s, t_start, t_end)
 
 
 class TestSubsample:

@@ -20,7 +20,10 @@ one with a bad cell (exit 2, naming its row), a 2.4 MB simulate output, and
 a 2.4 MB file with comment lines of multi-byte UTF-8 characters throughout
 (both cut into byte ranges parsed in parallel where two CPUs are available).
 Two more read inputs with non-ASCII names, which their manifests record: a
-simulate config and a copy of the row-scan file. For each command the exit
+simulate config and a copy of the row-scan file. Two more map calls read
+grids whose values file differs from the first map's in one row: a quoted
+cell (the row scan) and a non-numeric cell (exit 2, naming its row and
+column). For each command the exit
 code, stdout and stderr are compared, and at the end every file in the
 working directory. Prints one line per command and one per file that
 differs, each difference followed by up to ten lines of its diff, and exits
@@ -63,6 +66,10 @@ COMMANDS = {
     "simulate_config_utf8": ["simulate", "--config", "réglage.cfg", "--out", "config_utf8.csv"],
     "analyze_utf8_name": ["analyze", "--input", "données.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
     "map": ["map", "--index", "index.csv", "--grid-manifest", "grid.csv", "--out-dir", "maps"],
+    "map_row_scan": [
+        "map", "--index", "index.csv", "--grid-manifest", "grid_quoted.csv", "--out-dir", "maps_quoted",
+    ],
+    "map_bad_cell": ["map", "--index", "index.csv", "--grid-manifest", "grid_bad.csv", "--out-dir", "bad"],
     "validate": ["validate"],
 }
 
@@ -98,13 +105,19 @@ def write_inputs(work: str) -> None:
     values[:, 7] = 7.25  # a constant cell: missing in the maps
     with open(os.path.join(work, "index.csv"), "w") as fh:
         fh.write("t,index\n" + "".join(f"{i * 0.5!r},{v!r}\n" for i, v in enumerate(index.tolist())))
-    with open(os.path.join(work, "vals.csv"), "w") as fh:
-        fh.write("".join(",".join(map(repr, row)) + "\n" for row in values.tolist()))
     with open(os.path.join(work, "mask.csv"), "w") as fh:
         fh.write("1,1,1,1,1\n1,1,1,1,1\n0,0,1,1,1\n1,1,1,1,1\n")
-    with open(os.path.join(work, "grid.csv"), "w") as fh:
-        fh.write(f"n_lat,{n_lat}\nn_lon,{n_lon}\nn_time,{n_time}\ndt,0.5\n")
-        fh.write("values_file,vals.csv\nmask_file,mask.csv\n")
+    rows = [",".join(map(repr, row)) + "\n" for row in values.tolist()]
+    quoted, bad = rows.copy(), rows.copy()
+    first, rest = rows[150].split(",", 1)
+    quoted[150] = f'"{first}",{rest}'
+    bad[250] = "n/a," + rows[250].split(",", 1)[1]
+    for suffix, body in (("", rows), ("_quoted", quoted), ("_bad", bad)):
+        with open(os.path.join(work, f"vals{suffix}.csv"), "w") as fh:
+            fh.write("".join(body))
+        with open(os.path.join(work, f"grid{suffix}.csv"), "w") as fh:
+            fh.write(f"n_lat,{n_lat}\nn_lon,{n_lon}\nn_time,{n_time}\ndt,0.5\n")
+            fh.write(f"values_file,vals{suffix}.csv\nmask_file,mask.csv\n")
 
 
 def run_checkout(src: str, work: str) -> tuple[dict, dict]:

@@ -33,7 +33,7 @@ from .estimator import (
 )
 from .fieldmap import load_grid, map_flows, write_flow_maps
 from .series import (
-    _regular_size,
+    _open_input,
     _write_rows,
     align,
     load_csv,
@@ -52,11 +52,10 @@ EXIT_NUMERICAL = 3
 
 
 def _sha256(path: str) -> str:
-    """The digest of the regular file at path (see series._regular_size)."""
+    """The digest of the input file at path (see series._open_input)."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        _regular_size(fh)
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+    with _open_input(path) as fh:
+        for chunk in iter(lambda: fh.buffer.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -249,18 +248,15 @@ def cmd_analyze(args) -> int:
 
 def _read_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for i, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise InputError(f"{path}: line {i}: expected key=value, got {line!r}")
-                key, value = line.split("=", 1)
-                entries[key.strip()] = value.strip()
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}")
+    with _open_input(path) as fh:
+        for i, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise InputError(f"{path}: line {i}: expected key=value, got {line!r}")
+            key, value = line.split("=", 1)
+            entries[key.strip()] = value.strip()
     return entries
 
 
@@ -287,7 +283,6 @@ def cmd_simulate(args) -> int:
         if flag is not None:
             config[key] = str(flag)
     seed = _seed(("--seed", args.seed), (f"{args.config}: seed", config.get("seed")))
-    # built before the run, so a config that is not a regular file is refused before any step
     manifest = _manifest(args, "out", [args.config], **{**config, "seed": seed})
 
     try:

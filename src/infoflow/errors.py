@@ -33,7 +33,9 @@ class NonFiniteValue(InputError):
 
 
 class LengthMismatch(InputError):
-    pass
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class EmptyFile(InputError):

@@ -16,7 +16,12 @@ Grid storage is a plain-text trio:
                   (lat, lon) order.
   mask CSV        n_lat rows of n_lon flags, 1 = valid cell, 0 = masked.
 
-'#' comment lines are allowed everywhere.
+'#' comment lines are allowed everywhere. Each file is opened by
+series._open_input: an absent or unreadable one, or one that is not a regular
+file, is an InputError naming its path. Value rows are parsed as every CSV's
+are: a bad row is a LengthMismatch or NonFiniteValue carrying its .row, a bad
+cell named by its column index. Manifest, mask and row-count errors are
+GridFormatError.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from .series import (
     _data_lines,
     _fill,
     _freeze,
+    _open_input,
     _read_rows,
-    _regular_size,
     _write_rows,
     align,
 )
@@ -128,32 +133,9 @@ def map_flows(index: TimeSeries, field: GridField, alpha: float = 0.05) -> FlowM
 # --- grid I/O ----------------------------------------------------------------
 
 
-def _open(path):
-    try:
-        return open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise GridFormatError(f"cannot read {path}: {exc}")
-
-
 def _csv_rows(path) -> list[list[str]]:
-    with _open(path) as fh:
-        _regular_size(fh)
+    with _open_input(path) as fh:
         return list(csv.reader(_data_lines(fh)))
-
-
-def _scan_values(values_path, n_cells: int, lines, first_row: int) -> np.ndarray:
-    """Row-by-row reference parse of grid value rows, numbered from first_row."""
-    out: list[float] = []
-    for i, row in enumerate(csv.reader(lines), start=first_row):
-        try:
-            out.extend([float(cell) for cell in row])
-        except ValueError as exc:
-            raise GridFormatError(f"{values_path}: row {i}: non-numeric cell: {exc}")
-        if len(row) != n_cells:
-            raise GridFormatError(
-                f"{values_path}: row {i}: expected {n_cells} columns, found {len(row)}"
-            )
-    return np.array(out, dtype=float).reshape(-1, n_cells)
 
 
 def _read_mask(mask_path, n_lat: int, n_lon: int) -> np.ndarray:
@@ -202,15 +184,14 @@ def load_grid(manifest_path) -> GridField:
 
     values_path = entries["values_file"]
     n_cells = n_lat * n_lon
-    scan = functools.partial(_scan_values, values_path, n_cells)
-    with _open(values_path) as fh:
+    with _open_input(values_path) as fh:
         # the file holds at most `fits` rows: one of n_cells values takes at
         # least 2 * n_cells - 1 characters, and a line break ends all but the last
-        fits = (_regular_size(fh) + 1) // (2 * n_cells) if n_cells > 0 else 0
+        fits = (os.fstat(fh.fileno()).st_size + 1) // (2 * n_cells) if n_cells > 0 else 0
         flat = np.empty((min(max(n_time, 0), fits), max(n_cells, 0)))
         # rows past it are parsed, for their errors and their count, and dropped
         place = functools.partial(_fill, out=flat)
-        found = _read_rows(fh, 0, None, n_cells, scan, False, "C", place)
+        found = _read_rows(fh, 0, None, n_cells, False, "C", place)
     if found != n_time:
         raise GridFormatError(f"{values_path}: expected {n_time} rows, found {found}")
     flat.setflags(write=False)  # so that GridField keeps it without a copy

@@ -7,7 +7,6 @@ objects and is safe to share across concurrent tasks.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 import os
@@ -101,11 +100,14 @@ class AlignedPair:
     x2: TimeSeries
     d1: np.ndarray = field(repr=False)
     d2: np.ndarray = field(repr=False)
-    m: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "d1", _freeze(self.d1))
         object.__setattr__(self, "d2", _freeze(self.d2))
+
+    @property
+    def m(self) -> int:
+        return self.d1.shape[-1]
 
     @property
     def x1w(self) -> np.ndarray:
@@ -170,14 +172,19 @@ def _size(text: str) -> int:
     return len(text) if text.isascii() else len(text.encode())
 
 
-def _regular_size(fh) -> int:
-    """The size in bytes of the open file fh, which must be a regular file:
-    an input is read at byte offsets and digested whole, and a pipe allows
-    neither, so it is an InputError."""
-    st = os.fstat(fh.fileno())
-    if not stat.S_ISREG(st.st_mode):
-        raise InputError(f"{fh.name}: not a regular file")
-    return st.st_size
+def _open_input(path):
+    """The input file at path, open as UTF-8 text with newline="".
+
+    Every input is opened here. It must be a regular file, since it is read
+    at byte offsets and digested whole; that is checked before the open, so a
+    FIFO with no writer cannot block. Any OSError is an InputError naming path.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise InputError(f"{path}: not a regular file")
+        return open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}")
 
 
 def _loadtxt(chunk, usecols, ncols: int):
@@ -257,7 +264,7 @@ def _ranges(fh, start: int) -> list[tuple[int, int]]:
     SPLIT_BYTES, each cut just after a line break; in UTF-8 no character
     spans one. There is one range unless the platform is Linux with os.fork.
     """
-    size = _regular_size(fh)
+    size = os.fstat(fh.fileno()).st_size
     n = (size - start) // SPLIT_BYTES
     if n < 2 or not (hasattr(os, "fork") and os.uname().sysname == "Linux"):
         return [(start, size)]
@@ -352,7 +359,7 @@ class _Worker:
 def _send(fd: int, path, start: int, end: int, fmt, order: str) -> None:
     """In a forked child: parse [start, end) of the file at path with its own
     file offset, and write what _Worker describes to fd."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         reader = _read_blocks(fh, start, end, *fmt)
         blocks = []
         while True:
@@ -383,14 +390,14 @@ def _fill(pieces, out: np.ndarray) -> int:
     return n
 
 
-def _pieces(fh, first, workers, fmt, scan):
+def _pieces(fh, first, workers, cols, fmt):
     """The rows of _read_rows in file order: the first range parsed here,
     then each child's rows, up to the first range that stopped.
 
     From that stop on, the data lines to the end of the file go to
-    scan(lines, first_row): the reference row-by-row parser, which returns
-    the rest of the table or raises the error for the first bad row. Both
-    it and _read_blocks convert text with CPython's correctly rounded
+    _scan_rows: the reference row-by-row parser, which returns the rest of
+    the table or raises the error for the first bad row. Both it and
+    _read_blocks convert text with CPython's correctly rounded
     string-to-double, so they give the same bits.
     """
     stop, row = yield from _read_blocks(fh, *first, *fmt)
@@ -403,13 +410,15 @@ def _pieces(fh, first, workers, fmt, scan):
         else:
             worker.close()  # its range is parsed here, and it would take a CPU
     if stop is not None:
+        _, width, finite = fmt
         fh.seek(stop)
-        yield scan(_data_lines(fh), row)
+        yield _scan_rows(fh.name, cols, width, finite, _data_lines(fh), row)
 
 
-def _read_rows(fh, start: int, usecols, width: int, scan, finite: bool, order: str, place):
+def _read_rows(fh, start: int, cols, width: int, finite: bool, order: str, place):
     """Parse the data lines of the regular file fh from byte offset start,
-    a line start, to the end of the file, and return place(pieces).
+    a line start, to the end of the file, and return place(pieces). Rows
+    have width cells, of which the columns cols are read (see _scan_rows).
 
     pieces yields the table's rows in file order (see _pieces): arrays of
     rows, and _Worker pieces whose rows _fill reads from a child straight
@@ -422,13 +431,13 @@ def _read_rows(fh, start: int, usecols, width: int, scan, finite: bool, order: s
     range has stopped at its quote. Every child has ended when this returns
     or raises.
     """
-    fmt = (usecols, width, finite)
+    fmt = (None if cols is None else list(cols.values()), width, finite)
     first, *rest = _ranges(fh, start)
     workers = []
     try:
         for range_start, range_end in rest:
             workers.append(_Worker(fh, range_start, range_end, fmt, order))
-        return place(_pieces(fh, first, workers, fmt, scan))
+        return place(_pieces(fh, first, workers, cols, fmt))
     finally:
         for worker in workers:
             worker.close()
@@ -474,26 +483,34 @@ def _header_columns(path, fh, names) -> tuple[dict[str, int], int, int]:
     return cols, len(header), end
 
 
-def _scan_rows(path, cols: dict[str, int], width: int, lines, first_row: int) -> np.ndarray:
-    """Row-by-row reference parse of the columns `cols` of data rows `lines`.
+def _scan_rows(path, cols, width: int, finite: bool, lines, first_row: int) -> np.ndarray:
+    """Row-by-row reference parse of data rows `lines`, numbered from first_row.
 
-    Every row must have the header's width cells. Returns one column per
-    entry of cols; rows are numbered from first_row.
+    Every row must have width cells, and every value read must be a real,
+    finite if finite. Returns a column per entry of cols (name -> index), or
+    per cell if cols is None, a cell then named by its index.
     """
+    names, take = (range(width), None) if cols is None else (list(cols), list(cols.values()))
     out: list[float] = []
     for i, row in enumerate(csv.reader(lines), start=first_row):
         if len(row) != width:
-            raise LengthMismatch(f"{path}: row {i}: expected {width} columns, found {len(row)}")
-        for name, j in cols.items():
-            cell = row[j].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise NonFiniteValue(f"{path}: row {i}, column {name!r}: {cell!r}", row=i)
-            if not math.isfinite(value):
-                raise NonFiniteValue(f"{path}: row {i}, column {name!r}: {cell!r}", row=i)
-            out.append(value)
-    return np.array(out, dtype=float).reshape(-1, len(cols))
+            raise LengthMismatch(f"{path}: row {i}: expected {width} columns, found {len(row)}", row=i)
+        cells = row if take is None else [row[j] for j in take]
+        try:
+            values = [float(cell) for cell in cells]
+            good = not finite or all(map(math.isfinite, values))
+        except ValueError:
+            good = False
+        if not good:  # name the first bad cell
+            for name, cell in zip(names, cells):
+                try:
+                    good = math.isfinite(float(cell)) or not finite
+                except ValueError:
+                    good = False
+                if not good:
+                    raise NonFiniteValue(f"{path}: row {i}, column {name!r}: {cell.strip()!r}", row=i)
+        out.extend(values)
+    return np.array(out, dtype=float).reshape(-1, len(names))
 
 
 def load_csv(path, column_x1: str, column_x2: str, dt: float) -> tuple[TimeSeries, TimeSeries]:
@@ -517,10 +534,9 @@ def load_csv(path, column_x1: str, column_x2: str, dt: float) -> tuple[TimeSerie
         _fill(pieces, table.T)
         return table
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_input(path) as fh:
         cols, width, start = _header_columns(path, fh, (column_x1, column_x2))
-        scan = functools.partial(_scan_rows, path, cols, width)
-        table = _read_rows(fh, start, list(cols.values()), width, scan, True, "F", collect)
+        table = _read_rows(fh, start, cols, width, True, "F", collect)
     table.setflags(write=False)
     names = list(cols)
     return (
@@ -594,7 +610,7 @@ def align(x1: TimeSeries, x2: TimeSeries) -> AlignedPair:
     d2 = (x2.values[..., 1:] - x2.values[..., :-1]) / x2.dt
     d1.setflags(write=False)  # fresh arrays: AlignedPair keeps them without a copy
     d2.setflags(write=False)
-    return AlignedPair(x1=x1, x2=x2, d1=d1, d2=d2, m=len(x1) - 1)
+    return AlignedPair(x1=x1, x2=x2, d1=d1, d2=d2)
 
 
 def _dot(a: np.ndarray, b: np.ndarray):

@@ -57,7 +57,9 @@ class MomentState:
         if mu.shape != (2,) or sigma.shape != (2, 2):
             raise ValueError("mu must be a 2-vector and sigma a 2x2 matrix")
         if not (np.isfinite(mu).all() and np.isfinite(sigma).all() and math.isfinite(self.t)):
-            raise ValueError(f"moments and time must be finite, got {mu}, {sigma}, t={self.t}")
+            raise ValueError(
+                f"moments and time must be finite, got {mu.tolist()}, {sigma.tolist()}, t={self.t}"
+            )
         s11, s12, s22 = sigma[0, 0], sigma[0, 1], sigma[1, 1]
         if s11 < 0 or s22 < 0 or s12 * s12 > s11 * s22 or sigma[1, 0] != s12:
             raise ValueError(f"sigma must be symmetric positive semidefinite, got {sigma.tolist()}")

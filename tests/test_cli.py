@@ -424,8 +424,11 @@ ERRORS = [
     _error("analyze_star_window_malformed", [*ABSENT, "--star-window", "5-10"], 2,
            "InputError: --star-window must look like T_START:T_END, got '5-10'"),
     _error("map_alpha", [*MAP, "--alpha", "1.5"], 2, "InputError: --alpha must be in (0, 1), got 1.5"),
+    # every input is opened the same way: absent, or not a regular file
     _error("analyze_absent_input", ABSENT, 2,
-           "FileNotFoundError: [Errno 2] No such file or directory: 'absent.csv'"),
+           "InputError: cannot read absent.csv: [Errno 2] No such file or directory: 'absent.csv'"),
+    _error("analyze_input_directory", ["analyze", "--input", ".", *REF_ARGS, "--output", "out.json"],
+           2, "InputError: .: not a regular file"),
     # a seed names its source
     _error("analyze_seed", [*BOOT, "--seed", "-5"], 2, "InputError: --seed must be >= 0, got -5",
            {"pair.csv": PAIR}),
@@ -472,7 +475,9 @@ ERRORS = [
            "InputError: sim.cfg: line 2: expected key=value, got 'steps 400'",
            {"sim.cfg": "# a comment\nsteps 400\n"}),
     _error("simulate_config_absent", [*SIMULATE, "--config", "absent.cfg"], 2,
-           "InputError: cannot read config absent.cfg: [Errno 2] No such file or directory"),
+           "InputError: cannot read absent.cfg: [Errno 2] No such file or directory: 'absent.cfg'"),
+    _error("simulate_config_directory", [*SIMULATE, "--config", "."], 2,
+           "InputError: .: not a regular file"),
     _error("simulate_config_not_utf8", [*SIMULATE, "--config", "sim.cfg"], 2,
            "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9",
            {"sim.cfg": b"# r\xe9glage\nsteps=400\n"}),
@@ -536,7 +541,8 @@ ERRORS = [
     _error("theory_t_end_inf", [*THEORY, "--t-end", "inf"], 2,
            "ValueError: t_end and dt must be finite and dt positive, got inf, 0.001"),
     _error("theory_mu0_nan", [*THEORY, "--mu0", "nan,1"], 2,
-           "ValueError: moments and time must be finite"),
+           "ValueError: moments and time must be finite, got [nan, 1.0], [[0.1, 0.0], [0.0, 0.1]], "
+           "t=0.0"),
     _error("theory_sigma0_not_psd", [*THEORY, "--sigma0", "0.1,0.5,0.1"], 2,
            "ValueError: sigma must be symmetric positive semidefinite, got [[0.1, 0.5], [0.5, 0.1]]"),
     _error("theory_sigma0_negative_variance", [*THEORY, "--sigma0=-0.1,0,0.1"], 2,
@@ -564,13 +570,26 @@ ERRORS = [
     _error("theory_zero_initial_variance", [*THEORY, "--sigma0", "0,0,0"], 3,
            "DegenerateVariance: variances must be positive, got s11=0.0, s22=0.0"),
     # map
-    _error("map_grid_manifest_absent", MAP, 2, "GridFormatError: cannot read grid.csv: [Errno 2]",
+    _error("map_grid_manifest_absent", MAP, 2,
+           "InputError: cannot read grid.csv: [Errno 2] No such file or directory: 'grid.csv'",
            {k: v for k, v in GRID_FILES.items() if k != "grid.csv"}),
-    _error("map_mask_absent", MAP, 2, "GridFormatError: cannot read {dir}/mask.csv: [Errno 2]",
+    _error("map_grid_manifest_directory", [*MAP[:3], "--grid-manifest", ".", *MAP[5:]], 2,
+           "InputError: .: not a regular file", GRID_FILES),
+    _error("map_values_absent", MAP, 2, "InputError: cannot read {dir}/vals.csv: [Errno 2] "
+           "No such file or directory: '{dir}/vals.csv'",
+           {k: v for k, v in GRID_FILES.items() if k != "vals.csv"}),
+    _error("map_values_directory", MAP, 2, "InputError: {dir}/.: not a regular file",
+           {**GRID_FILES, "grid.csv": GRID_FILES["grid.csv"].replace("vals.csv", ".")}),
+    _error("map_mask_absent", MAP, 2, "InputError: cannot read {dir}/mask.csv: [Errno 2] "
+           "No such file or directory: '{dir}/mask.csv'",
            {k: v for k, v in GRID_FILES.items() if k != "mask.csv"}),
+    _error("map_mask_directory", MAP, 2, "InputError: {dir}/.: not a regular file",
+           {**GRID_FILES, "grid.csv": GRID_FILES["grid.csv"].replace("mask.csv", ".")}),
     _error("map_index_absent", MAP, 2,
-           "FileNotFoundError: [Errno 2] No such file or directory: 'index.csv'",
+           "InputError: cannot read index.csv: [Errno 2] No such file or directory: 'index.csv'",
            {k: v for k, v in GRID_FILES.items() if k != "index.csv"}),
+    _error("map_index_directory", ["map", "--index", ".", *MAP[3:]], 2,
+           "InputError: .: not a regular file", GRID_FILES),
     _error("map_manifest_missing_key", MAP, 2, "GridFormatError: grid.csv: manifest is missing key 'dt'",
            {**GRID_FILES, "grid.csv": GRID_FILES["grid.csv"].replace("dt,1.0\n", "")}),
     _error("map_manifest_bad_value", MAP, 2,
@@ -579,11 +598,10 @@ ERRORS = [
     _error("map_manifest_malformed_row", MAP, 2,
            "GridFormatError: grid.csv: malformed manifest row ['n_lat']",
            {**GRID_FILES, "grid.csv": "n_lat\n" + GRID_FILES["grid.csv"]}),
-    _error("map_values_text_cell", MAP, 2, "GridFormatError: {dir}/vals.csv: row 7: non-numeric cell: "
-           "could not convert string to float: 'abc'",
+    _error("map_values_text_cell", MAP, 2, "NonFiniteValue: {dir}/vals.csv: row 7, column 1: 'abc'",
            {**GRID_FILES, "vals.csv": "".join(VALS_ROWS[:6]) + "6.0,abc\n" + "".join(VALS_ROWS[7:])}),
     _error("map_values_short_row", MAP, 2,
-           "GridFormatError: {dir}/vals.csv: row 7: expected 2 columns, found 1",
+           "LengthMismatch: {dir}/vals.csv: row 7: expected 2 columns, found 1",
            {**GRID_FILES, "vals.csv": "".join(VALS_ROWS[:6]) + "6.0\n" + "".join(VALS_ROWS[7:])}),
     _error("map_values_row_count", MAP, 2, "GridFormatError: {dir}/vals.csv: expected 10 rows, found 9",
            {**GRID_FILES, "vals.csv": "".join(VALS_ROWS[:9])}),
@@ -625,6 +643,7 @@ class TestErrors:
         assert main(argv) == code
         captured = capsys.readouterr()
         assert captured.err.startswith(prefix.format(dir=tmp_path)), captured.err
+        assert len(captured.err.splitlines()) == 1, captured.err
         assert captured.out == ""
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
 
@@ -642,10 +661,45 @@ def piped(text):
         os.close(read)
 
 
+def _cli(argv, cwd, env=None, **kwargs):
+    """Run `python -m infoflow.cli argv` on this checkout's package in cwd."""
+    src = os.path.dirname(os.path.dirname(infoflow.__file__))
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-m", "infoflow.cli", *argv], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})},
+                          capture_output=True, **kwargs)
+
+
 class TestPipedInput:
     """A pipe given as an input exits 2 before any output is written: it
     cannot be read in byte ranges, and its digest would be that of whatever
     the first read left in it."""
+
+    # each kind of input, the one file of (argv, name) that is a named FIFO
+    FIFOS = {
+        "analyze_input": (ANALYZE, "pair.csv"),
+        "map_index": (MAP, "index.csv"),
+        "map_grid_manifest": (MAP, "grid.csv"),
+        "map_values": (MAP, "vals.csv"),
+        "map_mask": (MAP, "mask.csv"),
+        "simulate_config": ([*SIMULATE, "--config", "sim.cfg"], "sim.cfg"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FIFOS))
+    def test_named_fifo_without_writer(self, tmp_path, kind):
+        # an open() of the FIFO would wait for a writer: the timeout fails the test
+        argv, name = self.FIFOS[kind]
+        inputs = {**GRID_FILES, "pair.csv": PAIR, "sim.cfg": "steps=400\n"}
+        for file_name, text in inputs.items():
+            if file_name != name:
+                (tmp_path / file_name).write_text(text)
+        os.mkfifo(tmp_path / name)
+        proc = _cli(argv, tmp_path, text=True, timeout=60)
+        # the grid's values and mask paths are resolved against the manifest's directory
+        shown = tmp_path / name if name in ("vals.csv", "mask.csv") else name
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"InputError: {shown}: not a regular file\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == sorted(inputs)
 
     def test_analyze_input(self, capsys, tmp_path):
         out = tmp_path / "flow.json"
@@ -726,14 +780,11 @@ class TestLocale:
     def test_output_bytes_do_not_depend_on_the_locale(self, tmp_path, command):
         for name, text in self.INPUTS.items():
             (tmp_path / name).write_bytes(text.encode("utf-8"))
-        src = os.path.dirname(os.path.dirname(infoflow.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         runs = []
         for extra in ({}, C_LOCALE):
             out = tmp_path / "out"
             out.mkdir()
-            proc = subprocess.run([sys.executable, "-m", "infoflow.cli", *self.COMMANDS[command]],
-                                  cwd=tmp_path, env={**env, **extra}, capture_output=True)
+            proc = _cli(self.COMMANDS[command], tmp_path, extra)
             written = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
             runs.append((proc.returncode, proc.stdout, proc.stderr, written))
             shutil.rmtree(out)

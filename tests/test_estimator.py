@@ -447,7 +447,8 @@ class TestFisherCi:
         k = 3.0
         fitted = model.f1_hat + model.a11_hat * pair.x1w + model.a12_hat * pair.x2w
         d1_scaled = fitted + k * (pair.d1 - fitted)
-        scaled = AlignedPair(x1=pair.x1, x2=pair.x2, d1=d1_scaled, d2=pair.d2, m=pair.m)
+        scaled = AlignedPair(x1=pair.x1, x2=pair.x2, d1=d1_scaled, d2=pair.d2)
+        assert scaled.m == pair.m == 249  # the window is d1's length
         cov_s = covariances(scaled)
         model_s = fit_mle(scaled, cov_s)
         assert model_s.a12_hat == pytest.approx(model.a12_hat, rel=1e-9)

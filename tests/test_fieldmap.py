@@ -13,8 +13,10 @@ from infoflow import (
     FlowMap,
     GridField,
     GridFormatError,
+    InputError,
     LengthMismatch,
     LinearModel2D,
+    NonFiniteValue,
     NumericalError,
     TimeSeries,
     align,
@@ -385,7 +387,7 @@ class TestGridIO:
         _, field, _ = coupled_fixture(seed=8)
         manifest = write_grid(field, tmp_path, "fixture")
         (tmp_path / "fixture_mask.csv").unlink()
-        with pytest.raises(GridFormatError):
+        with pytest.raises(InputError, match="^cannot read .*fixture_mask.csv: .*No such file"):
             load_grid(manifest)
 
     @pytest.mark.parametrize("flag", ["2", "true", "", "yes", "1.0", "-1", "O", "l"])
@@ -405,15 +407,17 @@ class TestGridIO:
         path = tmp_path / "m.csv"
         path.write_text("n_lat,2\nn_lon,2\nn_time,3\ndt,1.0\nvalues_file,v.csv\n")
         (tmp_path / "v.csv").write_text("1,2,3\n4,5,6\n7,8,9\n")
-        with pytest.raises(GridFormatError):
+        with pytest.raises(LengthMismatch, match="v.csv: row 1: expected 4 columns, found 3$") as exc:
             load_grid(str(path))
+        assert exc.value.row == 1
 
     @pytest.mark.parametrize(
-        "bad, message",
-        [("9,x,9,9", "non-numeric cell"), ("9,9,9", "expected 4 columns, found 3")],
+        "bad, error, message",
+        [("9,x,9,9", NonFiniteValue, "row 6, column 1: 'x'"),
+         ("9,9,9", LengthMismatch, "row 6: expected 4 columns, found 3")],
         ids=["non-numeric", "short-row"],
     )
-    def test_bad_value_row_is_named(self, tmp_path, monkeypatch, bad, message):
+    def test_bad_value_row_is_named(self, tmp_path, monkeypatch, bad, error, message):
         # data row 6, after a comment and in the fourth chunk of at most two
         # lines: rows keep their numbers across chunks and skip comment lines
         path = tmp_path / "m.csv"
@@ -423,8 +427,9 @@ class TestGridIO:
         rows.insert(2, "# comment")
         (tmp_path / "v.csv").write_text("\n".join(rows) + "\n")
         monkeypatch.setattr(series, "CHUNK_CHARS", 9)
-        with pytest.raises(GridFormatError, match=f"v.csv: row 6: {message}"):
+        with pytest.raises(error, match=f"v.csv: {message}$") as exc:
             load_grid(str(path))
+        assert exc.value.row == 6
 
     def test_parse_with_ranges_forced(self, tmp_path, monkeypatch):
         monkeypatch.setattr(series, "SPLIT_BYTES", 1 << 16)
@@ -467,11 +472,12 @@ class TestGridIO:
         assert_no_child_left()
 
     @pytest.mark.parametrize(
-        "bad, message",
-        [("9,x,9,9", "non-numeric cell"), ("9,9,9", "expected 4 columns, found 3")],
+        "bad, error, message",
+        [("9,x,9,9", NonFiniteValue, "row 6, column 1: 'x'"),
+         ("9,9,9", LengthMismatch, "row 6: expected 4 columns, found 3")],
         ids=["non-numeric", "short-row"],
     )
-    def test_bad_value_row_named_with_cuts(self, tmp_path, monkeypatch, bad, message):
+    def test_bad_value_row_named_with_cuts(self, tmp_path, monkeypatch, bad, error, message):
         path = tmp_path / "m.csv"
         path.write_text("n_lat,2\nn_lon,2\nn_time,8\ndt,1.0\nvalues_file,v.csv\n")
         rows = ["1,2,3,4"] * 8
@@ -479,8 +485,9 @@ class TestGridIO:
         rows.insert(2, "# comment")
         (tmp_path / "v.csv").write_text("\n".join(rows) + "\n")
         split_before_every_line(monkeypatch, str(tmp_path / "v.csv"))
-        with pytest.raises(GridFormatError, match=f"v.csv: row 6: {message}"):
+        with pytest.raises(error, match=f"v.csv: {message}$") as exc:
             load_grid(str(path))
+        assert exc.value.row == 6
         assert_no_child_left()
 
     def test_grid_invariants(self):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import tracemalloc
@@ -153,7 +152,7 @@ def _row_scan(path, x1, x2):
     """The retained reference parse: every data row through series._scan_rows."""
     with open(path, newline="", encoding="utf-8") as fh:
         cols, width, _ = series._header_columns(path, fh, (x1, x2))
-        table = series._scan_rows(path, cols, width, series._data_lines(fh), 1)
+        table = series._scan_rows(path, cols, width, True, series._data_lines(fh), 1)
     names = list(cols)
     return table[:, names.index(x1)], table[:, names.index(x2)]
 
@@ -248,14 +247,12 @@ class TestChunkedIngest:
         path.write_bytes('x1,x2\n1,2\n# café µ\n3,4\n5,6\n"7",8\n9,10\n'.encode("utf-8"))
         with open(path, newline="", encoding="utf-8") as fh:
             cols, width, start = series._header_columns(path, fh, ("x1", "x2"))
-            scan = functools.partial(series._scan_rows, path, cols, width)
             assert len(series._ranges(fh, start)) == 1
             got = series._read_rows(
-                fh, start, list(cols.values()), width, scan, True, "F",
-                lambda pieces: np.concatenate(list(pieces)),
+                fh, start, cols, width, True, "F", lambda pieces: np.concatenate(list(pieces))
             )
             fh.seek(start)
-            expected = series._scan_rows(path, cols, width, series._data_lines(fh), 1)
+            expected = series._scan_rows(path, cols, width, True, series._data_lines(fh), 1)
         assert got.tobytes() == expected.tobytes()
         assert got[:, 0].tolist() == [1, 3, 5, 7, 9]
 

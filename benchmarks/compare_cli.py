@@ -20,12 +20,13 @@ one with a bad cell (exit 2, naming its row), a 2.4 MB simulate output, and
 a 2.4 MB file with comment lines of multi-byte UTF-8 characters throughout
 (both cut into byte ranges parsed in parallel where two CPUs are available).
 Two more read inputs with non-ASCII names, which their manifests record: a
-simulate config and a copy of the row-scan file. Two more map calls read
+simulate config and a copy of the row-scan file. Three more map calls read
 grids whose values file differs from the first map's in one row: a quoted
-cell (the row scan) and a non-numeric cell (exit 2, naming its row and
-column). For each command the exit
-code, stdout and stderr are compared, and at the end every file in the
-working directory. Prints one line per command and one per file that
+cell (the row scan), and a non-numeric cell and a NaN in an unmasked cell,
+each of which exits 2 naming its row and column. One more analyze writes its
+result under a directory that does not exist (exit 2, naming the output).
+For each command the exit code, stdout and stderr are compared, and at the
+end every file in the working directory. Prints one line per command and one per file that
 differs, each difference followed by up to ten lines of its diff, and exits
 1 if anything differs.
 """
@@ -70,6 +71,13 @@ COMMANDS = {
         "map", "--index", "index.csv", "--grid-manifest", "grid_quoted.csv", "--out-dir", "maps_quoted",
     ],
     "map_bad_cell": ["map", "--index", "index.csv", "--grid-manifest", "grid_bad.csv", "--out-dir", "bad"],
+    "map_unmasked_nan": [
+        "map", "--index", "index.csv", "--grid-manifest", "grid_nan.csv", "--out-dir", "nan",
+    ],
+    "analyze_unwritable_output": [
+        "analyze", "--input", "odd.csv", "--x1", "a", "--x2", "b", "--dt", "1",
+        "--output", "nodir/out.json",
+    ],
     "validate": ["validate"],
 }
 
@@ -108,11 +116,14 @@ def write_inputs(work: str) -> None:
     with open(os.path.join(work, "mask.csv"), "w") as fh:
         fh.write("1,1,1,1,1\n1,1,1,1,1\n0,0,1,1,1\n1,1,1,1,1\n")
     rows = [",".join(map(repr, row)) + "\n" for row in values.tolist()]
-    quoted, bad = rows.copy(), rows.copy()
+    quoted, bad, nan = rows.copy(), rows.copy(), rows.copy()
     first, rest = rows[150].split(",", 1)
     quoted[150] = f'"{first}",{rest}'
     bad[250] = "n/a," + rows[250].split(",", 1)[1]
-    for suffix, body in (("", rows), ("_quoted", quoted), ("_bad", bad)):
+    cells = rows[300].split(",")
+    cells[3] = "nan"  # an unmasked cell
+    nan[300] = ",".join(cells)
+    for suffix, body in (("", rows), ("_quoted", quoted), ("_bad", bad), ("_nan", nan)):
         with open(os.path.join(work, f"vals{suffix}.csv"), "w") as fh:
             fh.write("".join(body))
         with open(os.path.join(work, f"grid{suffix}.csv"), "w") as fh:

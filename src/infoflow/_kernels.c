@@ -1,7 +1,8 @@
 /* Compiled hot loop for 2-D linear-SDE path generation. Must stay arithmetically
- * identical to infoflow._kernels_py (same expressions, same evaluation order;
- * the Python loop forms each noise term b * dw in numpy, one rounding as here);
- * setup.py builds it with -ffp-contract=off so that no multiply-add is fused. */
+ * identical to the Python kernel in infoflow.kernels (same expressions, same
+ * evaluation order; the Python loop forms each noise term b * dw in numpy, one
+ * rounding as here); setup.py builds it with -ffp-contract=off so that no
+ * multiply-add is fused. */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 

@@ -34,6 +34,7 @@ from .estimator import (
 from .fieldmap import load_grid, map_flows, write_flow_maps
 from .series import (
     _open_input,
+    _open_output,
     _write_rows,
     align,
     load_csv,
@@ -139,7 +140,7 @@ def _output(path: str | None):
     if path in (None, "-"):
         yield sys.stdout
     else:
-        with open(path, "w", newline="") as out:
+        with _open_output(path) as out:
             yield out
 
 

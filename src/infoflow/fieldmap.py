@@ -20,8 +20,9 @@ Grid storage is a plain-text trio:
 series._open_input: an absent or unreadable one, or one that is not a regular
 file, is an InputError naming its path. Value rows are parsed as every CSV's
 are: a bad row is a LengthMismatch or NonFiniteValue carrying its .row, a bad
-cell named by its column index. Manifest, mask and row-count errors are
-GridFormatError.
+cell named by its column index; a non-finite value in an unmasked cell is a
+NonFiniteValue named so too. Manifest, mask and row-count errors are
+GridFormatError. An output that cannot be written is an InputError naming it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridFormatError
+from .errors import GridFormatError, InputError
 from .estimator import covariances, fisher_ci, fit_mle
 from .series import (
     TimeSeries,
@@ -42,7 +43,9 @@ from .series import (
     _fill,
     _freeze,
     _open_input,
+    _open_output,
     _read_rows,
+    _scan_rows,
     _write_rows,
     align,
 )
@@ -202,46 +205,56 @@ def load_grid(manifest_path) -> GridField:
         mask = _read_mask(mask_path, n_lat, n_lon)
     else:
         mask = np.ones((n_lat, n_lon), dtype=bool)
+    bad = np.flatnonzero(mask.reshape(-1) & ~np.isfinite(flat).all(axis=0)).tolist()
+    # the row scan of the unmasked cells that hold a non-finite value raises
+    # NonFiniteValue for the first in file order
+    if bad:
+        with _open_input(values_path) as fh:
+            _scan_rows(values_path, dict(zip(bad, bad)), n_cells, True, _data_lines(fh), 1)
     files = tuple(os.fspath(p) for p in (manifest_path, values_path, mask_path) if p is not None)
     return GridField(values=values, dt=dt, mask=mask, t0=t0, files=files)
 
 
+def _write_tables(out_dir, tables: dict, header_comment: str = "") -> dict[str, str]:
+    """Write each name -> 2-D table as out_dir/name.csv, headed by a '#'
+    comment line if header_comment is set, making out_dir if it is absent;
+    returns name -> path. Any OSError is an InputError naming its output."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_dir}: {exc}")
+    paths = {}
+    for name, table in tables.items():
+        paths[name] = os.path.join(out_dir, f"{name}.csv")
+        with _open_output(paths[name]) as fh:
+            if header_comment:
+                fh.write(f"# {header_comment}\n")
+            _write_rows(fh, table)
+    return paths
+
+
 def write_grid(field: GridField, out_dir, basename: str = "grid") -> str:
     """Write a GridField as manifest + values + mask CSVs; returns manifest path."""
-    os.makedirs(out_dir, exist_ok=True)
-    values_name = f"{basename}_values.csv"
-    mask_name = f"{basename}_mask.csv"
-    with open(os.path.join(out_dir, values_name), "w", newline="") as fh:
-        _write_rows(fh, field.values.reshape(field.n_time, -1))
-    with open(os.path.join(out_dir, mask_name), "w", newline="") as fh:
-        _write_rows(fh, field.mask)
+    values_name, mask_name = f"{basename}_values", f"{basename}_mask"
+    _write_tables(out_dir, {values_name: field.values.reshape(field.n_time, -1), mask_name: field.mask})
     manifest_path = os.path.join(out_dir, f"{basename}_manifest.csv")
-    with open(manifest_path, "w", newline="") as fh:
+    with _open_output(manifest_path) as fh:
         fh.write(f"n_lat,{field.n_lat}\n")
         fh.write(f"n_lon,{field.n_lon}\n")
         fh.write(f"n_time,{field.n_time}\n")
         fh.write(f"dt,{field.dt:.17g}\n")
         fh.write(f"t0,{field.t0:.17g}\n")
-        fh.write(f"values_file,{values_name}\n")
-        fh.write(f"mask_file,{mask_name}\n")
+        fh.write(f"values_file,{values_name}.csv\n")
+        fh.write(f"mask_file,{mask_name}.csv\n")
     return manifest_path
 
 
 def write_flow_maps(fm: FlowMap, out_dir, header_comment: str = "") -> dict[str, str]:
     """Write the four per-direction matrices as CSVs; returns name -> path."""
-    os.makedirs(out_dir, exist_ok=True)
     outputs = {
         "flow_index_to_field": fm.t_index_to_field,
         "flow_field_to_index": fm.t_field_to_index,
         "significant_index_to_field": fm.significant_index_to_field,
         "significant_field_to_index": fm.significant_field_to_index,
     }
-    paths = {}
-    for name, grid in outputs.items():
-        path = os.path.join(out_dir, f"{name}.csv")
-        with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            _write_rows(fh, grid)
-        paths[name] = path
-    return paths
+    return _write_tables(out_dir, outputs, header_comment)

@@ -10,6 +10,7 @@ import csv
 import itertools
 import math
 import os
+import signal
 import stat
 from dataclasses import dataclass, field
 
@@ -159,8 +160,6 @@ CHUNK_CHARS = 1 << 19
 # (benchmarks/split_crossover.py), so a file splits from 2 MiB of data.
 SPLIT_BYTES = 1 << 20
 
-_SIGKILL = 9  # its number on Linux, the one platform that forks children here
-
 
 def _data_lines(lines):
     """The data lines among `lines`: neither blank nor a whole-line '#' comment."""
@@ -185,6 +184,14 @@ def _open_input(path):
         return open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+
+
+def _open_output(path):
+    """The file at path, open for writing; any OSError is an InputError naming path."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
 
 
 def _loadtxt(chunk, usecols, ncols: int):
@@ -287,71 +294,60 @@ def _line_start(fd: int, at: int, size: int) -> int:
     return size
 
 
-def _readinto(fd: int, array: np.ndarray) -> bool:
-    """Fill the C-contiguous array from fd; False if fd ends first."""
-    view = memoryview(array.reshape(-1).view(np.uint8))
-    while view:
-        n = os.readv(fd, [view])
-        if not n:
-            return False
-        view = view[n:]
-    return True
-
-
 class _Worker:
     """A forked child that parses the byte range [start, end) of fh and
-    sends its rows back through a pipe.
+    sends its rows back through a pipe, read here as a buffered file.
 
     The child writes two int64 values, the number of rows it parsed and the
     byte offset at which its read stopped (see _read_blocks; -1 if it read the
     whole range), then the rows: in C order, or with order "F" one column
     after another. A child that raises, dies or cannot be forked sends less:
-    one that sends no header counts as stopped at start with no rows. The
-    child calls no BLAS routine, so it needs none of the parent's threads.
+    one that sends no whole header counts as stopped at start with no rows.
+    The child calls no BLAS routine, so it needs none of the parent's threads.
     """
 
     def __init__(self, fh, start: int, end: int, fmt, order: str):
         self.fh, self.start, self.end, self.fmt, self.order = fh, start, end, fmt, order
-        self.rows, self.stop = 0, start
-        self.fd, write = os.pipe()
+        read, write = os.pipe()
         try:
             self.pid = os.fork()
         except OSError:
             self.pid = None
         if self.pid == 0:
             try:
-                os.close(self.fd)
+                os.close(read)
                 _send(write, fh.name, start, end, fmt, order)
             finally:
                 os._exit(0)  # no exit handlers, no flush of the parent's buffers
         os.close(write)
+        self.pipe = open(read, "rb")
 
     def __len__(self) -> int:
         return self.rows
 
     def result(self) -> tuple[int, int | None]:
         """(rows, stop) as the child reports them, once it has parsed its range."""
-        header = np.empty(2, dtype=np.int64)
-        if _readinto(self.fd, header):
-            self.rows, stop = header.tolist()
-            self.stop = None if stop < 0 else stop
-        return self.rows, self.stop
+        header = self.pipe.read(16)
+        if len(header) < 16:
+            return 0, self.start
+        self.rows, stop = np.frombuffer(header, dtype=np.int64).tolist()
+        return self.rows, None if stop < 0 else stop
 
     def fill(self, dest: np.ndarray) -> None:
         """Read the rows into dest; in C order dest may take fewer rows,
         and those after them are not read."""
         parts = dest.T if self.order == "F" else [dest]
-        if not all(_readinto(self.fd, part) for part in parts):
+        views = (part.reshape(-1).view(np.uint8) for part in parts)
+        # readinto reads until the view is full or the pipe ends
+        if not all(self.pipe.readinto(view) == view.size for view in views):
             # the child ended before it sent every row: parse them here
             _fill(_read_blocks(self.fh, self.start, self.end, *self.fmt), dest)
 
     def close(self) -> None:
         """End the child if it still runs, and reap it."""
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
+        self.pipe.close()
         if self.pid:
-            os.kill(self.pid, _SIGKILL)
+            os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
 
@@ -360,17 +356,14 @@ def _send(fd: int, path, start: int, end: int, fmt, order: str) -> None:
     """In a forked child: parse [start, end) of the file at path with its own
     file offset, and write what _Worker describes to fd."""
     with _open_input(path) as fh:
-        reader = _read_blocks(fh, start, end, *fmt)
-        blocks = []
-        while True:
-            try:
+        reader, blocks = _read_blocks(fh, start, end, *fmt), []
+        try:
+            while True:
                 blocks.append(next(reader))
-            except StopIteration as done:
-                stop = done.value[0]
-                break
-    parts = blocks
-    if order == "F" and blocks:
-        parts = (block[:, j].copy() for j in range(blocks[0].shape[1]) for block in blocks)
+        except StopIteration as done:
+            stop = done.value[0]
+    columns = zip(*(block.T for block in blocks))  # each column: its part in every block
+    parts = (part.copy() for column in columns for part in column) if order == "F" else blocks
     with open(fd, "wb") as out:
         out.write(np.array([sum(map(len, blocks)), -1 if stop is None else stop], dtype=np.int64))
         out.writelines(parts)
@@ -539,10 +532,7 @@ def load_csv(path, column_x1: str, column_x2: str, dt: float) -> tuple[TimeSerie
         table = _read_rows(fh, start, cols, width, True, "F", collect)
     table.setflags(write=False)
     names = list(cols)
-    return (
-        TimeSeries(table[names.index(column_x1)], dt, label=column_x1),
-        TimeSeries(table[names.index(column_x2)], dt, label=column_x2),
-    )
+    return tuple(TimeSeries(table[names.index(c)], dt, label=c) for c in (column_x1, column_x2))
 
 
 def subsample(s: TimeSeries, delta_n: int) -> TimeSeries:

@@ -605,7 +605,7 @@ ERRORS = [
            {**GRID_FILES, "vals.csv": "".join(VALS_ROWS[:6]) + "6.0\n" + "".join(VALS_ROWS[7:])}),
     _error("map_values_row_count", MAP, 2, "GridFormatError: {dir}/vals.csv: expected 10 rows, found 9",
            {**GRID_FILES, "vals.csv": "".join(VALS_ROWS[:9])}),
-    _error("map_values_unmasked_nan", MAP, 2, "ValueError: unmasked cells contain non-finite values",
+    _error("map_values_unmasked_nan", MAP, 2, "NonFiniteValue: {dir}/vals.csv: row 7, column 1: 'nan'",
            {**GRID_FILES, "vals.csv": "".join(VALS_ROWS[:6]) + "6.0,nan\n" + "".join(VALS_ROWS[7:])}),
     _error("map_mask_flag", MAP, 2,
            "GridFormatError: {dir}/mask.csv: mask row 1: flag '2' is not 0 or 1",
@@ -620,6 +620,19 @@ ERRORS = [
            {**GRID_FILES, "index.csv": "".join(GRID_FILES["index.csv"].splitlines(keepends=True)[:10])}),
     _error("map_index_not_utf8", MAP, 2, "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9",
            {**GRID_FILES, "index.csv": b"# caf\xe9\n" + GRID_FILES["index.csv"].encode()}),
+    # an output that cannot be written is named, as an input that cannot be read is
+    _error("analyze_output_unwritable", [*ANALYZE, "--output", "nodir/out.json"], 2,
+           "InputError: cannot write nodir/out.json: [Errno 2] No such file or directory: "
+           "'nodir/out.json'", {"pair.csv": PAIR}),
+    _error("simulate_out_unwritable", [*SIMULATE, "--out", "nodir/out.csv"], 2,
+           "InputError: cannot write nodir/out.csv: [Errno 2] No such file or directory: "
+           "'nodir/out.csv'"),
+    _error("theory_out_unwritable", [*THEORY, "--out", "nodir/out.csv"], 2,
+           "InputError: cannot write nodir/out.csv: [Errno 2] No such file or directory: "
+           "'nodir/out.csv'"),
+    _error("map_out_dir_under_file", [*MAP, "--out-dir", "index.csv/out"], 2,
+           "InputError: cannot write index.csv/out: [Errno 20] Not a directory: 'index.csv/out'",
+           GRID_FILES),
 ]
 
 

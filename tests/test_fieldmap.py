@@ -431,6 +431,20 @@ class TestGridIO:
             load_grid(str(path))
         assert exc.value.row == 6
 
+    def test_unmasked_non_finite_value_is_named(self, tmp_path):
+        # the first in file order: row 5 comes before row 6, whose bad cell
+        # has the lower column; the masked column 1 may hold NaN
+        path = tmp_path / "m.csv"
+        path.write_text("n_lat,2\nn_lon,2\nn_time,8\ndt,1.0\nvalues_file,v.csv\nmask_file,mask.csv\n")
+        (tmp_path / "mask.csv").write_text("1,0\n1,1\n")
+        rows = ["1,2,3,4"] * 8
+        rows[1], rows[4], rows[5] = "1,nan,3,4", "1,2,3, NaN", "1,2,-inf,4"
+        rows.insert(2, "# comment")
+        (tmp_path / "v.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(NonFiniteValue, match="v.csv: row 5, column 3: 'NaN'$") as exc:
+            load_grid(str(path))
+        assert exc.value.row == 5
+
     def test_parse_with_ranges_forced(self, tmp_path, monkeypatch):
         monkeypatch.setattr(series, "SPLIT_BYTES", 1 << 16)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})

@@ -308,17 +308,20 @@ class TestSplitIngest:
         def dies(fd, *args):
             os._exit(1)
 
-        def dies_after_the_header(fd, *args):
-            read, write = os.pipe()
-            send(write, *args)
-            os.write(fd, os.read(read, 16))
-            os._exit(1)
+        def dies_after(n):
+            def child(fd, *args):  # sends the first n bytes of its reply
+                read, write = os.pipe()
+                send(write, *args)
+                os.write(fd, os.read(read, n))
+                os._exit(1)
+            return child
 
-        # the rows of a child that dies after its header are parsed here
+        # the rows of a child that dies after its 16-byte header are parsed
+        # here; one that dies inside it counts as stopped at its start
         fills = []
         fill = series._fill
         monkeypatch.setattr(series, "_fill", lambda pieces, out: fills.append(out) or fill(pieces, out))
-        for child in (dies, dies_after_the_header):
+        for child in (dies, dies_after(16), dies_after(5)):
             monkeypatch.setattr(series, "_send", child)
             assert _outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)]) == expected
             assert_no_child_left()

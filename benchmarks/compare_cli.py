@@ -25,6 +25,9 @@ grids whose values file differs from the first map's in one row: a quoted
 cell (the row scan), and a non-numeric cell and a NaN in an unmasked cell,
 each of which exits 2 naming its row and column. One more analyze writes its
 result under a directory that does not exist (exit 2, naming the output).
+Two more run at the top of the float range: an analyze of a file scaled by
+1e160, whose covariances overflow (exit 3, naming them), and a map whose
+grid has one unmasked cell so scaled (exit 0, that cell missing).
 For each command the exit code, stdout and stderr are compared, and at the
 end every file in the working directory. Prints one line per command and one per file that
 differs, each difference followed by up to ten lines of its diff, and exits
@@ -78,6 +81,10 @@ COMMANDS = {
         "analyze", "--input", "odd.csv", "--x1", "a", "--x2", "b", "--dt", "1",
         "--output", "nodir/out.json",
     ],
+    "analyze_overflow": ["analyze", "--input", "overflow.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
+    "map_overflow_cell": [
+        "map", "--index", "index.csv", "--grid-manifest", "grid_overflow.csv", "--out-dir", "overflow",
+    ],
     "validate": ["validate"],
 }
 
@@ -97,6 +104,8 @@ def write_inputs(work: str) -> None:
     with open(os.path.join(work, "odd.csv"), "w") as fh:
         fh.write("a,b\n" + "".join(rows))
     shutil.copyfile(os.path.join(work, "odd.csv"), os.path.join(work, "données.csv"))
+    with open(os.path.join(work, "overflow.csv"), "w") as fh:
+        fh.write("a,b\n" + "".join(f"{a * 1e160!r},{b * 1e160!r}\n" for a, b in walk))
     rows[50] = "0.5,n/a\n"
     with open(os.path.join(work, "bad.csv"), "w") as fh:
         fh.write("a,b\n" + "".join(rows))
@@ -117,13 +126,17 @@ def write_inputs(work: str) -> None:
         fh.write("1,1,1,1,1\n1,1,1,1,1\n0,0,1,1,1\n1,1,1,1,1\n")
     rows = [",".join(map(repr, row)) + "\n" for row in values.tolist()]
     quoted, bad, nan = rows.copy(), rows.copy(), rows.copy()
+    scaled = values.copy()
+    scaled[:, 4] *= 1e160  # an unmasked cell whose variance overflows: missing in the maps
+    overflow = [",".join(map(repr, row)) + "\n" for row in scaled.tolist()]
     first, rest = rows[150].split(",", 1)
     quoted[150] = f'"{first}",{rest}'
     bad[250] = "n/a," + rows[250].split(",", 1)[1]
     cells = rows[300].split(",")
     cells[3] = "nan"  # an unmasked cell
     nan[300] = ",".join(cells)
-    for suffix, body in (("", rows), ("_quoted", quoted), ("_bad", bad), ("_nan", nan)):
+    for suffix, body in (("", rows), ("_quoted", quoted), ("_bad", bad), ("_nan", nan),
+                         ("_overflow", overflow)):
         with open(os.path.join(work, f"vals{suffix}.csv"), "w") as fh:
             fh.write("".join(body))
         with open(os.path.join(work, f"grid{suffix}.csv"), "w") as fh:

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import json
 import os
+import stat
 import sys
 from dataclasses import asdict
 
@@ -466,10 +468,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Raise the InputError that writing an output would, before any input is
+    read and creating nothing: the directory of --output or --out must be a
+    directory, as must the nearest existing ancestor of --out-dir (made on write)."""
+    for name in ("output", "out", "out_dir"):
+        path = getattr(args, name, None)
+        if path is None or (path == "-" and name != "out_dir"):
+            continue
+        near = path if name == "out_dir" else os.path.dirname(path) or "."
+        while name == "out_dir" and not os.path.lexists(near) and near != ".":
+            near = os.path.dirname(near) or "."
+        try:
+            code = 0 if stat.S_ISDIR(os.stat(near).st_mode) else errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+        if code:
+            raise InputError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _check_outputs(args)
+        # the estimator's floors report what numpy would warn of, in one line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (InputError, NumericalError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_INPUT

@@ -28,17 +28,18 @@ cancels when drift dominates noise: q1 carries a rounding error of about
 5 * eps * (m-1) * Cd1d1, and at or below RESIDUAL_FLOOR times that sum q1 is
 taken as exactly zero (SingularFisher in fisher_ci). The pair pipeline, the
 field map and the validation harness go through covariances() and the one
-drift closed form in _drift(), with the floors in _degenerate(),
-_collinear() and _residual_sum().
+drift closed form in _drift(), with the floors in _checked(), _varied(),
+_independent() and _residual_sum().
 
 covariances(), fit_mle() and fisher_ci() also take a stacked pair (see _floor):
 each result field then holds one entry per row, with the bits of that row's
-pair alone.
+pair alone. Each square is a product c * c, as in the pair, and each floor a
+condition that must hold, which a NaN or a covariance that is not finite fails.
 
 The moving-block bootstrap takes each resample's covariances from prefix sums
 of the centred series and their products, in O(m/L) per resample for block
-length L (see bootstrap_ci); _degenerate() with the prefix sums' rounding
-floor, _collinear() and _drift() then act elementwise on arrays of resamples.
+length L (see bootstrap_ci); _varied() with the prefix sums' rounding
+floor, _independent() and _drift() then act elementwise on arrays of resamples.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ _EPS = np.finfo(float).eps
 # A bootstrap resample's variance, taken from prefix sums of squares that reach
 # (m-1) times the full-sample variance, carries a rounding error of up to about
 # m * eps times that variance. At or below _PREFIX_FLOOR * m times it, a resample
-# variance is rounding noise around zero (see _degenerate).
+# variance is rounding noise around zero (see _varied).
 _PREFIX_FLOOR = 4 * _EPS
 
 
@@ -106,16 +107,7 @@ class CovarianceStats:
 
     @property
     def det(self) -> float:
-        return self.c11 * self.c22 - _square(self.c12)
-
-
-def _square(c):
-    """c ** 2 rounded as CPython squares a float (libm pow), elementwise over an array.
-
-    numpy squares an array by multiplying, which rounds apart from pow in
-    about one square in 1200; a row of a stack must keep its pair's bits.
-    """
-    return np.array([v**2 for v in c.tolist()]) if np.ndim(c) else c**2
+        return self.c11 * self.c22 - self.c12 * self.c12
 
 
 @dataclass(frozen=True)
@@ -177,7 +169,6 @@ def _covariances(x1, x2, d1, d2) -> CovarianceStats:
     arrays are all this allocates.
     """
     m = x1.shape[-1]
-    floor11, floor22 = (_mean_rounding_floor(x) for x in (x1, x2))
     terms = [(x, x.mean(axis=-1, keepdims=True)) for x in (x1, x2, d1, d2)]
     work = np.empty((2, max(x.size for x, _ in terms)))
 
@@ -191,14 +182,26 @@ def _covariances(x1, x2, d1, d2) -> CovarianceStats:
         out = a if a.shape == np.broadcast_shapes(a.shape, b.shape) else b
         return np.add.reduce(np.multiply(a, b, out=out), axis=-1) / (m - 1)
 
-    c11, c12, c22, c1d1, c2d1, c1d2, c2d2, c_d1d1, c_d2d2 = (
-        total(s, t)
-        for s, t in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 2), (3, 3))
-    )
-    keep = _floor(_degenerate(c11, c22, floor11, floor22), DegenerateSeries,
-                  lambda: f"degenerate variance: c11={c11}, c22={c22}")
-    drift_terms = (c * keep for c in (c11, c12, c22, c1d1, c2d1, c1d2, c2d2))
-    return CovarianceStats(*drift_terms, m, c_d1d1 * keep, c_d2d2 * keep)
+    pairs = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 2), (3, 3))
+    c = [total(s, t) for s, t in pairs]
+    return _checked(CovarianceStats(*c[:7], m, *c[7:]), x1, x2)
+
+
+def _checked(cov: CovarianceStats, x1, x2) -> CovarianceStats:
+    """cov, the covariances of x1 and x2, if each of them and det is finite and
+    c11, c22 are above _mean_rounding_floor: else DegenerateSeries, or NaN rows (_floor)."""
+    keep = _finite("covariances", dict(vars(cov), det=cov.det))  # and m, which is finite
+    floors = (_mean_rounding_floor(x) for x in (x1, x2))
+    keep = keep * _floor(_varied(cov.c11, cov.c22, *floors), DegenerateSeries,
+                         lambda: f"degenerate variance: c11={cov.c11}, c22={cov.c22}")
+    return CovarianceStats(**{k: v * keep for k, v in vars(cov).items() if k != "m"}, m=cov.m)
+
+
+def _finite(what: str, values: dict):
+    """The factor of _floor() for values (name -> value), each of which must be finite."""
+    finite = np.logical_and.reduce(np.broadcast_arrays(*map(np.isfinite, values.values())))
+    return _floor(finite, DegenerateSeries, lambda: f"{what} not finite: " + ", ".join(
+        f"{k}={v}" for k, v in values.items() if not np.isfinite(v)))
 
 
 def _mean_rounding_floor(x: np.ndarray):
@@ -208,24 +211,25 @@ def _mean_rounding_floor(x: np.ndarray):
     m * eps * max|x|, so a constant series centres to values no larger and
     its variance comes out no larger than the square. One floor per row.
     """
-    return _square(x.shape[-1] * _EPS * np.maximum(x.max(axis=-1), -x.min(axis=-1)))
+    error = x.shape[-1] * _EPS * np.maximum(x.max(axis=-1), -x.min(axis=-1))
+    return error * error
 
 
-def _floor(bad, error, message):
-    """1.0 where a numerical floor holds; NaN in the rows of a stack that fail it (bad).
+def _floor(ok, error, message):
+    """1.0 where a numerical floor holds (ok); NaN in the rows of a stack that fail it.
 
     One pair that fails raises error(message()) instead. A failing row of a
     stack stays NaN through every later step, so its significance flags are False.
     """
-    if np.ndim(bad):
-        return np.where(bad, np.nan, 1.0)
-    if bad:
+    if np.ndim(ok):
+        return np.where(ok, 1.0, np.nan)
+    if not ok:
         raise error(message())
     return 1.0
 
 
-def _degenerate(c11, c22, floor11, floor22):
-    """Whether a variance is at or below its floor (elementwise over a batch).
+def _varied(c11, c22, floor11, floor22):
+    """Whether both variances are above their floors (elementwise over a batch).
 
     The floors are the rounding error of the path that computed c11, c22: for
     covariances() that of the centring (_mean_rounding_floor), for bootstrap
@@ -233,20 +237,23 @@ def _degenerate(c11, c22, floor11, floor22):
     their prefix sums. A constant series need not give an exactly zero
     variance on either path.
     """
-    return (c11 <= floor11) | (c22 <= floor22)
+    return (c11 > floor11) & (c22 > floor22)
 
 
-def _collinear(cov: CovarianceStats):
-    """Whether det is below the collinearity floor (elementwise over a batch)."""
-    return cov.det <= DET_FLOOR * cov.c11 * cov.c22
+def _independent(cov: CovarianceStats):
+    """Whether det is above the collinearity floor (elementwise over a batch)."""
+    return cov.det > DET_FLOOR * cov.c11 * cov.c22
 
 
 def _checked_drift(cov: CovarianceStats) -> tuple[float, float, float, float, float]:
-    """_drift() under the collinearity floor: CollinearSeries, or NaN rows (_floor)."""
-    keep = _floor(_collinear(cov), CollinearSeries,
+    """_drift() under the collinearity floor and finite: CollinearSeries or
+    DegenerateSeries, or NaN rows (_floor)."""
+    keep = _floor(_independent(cov), CollinearSeries,
                   lambda: f"covariance determinant {cov.det} below the collinearity floor")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return tuple(v * keep for v in _drift(cov))
+        drift = _drift(cov)
+    keep = keep * _finite("drift", dict(zip(("det", "a11", "a12", "a21", "a22"), drift)))
+    return tuple(v * keep for v in drift)
 
 
 def _drift(cov: CovarianceStats) -> tuple[float, float, float, float, float]:
@@ -285,16 +292,8 @@ def fit_mle(pair: AlignedPair, cov: CovarianceStats) -> ModelEstimate:
     q1 = _residual_sum(cov.c_d1d1, a11 * cov.c1d1 + a12 * cov.c2d1, cov.m)
     q2 = _residual_sum(cov.c_d2d2, a21 * cov.c1d2 + a22 * cov.c2d2, cov.m)
     dt = pair.dt
-    return ModelEstimate(
-        f1_hat=f1,
-        f2_hat=f2,
-        a11_hat=a11,
-        a12_hat=a12,
-        a21_hat=a21,
-        a22_hat=a22,
-        b1_hat=np.sqrt(q1 * dt / pair.m),
-        b2_hat=np.sqrt(q2 * dt / pair.m),
-    )
+    return ModelEstimate(f1, f2, a11, a12, a21, a22,
+                         np.sqrt(q1 * dt / pair.m), np.sqrt(q2 * dt / pair.m))
 
 
 def _residual_sum(c_dd, explained, m):
@@ -341,8 +340,8 @@ def z_quantile(alpha: float) -> float:
 
 
 def _checked_noise(b):
-    """The factor of _floor() for a residual noise level b, which must be positive."""
-    return _floor(~np.isfinite(b) | (b <= 0), SingularFisher,
+    """The factor of _floor() for a residual noise level b, which must be positive and finite."""
+    return _floor((b > 0) & (b < np.inf), SingularFisher,
                   lambda: f"residual noise estimate b={b}; no likelihood curvature scale")
 
 
@@ -433,7 +432,7 @@ def bootstrap_ci(
     collinear series are discarded and redrawn; the count is reported in
     n_discarded, and the block length used in block_len. A resample variance
     is degenerate at or below _PREFIX_FLOOR * m times the full-sample one,
-    the rounding error of the prefix sums it comes from (see _degenerate).
+    the rounding error of the prefix sums it comes from (see _varied).
     Deterministic for a fixed seed.
 
     A resample's covariances need only its sums S_a of the four series,
@@ -466,8 +465,7 @@ def bootstrap_ci(
 
     t21, t12 = flow(cov)
 
-    t21s = np.empty(n_boot)
-    t12s = np.empty(n_boot)
+    t21s, t12s = np.empty(n_boot), np.empty(n_boot)
     n_discarded = 0
     n_blocks = -(-m // block_len)
     if n_blocks == 1:
@@ -492,9 +490,9 @@ def bootstrap_ci(
             starts = sums.draw(rng, k)
             draws += k
             boot = sums.covariances(starts)
-            keep = ~(_degenerate(boot.c11, boot.c22, *floors) | _collinear(boot))
             with np.errstate(divide="ignore", invalid="ignore"):
-                b21, b12 = flow(boot)
+                b21, b12 = flow(boot)  # NaN where a floor of _checked_drift fails
+            keep = _varied(boot.c11, boot.c22, *floors) & np.isfinite(b21) & np.isfinite(b12)
             n_keep = int(keep.sum())
             t21s[i : i + n_keep] = b21[keep]
             t12s[i : i + n_keep] = b12[keep]

@@ -4,8 +4,8 @@ Each unmasked cell is paired with the index series and run through the
 two-series pipeline (align, covariances, MLE, Fisher intervals) as one row of
 a stack of cells; each row gives the bits of its own pair pipeline, so a
 single-cell grid reproduces the pair pipeline bitwise. Cells whose series are
-degenerate are reported as missing (NaN flow, significance False) without
-aborting the map.
+degenerate, or whose covariances are not finite, are reported as missing
+(NaN flow, significance False) without aborting the map.
 
 Grid storage is a plain-text trio:
 

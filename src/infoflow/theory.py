@@ -168,8 +168,9 @@ def analytic_flows(model: LinearModel2D, sigma: np.ndarray) -> tuple:
     """Analytic flow rates (t21, t12) for a covariance, or per covariance of a (n, 2, 2) stack."""
     sigma = np.asarray(sigma, dtype=float)
     s11, s12, s22 = sigma[..., 0, 0], sigma[..., 0, 1], sigma[..., 1, 1]
-    bad = np.flatnonzero((s11 <= 0) | (s22 <= 0))
-    if bad.size:
-        s11, s22 = np.ravel(s11)[bad[0]], np.ravel(s22)[bad[0]]
+    positive = (s11 > 0) & (s22 > 0)  # which a NaN fails
+    if not positive.all():
+        first = np.argmin(positive)  # the first covariance that fails
+        s11, s22 = np.ravel(s11)[first], np.ravel(s22)[first]
         raise DegenerateVariance(f"variances must be positive, got s11={s11}, s22={s22}")
     return s12 / s11 * model.a[0, 1], s12 / s22 * model.a[1, 0]

@@ -7,15 +7,12 @@ import functools
 import numpy as np
 from scipy import linalg
 
-from infoflow.errors import DegenerateSeries
 from infoflow.estimator import (
     CovarianceStats,
     ModelEstimate,
+    _checked,
     _checked_drift,
     _checked_noise,
-    _degenerate,
-    _floor,
-    _mean_rounding_floor,
 )
 from infoflow.series import _dot
 
@@ -25,7 +22,6 @@ def covariances_four_arrays(x1, x2, d1, d2) -> CovarianceStats:
     centred at a time and the products alive at once: the reference for the
     two work arrays of estimator._covariances, which must give its bits."""
     m = x1.shape[-1]
-    floor11, floor22 = (_mean_rounding_floor(x) for x in (x1, x2))
     w1, w2 = (x - x.mean(axis=-1, keepdims=True) for x in (x1, x2))
     sums = [_dot(w1, w1), _dot(w1, w2), _dot(w2, w2)]
     squares = []
@@ -36,10 +32,8 @@ def covariances_four_arrays(x1, x2, d1, d2) -> CovarianceStats:
     c11, c12, c22, c1d1, c2d1, c1d2, c2d2, c_d1d1, c_d2d2 = (
         s / (m - 1) for s in sums + squares
     )
-    keep = _floor(_degenerate(c11, c22, floor11, floor22), DegenerateSeries,
-                  lambda: f"degenerate variance: c11={c11}, c22={c22}")
-    drift_terms = (c * keep for c in (c11, c12, c22, c1d1, c2d1, c1d2, c2d2))
-    return CovarianceStats(*drift_terms, m, c_d1d1 * keep, c_d2d2 * keep)
+    cov = CovarianceStats(c11, c12, c22, c1d1, c2d1, c1d2, c2d2, m, c_d1d1, c_d2d2)
+    return _checked(cov, x1, x2)
 
 
 def fit_mle_whole_residuals(pair, cov) -> ModelEstimate:

@@ -537,6 +537,16 @@ ERRORS = [
     _error("analyze_noiseless", [*ANALYZE, "--dt", "0.001"], 3,
            "SingularFisher: residual noise estimate b=0.0",
            {"pair.csv": "x1,x2\n" + _rows(_noiseless_path())}),
+    # units at the ends of the float range: a covariance that is not finite is named
+    *(_error(f"analyze_overflow_{cols}_{ci}", [*ANALYZE, "--ci", ci], 3,
+             f"DegenerateSeries: covariances not finite: c11=inf, {named}",
+             {"pair.csv": "x1,x2\n" + _rows(_walk(60, 31) * scale)})
+      for cols, scale, named in (("x1", [1e160, 1.0], "c1d1=nan, c_d1d1=inf, det=nan"),
+                                 ("both", 1e160, "c12=nan, c22=inf"))
+      for ci in ("fisher", "bootstrap")),
+    _error("analyze_dt_underflow", [*ANALYZE, "--dt", "1e-320"], 3,
+           "DegenerateSeries: covariances not finite: c1d1=nan, c2d1=nan, c1d2=nan, c2d2=nan, "
+           "c_d1d1=nan, c_d2d2=nan", {"pair.csv": PAIR}),
     # theory
     _error("theory_t_end_inf", [*THEORY, "--t-end", "inf"], 2,
            "ValueError: t_end and dt must be finite and dt positive, got inf, 0.001"),
@@ -633,6 +643,17 @@ ERRORS = [
     _error("map_out_dir_under_file", [*MAP, "--out-dir", "index.csv/out"], 2,
            "InputError: cannot write index.csv/out: [Errno 20] Not a directory: 'index.csv/out'",
            GRID_FILES),
+    # and found before any input is read: here every input is absent
+    _error("analyze_absent_input_unwritable_output", [*ABSENT, "--output", "nodir/out.json"], 2,
+           "InputError: cannot write nodir/out.json: [Errno 2] No such file or directory: "
+           "'nodir/out.json'"),
+    _error("simulate_absent_config_unwritable_out",
+           [*SIMULATE, "--config", "absent.cfg", "--out", "blocker/out.csv"], 2,
+           "InputError: cannot write blocker/out.csv: [Errno 20] Not a directory: 'blocker/out.csv'",
+           {"blocker": "a regular file"}),
+    _error("map_absent_inputs_out_dir_under_file", [*MAP, "--out-dir", "blocker/a/b"], 2,
+           "InputError: cannot write blocker/a/b: [Errno 20] Not a directory: 'blocker/a/b'",
+           {"blocker": "a regular file"}),
 ]
 
 

@@ -318,6 +318,15 @@ class TestFlow:
         with pytest.raises(CollinearSeries):
             flow(covariances(pair))
 
+    def test_overflowing_determinant_raises(self):
+        # at 1e80 the covariances are about 1e160, finite, and c11 * c22 overflows:
+        # det = inf - inf is NaN, which must fail its floor and be named
+        rng = np.random.default_rng(20)
+        pair = make_pair(*1e80 * np.cumsum(rng.standard_normal((2, 500)), axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateSeries, match=r"^covariances not finite: det=nan$"):
+                flow(covariances(pair))
+
 
 class TestFlowNonstationary:
     @staticmethod
@@ -672,7 +681,7 @@ class TestBootstrap:
         # x1 varies only through row 0, so only the resamples that hold row 0
         # are not degenerate; 24 of the 10 * n_boot draws are too few. The
         # constant resamples come out of the prefix sums as rounding noise,
-        # above _VAR_FLOOR for first=5 and rest=0.1, and must still be
+        # above _PREFIX_FLOOR for first=5 and rest=0.1, and must still be
         # discarded
         rng = np.random.default_rng(24)
         x1 = np.r_[first, np.full(100, rest)]

@@ -178,6 +178,29 @@ class TestMapFlows:
         assert np.isfinite(fm.t_index_to_field[0, 0])
         assert_cells_equal_pair_pipeline(index, bad, fm)
 
+    def test_overflowing_cell_becomes_missing(self):
+        index, field = noise_fixture(seed=5)
+        values = field.values.copy()
+        values[:, 1, 2] *= 1e160  # its variance overflows to inf
+        scaled = GridField(values=values, dt=DT, mask=field.mask)
+        with np.errstate(all="ignore"):
+            fm = map_flows(index, scaled)
+            assert_cells_equal_pair_pipeline(index, scaled, fm)
+        assert np.isnan(fm.t_index_to_field[1, 2]) and np.isnan(fm.t_field_to_index[1, 2])
+        others = np.ones((N_LAT, N_LON), dtype=bool)
+        others[1, 2] = False
+        fm_plain = map_flows(index, field)
+        assert np.array_equal(fm.t_index_to_field[others], fm_plain.t_index_to_field[others])
+        assert np.array_equal(fm.t_field_to_index[others], fm_plain.t_field_to_index[others])
+
+    def test_overflowing_index_leaves_every_cell_missing(self):
+        index, field = noise_fixture(seed=5)
+        with np.errstate(all="ignore"):
+            fm = map_flows(TimeSeries(index.values * 1e160, DT), field)
+        assert np.isnan(fm.t_index_to_field).all() and np.isnan(fm.t_field_to_index).all()
+        assert not fm.significant_index_to_field.any()
+        assert not fm.significant_field_to_index.any()
+
     def test_all_masked_grid(self):
         index, field = noise_fixture(seed=9)
         masked = GridField(values=field.values, dt=DT, mask=np.zeros((N_LAT, N_LON), dtype=bool))

@@ -127,9 +127,10 @@ class TestAnalyticFlows:
         assert t_fast[0] == pytest.approx(k * t_base[0], rel=1e-10)
         assert t_fast[1] == pytest.approx(k * t_base[1], abs=1e-15)
 
-    def test_degenerate_variance(self):
-        with pytest.raises(DegenerateVariance):
-            analytic_flows(reference_model(), np.array([[0.0, 0.0], [0.0, 1.0]]))
+    @pytest.mark.parametrize("s11", [0.0, np.nan])
+    def test_degenerate_variance(self, s11):
+        with pytest.raises(DegenerateVariance, match=f"s11={s11}, s22=1.0"):
+            analytic_flows(reference_model(), np.array([[s11, 0.0], [0.0, 1.0]]))
 
     def test_stack_matches_single_covariances_bitwise(self):
         rng = np.random.default_rng(33)
@@ -141,9 +142,10 @@ class TestAnalyticFlows:
         for k, sigma in enumerate(stack):
             assert (t21[k], t12[k]) == analytic_flows(model, sigma)
 
-    def test_stack_with_one_degenerate_covariance(self):
-        stack = np.array([np.eye(2), [[1.0, 0.0], [0.0, -0.0]], np.eye(2)])
-        with pytest.raises(DegenerateVariance, match="s22=-0.0"):
+    @pytest.mark.parametrize("s22", [-0.0, np.nan])
+    def test_stack_with_one_degenerate_covariance(self, s22):
+        stack = np.array([np.eye(2), [[1.0, 0.0], [0.0, s22]], np.eye(2)])
+        with pytest.raises(DegenerateVariance, match=f"s11=1.0, s22={s22}"):
             analytic_flows(reference_model(), stack)
 
 

@@ -23,6 +23,11 @@ seed-149 reference path, m = 100,000 aligned rows:
                        directory; also records the tracemalloc peak of one
                        untimed call after a warm-up (peak_mb, in units of
                        10^6 bytes)
+    load_csv_wide      load_csv of x1 and x2 from the path's 100,001 rows in
+                       perfbench's pair layout, t,x1,station,x2,x3: a text
+                       column "S00".."S39" and a float column x3, both
+                       drawn from seed 149 and never read, so that each
+                       line's cell count is checked; also records peak_mb
     load_csv_500k      load_csv of a 500,001-row path of the same model and
                        seed, 500,000 steps, written the same way; also
                        records peak_mb
@@ -139,6 +144,22 @@ def load_csv_stage(pair, name="path.csv"):
     return {"rows": len(rows), "peak_mb": traced_peak_mb(run)}, run
 
 
+def load_csv_wide_stage(pair):
+    path = os.path.join(work_dir().name, "wide.csv")
+    rng = np.random.default_rng(149)
+    rows = path_rows(pair)
+    station, x3 = rng.integers(0, 40, len(rows)).tolist(), rng.standard_normal(len(rows)).tolist()
+    with open(path, "w") as out:
+        out.write("t,x1,station,x2,x3\n")
+        out.writelines("%.17g,%.17g,S%02d,%.17g,%.17g\n" % (t, x1, code, x2, other)
+                       for (t, x1, x2), code, other in zip(rows.tolist(), station, x3))
+
+    def run():
+        return load_csv(path, "x1", "x2", pair.dt)
+
+    return {"rows": len(rows), "peak_mb": traced_peak_mb(run)}, run
+
+
 def load_csv_500k_stage(pair):
     x1, x2 = simulate(SimConfig(reference_model(), (1.0, 2.0), 1e-3, 500_000, 149))
     return load_csv_stage(align(x1, x2), "path_500k.csv")
@@ -234,6 +255,7 @@ def simulate_stage(kernel):
 STAGES = {
     "reference": reference_stage,
     "load_csv": load_csv_stage,
+    "load_csv_wide": load_csv_wide_stage,
     "load_csv_500k": load_csv_500k_stage,
     "align": align_stage,
     "analyze_core": analyze_core_stage,

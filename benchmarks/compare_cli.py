@@ -19,6 +19,10 @@ other routes: a file with a comment line and a quoted cell (the row scan),
 one with a bad cell (exit 2, naming its row), a 2.4 MB simulate output, and
 a 2.4 MB file with comment lines of multi-byte UTF-8 characters throughout
 (both cut into byte ranges parsed in parallel where two CPUs are available).
+Three more drive the reader's line ends and cell checks: a file whose last
+line has no newline, a file with bare-CR line ends (the row scan), and a
+3.0 MB file in the layout t,x1,station,x2,x3 whose last column is not read
+(cut into byte ranges, each line's commas checked).
 Two more read inputs with non-ASCII names, which their manifests record: a
 simulate config and a copy of the row-scan file. Three more map calls read
 grids whose values file differs from the first map's in one row: a quoted
@@ -67,6 +71,14 @@ COMMANDS = {
     "simulate_long": ["simulate", "--steps", "40000", "--seed", "7", "--out", "long.csv"],
     "analyze_split": ["analyze", "--input", "long.csv", *REF, "--output", "split.json"],
     "analyze_utf8_split": ["analyze", "--input", "utf8.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
+    "analyze_no_final_newline": [
+        "analyze", "--input", "no_newline.csv", "--x1", "a", "--x2", "b", "--dt", "1",
+    ],
+    "analyze_bare_cr": ["analyze", "--input", "cr.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
+    "analyze_wide_split": [
+        "analyze", "--input", "wide.csv", "--x1", "x1", "--x2", "x2", "--dt", "0.001",
+        "--output", "wide.json",
+    ],
     "simulate_config_utf8": ["simulate", "--config", "réglage.cfg", "--out", "config_utf8.csv"],
     "analyze_utf8_name": ["analyze", "--input", "données.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
     "map": ["map", "--index", "index.csv", "--grid-manifest", "grid.csv", "--out-dir", "maps"],
@@ -106,6 +118,10 @@ def write_inputs(work: str) -> None:
     shutil.copyfile(os.path.join(work, "odd.csv"), os.path.join(work, "données.csv"))
     with open(os.path.join(work, "overflow.csv"), "w") as fh:
         fh.write("a,b\n" + "".join(f"{a * 1e160!r},{b * 1e160!r}\n" for a, b in walk))
+    with open(os.path.join(work, "no_newline.csv"), "w") as fh:
+        fh.write("a,b\n" + "\n".join(f"{a!r},{b!r}" for a, b in walk))
+    with open(os.path.join(work, "cr.csv"), "w", newline="") as fh:
+        fh.write("a,b\r" + "".join(f"{a!r},{b!r}\r" for a, b in walk))
     rows[50] = "0.5,n/a\n"
     with open(os.path.join(work, "bad.csv"), "w") as fh:
         fh.write("a,b\n" + "".join(rows))
@@ -115,6 +131,12 @@ def write_inputs(work: str) -> None:
         rows.insert(at, f"# relevé {at}: température °C, µ ✓\n")
     with open(os.path.join(work, "utf8.csv"), "w", encoding="utf-8") as fh:
         fh.write("a,b\n" + "".join(rows))
+    rng = np.random.default_rng(8)
+    walk = np.cumsum(rng.standard_normal((40000, 2)), axis=0).tolist()
+    with open(os.path.join(work, "wide.csv"), "w") as fh:
+        fh.write("t,x1,station,x2,x3\n")
+        fh.writelines("%.17g,%.17g,S%02d,%.17g,%.17g\n" % (i * 0.001, a, i % 40, b, i * 0.37)
+                      for i, (a, b) in enumerate(walk))
     rng = np.random.default_rng(21)
     n_time, n_lat, n_lon = 400, 4, 5
     index = np.cumsum(rng.standard_normal(n_time))

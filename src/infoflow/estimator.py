@@ -363,7 +363,8 @@ def fisher_ci(
 
     built from centred covariances only, so they do not depend on a constant
     offset of either series. se21 = |c12/c11| * sigma_a12 and
-    se12 = |c12/c22| * sigma_a21.
+    se12 = |c12/c22| * sigma_a21. A standard error that is not finite fails a
+    floor (_finite): DegenerateSeries for a pair, a NaN row of a stack.
 
     These standard errors treat the ratios c12/c11 and c12/c22 as fixed, so
     they miss the ratios' sampling noise. On the reference system of
@@ -380,9 +381,11 @@ def fisher_ci(
     drift = _checked_drift(cov)
     keep = _checked_noise(model.b1_hat) * _checked_noise(model.b2_hat)
     det, _, a12, a21, _ = (v * keep for v in drift)
+    # dt * (m-1) * det can underflow to 0 at the ends of the float range
     denom = pair.dt * (cov.m - 1) * det
-    sigma_a12 = model.b1_hat * np.sqrt(cov.c11 / denom)
-    sigma_a21 = model.b2_hat * np.sqrt(cov.c22 / denom)
+    with np.errstate(divide="ignore"):
+        sigma_a12 = model.b1_hat * np.sqrt(cov.c11 / denom)
+        sigma_a21 = model.b2_hat * np.sqrt(cov.c22 / denom)
     if star_window is None:
         r21 = cov.c12 / cov.c11
         r12 = cov.c12 / cov.c22
@@ -390,10 +393,10 @@ def fisher_ci(
     else:
         r21, r12 = _star_ratios(pair, star_window, detrend_star)
         variant = Variant.NONSTATIONARY_STAR
-    t21 = r21 * a12
-    t12 = r12 * a21
     se21 = abs(r21) * sigma_a12
     se12 = abs(r12) * sigma_a21
+    keep = _finite("standard errors", {"se21": se21, "se12": se12})
+    t21, t12, se21, se12 = r21 * a12 * keep, r12 * a21 * keep, se21 * keep, se12 * keep
     z = z_quantile(alpha)
     return FlowEstimate(
         t21=t21,

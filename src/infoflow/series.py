@@ -7,7 +7,6 @@ objects and is safe to share across concurrent tasks.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import os
 import signal
@@ -147,11 +146,14 @@ class StationaryWindow:
         return self.end_index - self.start_index
 
 
-# Data lines are parsed a chunk at a time, a chunk being the lines of one
-# fh.readlines(CHUNK_CHARS): about CHUNK_CHARS characters of text, whether
-# the lines are pair rows of tens of bytes or grid rows of tens of kilobytes.
-# Tables are written in chunks of at most CHUNK_CHARS characters.
+# Data lines are parsed a chunk at a time: a read chunk is one os.pread of at
+# most CHUNK_CHARS bytes, cut after its last newline, whether its lines are
+# pair rows of tens of bytes or grid rows of tens of kilobytes. Tables are
+# written in chunks of at most CHUNK_CHARS characters.
 CHUNK_CHARS = 1 << 19
+
+# every byte but "," and "\n": what bytes.translate deletes in _cells_match
+_NOT_COMMA_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b",\n")))
 
 # The data of a file is parsed as one byte range per available CPU, none
 # shorter than SPLIT_BYTES, the ranges after the first in forked children
@@ -164,11 +166,6 @@ SPLIT_BYTES = 1 << 20
 def _data_lines(lines):
     """The data lines among `lines`: neither blank nor a whole-line '#' comment."""
     return (line for line in lines if (text := line.strip()) and text[0] != "#")
-
-
-def _size(text: str) -> int:
-    """The length of text in UTF-8 bytes, the encoding every input is read in."""
-    return len(text) if text.isascii() else len(text.encode())
 
 
 def _open_input(path):
@@ -204,59 +201,62 @@ def _loadtxt(chunk, usecols, ncols: int):
     return block if block.shape == (len(chunk), ncols) else None
 
 
+def _cells_match(data: bytes, width: int) -> bool:
+    """Whether every line of data, each newline-ended but perhaps the last,
+    holds width - 1 commas: one bytes pass over data."""
+    cells = data.translate(None, _NOT_COMMA_OR_NEWLINE)
+    rows = (b"," * (width - 1) + b"\n") * cells.count(b"\n")
+    return cells == (rows if data.endswith(b"\n") else rows + b"," * (width - 1))
+
+
 def _read_blocks(fh, start: int, end: int, usecols, width: int, finite: bool):
     """Parse the data lines of fh, rows of width cells, into float arrays.
 
     Reads the lines from byte offset start to byte offset end, both line
-    starts, a chunk at a time: the lines of one fh.readlines(CHUNK_CHARS),
-    less those at or past end. Yields their rows in order, one block of rows
-    per chunk, each of the columns usecols (every column if None).
+    starts, a chunk at a time: one os.pread of up to CHUNK_CHARS bytes, cut
+    after its last newline unless it reaches end (a longer line is a chunk
+    of its own, unless a bare CR, which the row scan alone reads, ends a line
+    first), decoded as UTF-8 and split on newlines. Yields the rows in order,
+    one block per chunk, of the columns usecols (all if None).
 
-    A chunk of lines whose text holds no '#' and no quote goes to np.loadtxt
-    as it is. Numpy skips empty lines and rejects whitespace-only ones, so if
-    such a chunk holds a line that is not data, its result fails the shape
-    check; then, as for every other chunk, its data lines alone are converted.
-    The first chunk whose data lines hold a quote (csv quoting: a quoted cell
-    may hold a comma or a line break), that numpy rejects, whose result has
-    the wrong shape, whose lines hold other than width - 1 commas each or (if
-    finite) a non-finite value needs the row scan (see _pieces), and the
-    read stops before it.
+    A chunk that holds no '#' and no quote goes to np.loadtxt as it is. Numpy
+    skips empty lines and rejects whitespace-only ones, so if such a chunk
+    holds a line that is not data, its result fails the shape check; then, as
+    for every other chunk, its data lines alone are converted. The first chunk
+    whose data lines hold a quote (csv quoting: a quoted cell may hold a comma
+    or a line break), that numpy rejects, whose result has the wrong shape,
+    whose lines do not each hold width - 1 commas (numpy reads usecols from a
+    row with more cells, or fewer that hold them) or (if finite) a non-finite
+    value needs the row scan (see _pieces); the read stops before it.
 
     Returns (stop, row): the byte offset of the chunk the read stopped at
-    (None if it read the whole range), and the number of the next row,
-    counted from 1 at start.
+    (None if it read the whole range) and the next row's number, from 1 at start.
     """
     ncols = width if usecols is None else len(usecols)
-    # numpy reads the columns usecols of a row with more cells than width,
-    # and of a row with fewer that still holds them. Unless usecols holds the
-    # last column, rows of both kinds can balance a chunk's comma total, so
-    # then each line's commas are counted.
-    per_line = usecols is not None and width - 1 not in usecols
-    commas = itertools.repeat(",")
-    row = 1
-    fh.seek(start)
-    while start < end and (chunk := fh.readlines(CHUNK_CHARS)):
-        text = "".join(chunk)
-        at, start = start, start + _size(text)
-        if start > end:  # the lines past end are the next range's
-            while start > end:
-                start -= _size(chunk.pop())
-            text = "".join(chunk)
-        # numpy warns on a chunk of blank lines alone
-        plain = not ("#" in text or '"' in text or text.isspace())
+    fd, row = fh.fileno(), 1
+    while start < end:
+        data = os.pread(fd, min(CHUNK_CHARS, end - start), start)
+        cut = len(data) if len(data) == end - start else data.rfind(b"\n") + 1
+        while not cut and b"\r" not in data and (
+                more := os.pread(fd, min(len(data), end - start - len(data)), start + len(data))):
+            data += more  # a longer line is read whole and alone, each read doubling it
+            cut = data.find(b"\n") + 1 or (len(data) if len(data) == end - start else 0)
+        if not cut:
+            return start, row
+        at, start, data = start, start + cut, data[:cut]
+        plain = not (b"#" in data or b'"' in data or data.isspace())  # numpy warns on blanks alone
+        plain = plain and (usecols is None or _cells_match(data, width))
+        text, data = data.decode(), None  # the bytes are dropped before numpy converts
+        chunk = text.split("\n")[: -1 if text.endswith("\n") else None]
         block = _loadtxt(chunk, usecols, ncols) if plain else None
         if block is None:
             chunk = list(_data_lines(chunk))
             if not chunk:
                 continue
-            text = "".join(chunk)
-            block = None if '"' in text else _loadtxt(chunk, usecols, ncols)
-        if (
-            block is None
-            or (per_line and set(map(str.count, chunk, commas)) != {width - 1})
-            or (usecols is not None and text.count(",") != len(chunk) * (width - 1))
-            or (finite and not np.isfinite(block).all())
-        ):
+            text = "\n".join(chunk)
+            good = '"' not in text and (usecols is None or _cells_match(text.encode(), width))
+            block = _loadtxt(chunk, usecols, ncols) if good else None
+        if block is None or (finite and not np.isfinite(block).all()):
             return at, row
         yield block
         row += len(chunk)
@@ -461,7 +461,7 @@ def _header_columns(path, fh, names) -> tuple[dict[str, int], int, int]:
     def counted():
         nonlocal end
         for line in fh:
-            end += _size(line)
+            end += len(line.encode())  # in UTF-8, the encoding every input is read in
             yield line
 
     header = next(csv.reader(_data_lines(counted())), None)

@@ -544,6 +544,10 @@ ERRORS = [
       for cols, scale, named in (("x1", [1e160, 1.0], "c1d1=nan, c_d1d1=inf, det=nan"),
                                  ("both", 1e160, "c12=nan, c22=inf"))
       for ci in ("fisher", "bootstrap")),
+    # dt * (m-1) * det underflows to 0.0: the standard errors are not finite
+    _error("analyze_se_underflow", [*ANALYZE, "--dt", "1e-150"], 3,
+           "DegenerateSeries: standard errors not finite: se21=inf, se12=inf",
+           {"pair.csv": "x1,x2\n" + _rows(_walk(200, 33) * 1e-60)}),
     _error("analyze_dt_underflow", [*ANALYZE, "--dt", "1e-320"], 3,
            "DegenerateSeries: covariances not finite: c1d1=nan, c2d1=nan, c1d2=nan, c2d2=nan, "
            "c_d1d1=nan, c_d2d2=nan", {"pair.csv": PAIR}),

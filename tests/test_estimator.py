@@ -519,6 +519,32 @@ class TestFisherCi:
         est = fisher_ci(noisy, model, cov)
         assert 0 < est.se21 < 1e-6 and 0 < est.se12 < 1e-6
 
+    def test_standard_errors_that_are_not_finite_fail_a_floor(self):
+        # at dt = 1e-150 a walk scaled by 1e-60 has dt * (m-1) * det == 0.0,
+        # so its standard errors would be inf: its pair raises and its row of
+        # a stack is NaN; the other rows keep the bits of their own pairs
+        rng = np.random.default_rng(41)
+        dt, scales = 1e-150, (1e-20, 1e-60, 1e-30)
+        walks = [np.cumsum(rng.standard_normal((2, 200)), axis=1) * s for s in scales]
+        stack = align(*(TimeSeries(np.stack([w[i] for w in walks]), dt) for i in (0, 1)))
+        cov = covariances(stack)
+        est = fisher_ci(stack, fit_mle(stack, cov), cov)
+        for k, walk in enumerate(walks):
+            pair = align(TimeSeries(walk[0], dt), TimeSeries(walk[1], dt))
+            cov_k = covariances(pair)
+            model_k = fit_mle(pair, cov_k)
+            if k == 1:
+                with pytest.raises(DegenerateSeries, match="standard errors not finite: se21=inf, se12=inf"):
+                    fisher_ci(pair, model_k, cov_k)
+                assert np.isnan([est.t21[k], est.t12[k], est.se21[k], est.se12[k],
+                                 *(bound[k] for bound in (*est.ci21, *est.ci12))]).all()
+                assert not (est.significant21()[k] or est.significant12()[k])
+                continue
+            est_k = fisher_ci(pair, model_k, cov_k)
+            for name in ("t21", "t12", "se21", "se12"):
+                assert getattr(est, name)[k] == getattr(est_k, name)
+            assert [bound[k] for bound in (*est.ci21, *est.ci12)] == [*est_k.ci21, *est_k.ci12]
+
     def test_alpha_validation(self):
         rng = np.random.default_rng(15)
         pair = random_walk_pair(rng)

@@ -88,14 +88,16 @@ class TestLoadCsv:
         with pytest.raises(EmptyFile):
             load_csv(write_csv(tmp_path, "x1,x2\n", name="d2.csv"), "x1", "x2", dt=1.0)
 
-    def test_memory_holds_the_blocks_and_one_table(self, tmp_path):
+    @pytest.mark.parametrize("header", ["t,x1,x2", "t,x1,x2,x3"])
+    def test_memory_holds_the_blocks_and_one_table(self, tmp_path, header):
         # at the peak, the parsed blocks and the (2, n) table whose rows both
-        # series keep: four columns of n, and at most one chunk of text
+        # series keep: four columns of n, and at most one chunk of text; the
+        # same when the last column is not read and each line's commas are checked
         n = 100_000
         path = str(tmp_path / "large.csv")
         with open(path, "w") as fh:
-            fh.write("t,x1,x2\n")
-            series._write_rows(fh, np.random.default_rng(37).standard_normal((n, 3)))
+            fh.write(header + "\n")
+            series._write_rows(fh, np.random.default_rng(37).standard_normal((n, header.count(",") + 1)))
         load_csv(path, "x1", "x2", dt=1.0)  # warm-up: lazy imports
         tracemalloc.start()
         try:
@@ -114,10 +116,10 @@ def _planted(token, row, column="x2", n_rows=10):
     return "t,x1,x2\n" + "".join(",".join(r) + "\n" for r in rows)
 
 
-# The chunk sizes, in characters, at which the chunked parse is compared with
-# the row scan. At 1 a read takes one line. A read stops once its lines pass
-# 50 characters, so the ten data rows of _planted fall in chunks 1-3, 4-6,
-# 7-9 and 10.
+# The chunk sizes, in bytes, at which the chunked parse is compared with the
+# row scan. At 1 a read takes one line. A read of 50 bytes takes the lines
+# that end within them, so the ten data rows of _planted fall in chunks 1-2,
+# 3, 4-5, 6, 7-8 and 9-10.
 CHUNKINGS = (1, 50)
 
 DIFFERENTIAL_BODIES = {
@@ -140,6 +142,13 @@ DIFFERENTIAL_BODIES = {
     "many chunks": "x1,x2\n" + "".join(f"{i * 0.37!r},{i * -1.1e-7!r}\n" for i in range(50)),
     # rows 1-3 hold 9 commas, as three rows of four cells do
     "ragged rows that balance": "t,x1,x2,x3\n0,1,2,3,9\n1,3,4\n2,5,6,7\n3,7,8,9\n",
+    # the last line has no newline; x3 is never read
+    "no newline at the end": "x1,x2,x3\n1,2,3\n3,4,9\n5,6,7",
+    "no newline at the end, a cell short": "x1,x2,x3\n1,2,3\n3,4,9\n5,6",
+    "no newline at the end, a cell long": "x1,x2,x3\n1,2,3\n3,4,9\n5,6,7,8",
+    # line ends the row scan alone reads
+    "bare-CR line ends": "x1,x2\r1,2\r3,4\r5,6\r7,8\r9,10\r",
+    "mixed CR and LF line ends": "x1,x2\n1,2\r3,4\n5,6\r\n7,8\r9,10\n11,12\r",
 }
 for _token in ("nan", "inf", "n/a"):
     for _where, _row in (("first chunk", 2), ("middle chunk", 5), ("last chunk", 10),
@@ -198,8 +207,8 @@ class TestChunkedIngest:
             assert s1.values.tolist() == [1, 3, 5, 7, 9] and s2.values.tolist() == [2, 4, 6, 8, 10]
 
     # Every kind of line at every position of a 12-row file, read in chunks
-    # of one line or of about 30 characters (2-4 lines), so that each kind
-    # lands inside a chunk and on both edges of one.
+    # of one line or of at most 30 bytes (1-3 lines), so that each kind lands
+    # inside a chunk and on both edges of one.
     ODD_LINES = {
         "comment": "# note\n",
         "empty": "\n",
@@ -356,10 +365,11 @@ class TestSplitIngest:
         with open(path, newline="") as fh:
             assert series._ranges(fh, 7) == [(7, len(text))]
 
-    def test_memory_with_ranges_forced(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("header", ["t,x1,x2", "t,x1,x2,x3"])
+    def test_memory_with_ranges_forced(self, tmp_path, monkeypatch, header):
         monkeypatch.setattr(series, "SPLIT_BYTES", 1 << 16)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        TestLoadCsv().test_memory_holds_the_blocks_and_one_table(tmp_path)
+        TestLoadCsv().test_memory_holds_the_blocks_and_one_table(tmp_path, header)
         assert_no_child_left()
 
 

@@ -31,6 +31,10 @@ seed-149 reference path, m = 100,000 aligned rows:
     load_csv_500k      load_csv of a 500,001-row path of the same model and
                        seed, 500,000 steps, written the same way; also
                        records peak_mb
+    load_csv_row_scan  load_csv of the path's 100,001 rows written as for
+                       load_csv but with a bare CR ending every line, which
+                       the chunked parse leaves to the row-by-row parse;
+                       also records peak_mb
     align              align of the path's two series, which forms their
                        difference series; also records peak_mb
     analyze_core       covariances + fit_mle + fisher_ci, the estimator work
@@ -131,10 +135,10 @@ def reference_stage(pair):
     return {"values": values.size}, lambda: np.sort(values)
 
 
-def load_csv_stage(pair, name="path.csv"):
+def load_csv_stage(pair, name="path.csv", newline=None):
     path = os.path.join(work_dir().name, name)
     rows = path_rows(pair)
-    with open(path, "w") as out:
+    with open(path, "w", newline=newline) as out:
         out.write("t,x1,x2\n")
         _write_rows(out, rows)
 
@@ -163,6 +167,10 @@ def load_csv_wide_stage(pair):
 def load_csv_500k_stage(pair):
     x1, x2 = simulate(SimConfig(reference_model(), (1.0, 2.0), 1e-3, 500_000, 149))
     return load_csv_stage(align(x1, x2), "path_500k.csv")
+
+
+def load_csv_row_scan_stage(pair):
+    return load_csv_stage(pair, "path_cr.csv", newline="\r")
 
 
 def align_stage(pair):
@@ -257,6 +265,7 @@ STAGES = {
     "load_csv": load_csv_stage,
     "load_csv_wide": load_csv_wide_stage,
     "load_csv_500k": load_csv_500k_stage,
+    "load_csv_row_scan": load_csv_row_scan_stage,
     "align": align_stage,
     "analyze_core": analyze_core_stage,
     "bootstrap_ci": bootstrap_stage,

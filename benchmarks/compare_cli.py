@@ -32,6 +32,10 @@ result under a directory that does not exist (exit 2, naming the output).
 Two more run at the top of the float range: an analyze of a file scaled by
 1e160, whose covariances overflow (exit 3, naming them), and a map whose
 grid has one unmasked cell so scaled (exit 0, that cell missing).
+Two more read a byte that is not UTF-8 (exit 2): an analyze of a 2.4 MB file
+with one in a comment line of its second byte range (where two CPUs are
+available, a child stops there and the row-by-row parse names the byte), and
+a map whose mask file holds one.
 For each command the exit code, stdout and stderr are compared, and at the
 end every file in the working directory. Prints one line per command and one per file that
 differs, each difference followed by up to ten lines of its diff, and exits
@@ -97,6 +101,12 @@ COMMANDS = {
     "map_overflow_cell": [
         "map", "--index", "index.csv", "--grid-manifest", "grid_overflow.csv", "--out-dir", "overflow",
     ],
+    "analyze_not_utf8_split": [
+        "analyze", "--input", "not_utf8.csv", "--x1", "a", "--x2", "b", "--dt", "1",
+    ],
+    "map_mask_not_utf8": [
+        "map", "--index", "index.csv", "--grid-manifest", "grid_mask_not_utf8.csv", "--out-dir", "mask",
+    ],
     "validate": ["validate"],
 }
 
@@ -131,6 +141,9 @@ def write_inputs(work: str) -> None:
         rows.insert(at, f"# relevé {at}: température °C, µ ✓\n")
     with open(os.path.join(work, "utf8.csv"), "w", encoding="utf-8") as fh:
         fh.write("a,b\n" + "".join(rows))
+    rows.insert(len(rows) * 3 // 4, "# caf\udce9\n")  # the byte 0xe9 alone
+    with open(os.path.join(work, "not_utf8.csv"), "w", encoding="utf-8", errors="surrogateescape") as fh:
+        fh.write("a,b\n" + "".join(rows))
     rng = np.random.default_rng(8)
     walk = np.cumsum(rng.standard_normal((40000, 2)), axis=0).tolist()
     with open(os.path.join(work, "wide.csv"), "w") as fh:
@@ -146,6 +159,8 @@ def write_inputs(work: str) -> None:
         fh.write("t,index\n" + "".join(f"{i * 0.5!r},{v!r}\n" for i, v in enumerate(index.tolist())))
     with open(os.path.join(work, "mask.csv"), "w") as fh:
         fh.write("1,1,1,1,1\n1,1,1,1,1\n0,0,1,1,1\n1,1,1,1,1\n")
+    with open(os.path.join(work, "mask_not_utf8.csv"), "wb") as fh:
+        fh.write(b"1,1,1,1,1\n1,1,1,1,1\n# caf\xe9\n0,0,1,1,1\n1,1,1,1,1\n")
     rows = [",".join(map(repr, row)) + "\n" for row in values.tolist()]
     quoted, bad, nan = rows.copy(), rows.copy(), rows.copy()
     scaled = values.copy()
@@ -164,6 +179,9 @@ def write_inputs(work: str) -> None:
         with open(os.path.join(work, f"grid{suffix}.csv"), "w") as fh:
             fh.write(f"n_lat,{n_lat}\nn_lon,{n_lon}\nn_time,{n_time}\ndt,0.5\n")
             fh.write(f"values_file,vals{suffix}.csv\nmask_file,mask.csv\n")
+    with open(os.path.join(work, "grid_mask_not_utf8.csv"), "w") as fh:
+        fh.write(f"n_lat,{n_lat}\nn_lon,{n_lon}\nn_time,{n_time}\ndt,0.5\n")
+        fh.write("values_file,vals.csv\nmask_file,mask_not_utf8.csv\n")
 
 
 def run_checkout(src: str, work: str) -> tuple[dict, dict]:

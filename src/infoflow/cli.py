@@ -35,6 +35,7 @@ from .estimator import (
 )
 from .fieldmap import load_grid, map_flows, write_flow_maps
 from .series import (
+    _Lines,
     _open_input,
     _open_output,
     _write_rows,
@@ -58,7 +59,7 @@ def _sha256(path: str) -> str:
     """The digest of the input file at path (see series._open_input)."""
     digest = hashlib.sha256()
     with _open_input(path) as fh:
-        for chunk in iter(lambda: fh.buffer.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -252,7 +253,7 @@ def cmd_analyze(args) -> int:
 def _read_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     with _open_input(path) as fh:
-        for i, line in enumerate(fh, start=1):
+        for i, line in enumerate(_Lines(fh), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -39,6 +39,7 @@ from .errors import GridFormatError, InputError
 from .estimator import covariances, fisher_ci, fit_mle
 from .series import (
     TimeSeries,
+    _Lines,
     _data_lines,
     _fill,
     _freeze,
@@ -138,7 +139,7 @@ def map_flows(index: TimeSeries, field: GridField, alpha: float = 0.05) -> FlowM
 
 def _csv_rows(path) -> list[list[str]]:
     with _open_input(path) as fh:
-        return list(csv.reader(_data_lines(fh)))
+        return list(csv.reader(_data_lines(_Lines(fh))))
 
 
 def _read_mask(mask_path, n_lat: int, n_lon: int) -> np.ndarray:
@@ -210,7 +211,7 @@ def load_grid(manifest_path) -> GridField:
     # NonFiniteValue for the first in file order
     if bad:
         with _open_input(values_path) as fh:
-            _scan_rows(values_path, dict(zip(bad, bad)), n_cells, True, _data_lines(fh), 1)
+            _scan_rows(values_path, dict(zip(bad, bad)), n_cells, True, _data_lines(_Lines(fh)), 1)
     files = tuple(os.fspath(p) for p in (manifest_path, values_path, mask_path) if p is not None)
     return GridField(values=values, dt=dt, mask=mask, t0=t0, files=files)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import signal
 import stat
 from dataclasses import dataclass, field
@@ -146,11 +147,14 @@ class StationaryWindow:
         return self.end_index - self.start_index
 
 
-# Data lines are parsed a chunk at a time: a read chunk is one os.pread of at
-# most CHUNK_CHARS bytes, cut after its last newline, whether its lines are
-# pair rows of tens of bytes or grid rows of tens of kilobytes. Tables are
-# written in chunks of at most CHUNK_CHARS characters.
+# Every input is read a chunk at a time (see _chunk): one os.pread of at most
+# CHUNK_CHARS bytes, cut after its last line end, whether its lines are pair
+# rows of tens of bytes or grid rows of tens of kilobytes. Tables are written
+# in chunks of at most CHUNK_CHARS characters.
 CHUNK_CHARS = 1 << 19
+
+# a line end, bar a "\r" read last, which may start a "\r\n" (see _chunk)
+_LINE_END = re.compile(rb"\n|\r(?=[^\n])")
 
 # every byte but "," and "\n": what bytes.translate deletes in _cells_match
 _NOT_COMMA_OR_NEWLINE = bytes(sorted(set(range(256)) - set(b",\n")))
@@ -169,7 +173,8 @@ def _data_lines(lines):
 
 
 def _open_input(path):
-    """The input file at path, open as UTF-8 text with newline="".
+    """The input file at path, open in binary mode: read at byte offsets of
+    its descriptor (see _chunk), in forked children too, and as text by _Lines.
 
     Every input is opened here. It must be a regular file, since it is read
     at byte offsets and digested whole; that is checked before the open, so a
@@ -178,9 +183,48 @@ def _open_input(path):
     try:
         if not stat.S_ISREG(os.stat(path).st_mode):
             raise InputError(f"{path}: not a regular file")
-        return open(path, newline="", encoding="utf-8")
+        return open(path, "rb")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}")
+
+
+def _chunk(fh, at: int, end: int) -> bytes:
+    """The bytes of fh from byte offset at, a line start, to its last line end
+    within CHUNK_CHARS bytes, else to the end of a longer first line, read
+    whole in reads that double it, or else to end. Lines end as newline=""
+    ends them, at "\n", "\r\n" or "\r" but never inside a "\r\n", so a "\r"
+    read last ends none yet. A file that ends before end is an InputError."""
+    fd, size = fh.fileno(), end - at
+    data = os.pread(fd, min(CHUNK_CHARS, size), at)
+    cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, -1)) + 1
+    while not cut and len(data) < size:
+        if not (more := os.pread(fd, min(len(data), size - len(data)), at + len(data))):
+            raise InputError(f"{fh.name}: shorter than when it was opened")
+        data += more
+        cut = found.end() if (found := _LINE_END.search(data, len(data) - len(more) - 1)) else 0
+    return data[:cut] if cut else data
+
+
+class _Lines:
+    """The lines of fh from byte offset at, a line start, to its end, as csv
+    reads them: each chunk of _chunk split as newline="" splits it, each line
+    decoded as UTF-8 with its line end. at is the offset of the next line. A
+    byte that is not UTF-8 is an InputError naming the path and its offset."""
+
+    def __init__(self, fh, at: int = 0):
+        self.fh, self.at = fh, at
+
+    def __iter__(self):
+        size = os.fstat(self.fh.fileno()).st_size
+        while self.at < size:
+            for line in _chunk(self.fh, self.at, size).splitlines(keepends=True):
+                try:
+                    text = line.decode()
+                except UnicodeDecodeError as exc:
+                    raise InputError(f"{self.fh.name}: byte 0x{line[exc.start]:02x} at offset "
+                                     f"{self.at + exc.start} is not UTF-8")
+                self.at += len(line)
+                yield text
 
 
 def _open_output(path):
@@ -191,14 +235,14 @@ def _open_output(path):
         raise InputError(f"cannot write {path}: {exc}")
 
 
-def _loadtxt(chunk, usecols, ncols: int):
-    """Convert a chunk with one np.loadtxt call, or None if numpy rejects it
+def _loadtxt(lines, usecols, ncols: int):
+    """Convert lines with one np.loadtxt call, or None if numpy rejects them
     or its result is not one row of ncols values per line."""
     try:
-        block = np.loadtxt(chunk, delimiter=",", usecols=usecols, comments=None, dtype=float, ndmin=2)
+        block = np.loadtxt(lines, delimiter=",", usecols=usecols, comments=None, dtype=float, ndmin=2)
     except ValueError:
         return None
-    return block if block.shape == (len(chunk), ncols) else None
+    return block if block.shape == (len(lines), ncols) else None
 
 
 def _cells_match(data: bytes, width: int) -> bool:
@@ -209,57 +253,58 @@ def _cells_match(data: bytes, width: int) -> bool:
     return cells == (rows if data.endswith(b"\n") else rows + b"," * (width - 1))
 
 
+def _parse_chunk(fh, at: int, end: int, usecols, width: int, finite: bool):
+    """(the offset after the chunk of _chunk at at, the rows of its data
+    lines, width cells each, as one float array of the columns usecols, all
+    if None, or None if the chunk needs the row scan).
+
+    A chunk that holds no '#' and no quote goes to np.loadtxt as it is, split
+    on "\n". Numpy skips empty lines and rejects whitespace-only ones, so if
+    such a chunk holds a line that is not data, its result fails the shape
+    check; then, as for every other chunk, its data lines alone are converted.
+    A chunk needs the row scan if it is not UTF-8, or if its data lines hold
+    a quote (csv quoting: a quoted cell may hold a comma or a line break), a
+    bare "\r" line end, a line that numpy rejects, a line that does not hold
+    width - 1 commas (numpy reads usecols from a row with more cells, or
+    fewer that hold them) or (if finite) a non-finite value.
+    """
+    ncols = width if usecols is None else len(usecols)
+    data = _chunk(fh, at, end)
+    at += len(data)
+    plain = not (b"#" in data or b'"' in data or data.isspace())  # numpy warns on blanks alone
+    plain = plain and (usecols is None or _cells_match(data, width))
+    try:
+        text, data = data.decode(), None  # the bytes are dropped before numpy converts
+    except UnicodeDecodeError:
+        return at, None
+    lines = text.split("\n")[: -1 if text.endswith("\n") else None]
+    block = _loadtxt(lines, usecols, ncols) if plain else None
+    if block is None:
+        lines = list(_data_lines(lines))
+        if not lines:
+            return at, np.empty((0, ncols))
+        text = "\n".join(lines)
+        good = '"' not in text and (usecols is None or _cells_match(text.encode(), width))
+        block = _loadtxt(lines, usecols, ncols) if good else None
+    return at, None if block is None or (finite and not np.isfinite(block).all()) else block
+
+
 def _read_blocks(fh, start: int, end: int, usecols, width: int, finite: bool):
-    """Parse the data lines of fh, rows of width cells, into float arrays.
-
-    Reads the lines from byte offset start to byte offset end, both line
-    starts, a chunk at a time: one os.pread of up to CHUNK_CHARS bytes, cut
-    after its last newline unless it reaches end (a longer line is a chunk
-    of its own, unless a bare CR, which the row scan alone reads, ends a line
-    first), decoded as UTF-8 and split on newlines. Yields the rows in order,
-    one block per chunk, of the columns usecols (all if None).
-
-    A chunk that holds no '#' and no quote goes to np.loadtxt as it is. Numpy
-    skips empty lines and rejects whitespace-only ones, so if such a chunk
-    holds a line that is not data, its result fails the shape check; then, as
-    for every other chunk, its data lines alone are converted. The first chunk
-    whose data lines hold a quote (csv quoting: a quoted cell may hold a comma
-    or a line break), that numpy rejects, whose result has the wrong shape,
-    whose lines do not each hold width - 1 commas (numpy reads usecols from a
-    row with more cells, or fewer that hold them) or (if finite) a non-finite
-    value needs the row scan (see _pieces); the read stops before it.
+    """Yield the rows of fh from byte offset start to byte offset end, both
+    line starts, a block per chunk (see _parse_chunk), up to the first chunk
+    that needs the row scan (see _pieces). No chunk's content raises here,
+    and nothing of a chunk but its rows stays bound across the next read.
 
     Returns (stop, row): the byte offset of the chunk the read stopped at
     (None if it read the whole range) and the next row's number, from 1 at start.
     """
-    ncols = width if usecols is None else len(usecols)
-    fd, row = fh.fileno(), 1
+    row = 1
     while start < end:
-        data = os.pread(fd, min(CHUNK_CHARS, end - start), start)
-        cut = len(data) if len(data) == end - start else data.rfind(b"\n") + 1
-        while not cut and b"\r" not in data and (
-                more := os.pread(fd, min(len(data), end - start - len(data)), start + len(data))):
-            data += more  # a longer line is read whole and alone, each read doubling it
-            cut = data.find(b"\n") + 1 or (len(data) if len(data) == end - start else 0)
-        if not cut:
-            return start, row
-        at, start, data = start, start + cut, data[:cut]
-        plain = not (b"#" in data or b'"' in data or data.isspace())  # numpy warns on blanks alone
-        plain = plain and (usecols is None or _cells_match(data, width))
-        text, data = data.decode(), None  # the bytes are dropped before numpy converts
-        chunk = text.split("\n")[: -1 if text.endswith("\n") else None]
-        block = _loadtxt(chunk, usecols, ncols) if plain else None
+        at, (start, block) = start, _parse_chunk(fh, start, end, usecols, width, finite)
         if block is None:
-            chunk = list(_data_lines(chunk))
-            if not chunk:
-                continue
-            text = "\n".join(chunk)
-            good = '"' not in text and (usecols is None or _cells_match(text.encode(), width))
-            block = _loadtxt(chunk, usecols, ncols) if good else None
-        if block is None or (finite and not np.isfinite(block).all()):
             return at, row
+        row += len(block)
         yield block
-        row += len(chunk)
     return None, row
 
 
@@ -316,7 +361,7 @@ class _Worker:
         if self.pid == 0:
             try:
                 os.close(read)
-                _send(write, fh.name, start, end, fmt, order)
+                _send(write, fh, start, end, fmt, order)
             finally:
                 os._exit(0)  # no exit handlers, no flush of the parent's buffers
         os.close(write)
@@ -352,16 +397,15 @@ class _Worker:
             self.pid = None
 
 
-def _send(fd: int, path, start: int, end: int, fmt, order: str) -> None:
-    """In a forked child: parse [start, end) of the file at path with its own
-    file offset, and write what _Worker describes to fd."""
-    with _open_input(path) as fh:
-        reader, blocks = _read_blocks(fh, start, end, *fmt), []
-        try:
-            while True:
-                blocks.append(next(reader))
-        except StopIteration as done:
-            stop = done.value[0]
+def _send(fd: int, fh, start: int, end: int, fmt, order: str) -> None:
+    """In a forked child: parse [start, end) of fh, the descriptor it shares
+    with the parent, and write what _Worker describes to fd."""
+    reader, blocks = _read_blocks(fh, start, end, *fmt), []
+    try:
+        while True:
+            blocks.append(next(reader))
+    except StopIteration as done:
+        stop = done.value[0]
     columns = zip(*(block.T for block in blocks))  # each column: its part in every block
     parts = (part.copy() for column in columns for part in column) if order == "F" else blocks
     with open(fd, "wb") as out:
@@ -404,8 +448,7 @@ def _pieces(fh, first, workers, cols, fmt):
             worker.close()  # its range is parsed here, and it would take a CPU
     if stop is not None:
         _, width, finite = fmt
-        fh.seek(stop)
-        yield _scan_rows(fh.name, cols, width, finite, _data_lines(fh), row)
+        yield _scan_rows(fh.name, cols, width, finite, _data_lines(_Lines(fh, stop)), row)
 
 
 def _read_rows(fh, start: int, cols, width: int, finite: bool, order: str, place):
@@ -453,18 +496,10 @@ def _write_rows(out, table) -> None:
         out.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
-def _header_columns(path, fh, names) -> tuple[dict[str, int], int, int]:
-    """Read the header of an open CSV file: each requested name's index, the
-    cell count, and the byte offset of the line after it."""
-    end = 0
-
-    def counted():
-        nonlocal end
-        for line in fh:
-            end += len(line.encode())  # in UTF-8, the encoding every input is read in
-            yield line
-
-    header = next(csv.reader(_data_lines(counted())), None)
+def _header_columns(path, lines, names) -> tuple[dict[str, int], int]:
+    """Read the header of a CSV file from its lines: each requested name's
+    index and the cell count."""
+    header = next(csv.reader(_data_lines(lines)), None)
     if header is None:
         raise EmptyFile(f"{path}: no header row")
     header = [h.strip() for h in header]
@@ -473,7 +508,7 @@ def _header_columns(path, fh, names) -> tuple[dict[str, int], int, int]:
         if name not in header:
             raise MissingColumn(f"{path}: column {name!r} not in header {header}")
         cols[name] = header.index(name)
-    return cols, len(header), end
+    return cols, len(header)
 
 
 def _scan_rows(path, cols, width: int, finite: bool, lines, first_row: int) -> np.ndarray:
@@ -528,8 +563,8 @@ def load_csv(path, column_x1: str, column_x2: str, dt: float) -> tuple[TimeSerie
         return table
 
     with _open_input(path) as fh:
-        cols, width, start = _header_columns(path, fh, (column_x1, column_x2))
-        table = _read_rows(fh, start, cols, width, True, "F", collect)
+        cols, width = _header_columns(path, lines := _Lines(fh), (column_x1, column_x2))
+        table = _read_rows(fh, lines.at, cols, width, True, "F", collect)
     table.setflags(write=False)
     names = list(cols)
     return tuple(TimeSeries(table[names.index(c)], dt, label=c) for c in (column_x1, column_x2))

@@ -401,6 +401,28 @@ def _error(case_id, argv, code, prefix, files=None, env=None):
     return pytest.param(argv, files or {}, env or {}, code, prefix, id=case_id)
 
 
+def _not_utf8(name, body: bytes) -> str:
+    """The message for the one byte 0xe9 of body, the file name, not being UTF-8."""
+    return f"InputError: {name}: byte 0xe9 at offset {body.index(0xE9)} is not UTF-8"
+
+
+# a bad byte in a comment line at each place an input is decoded: the header,
+# a data chunk past the first 2^19 bytes, the row scan after a quoted cell,
+# a grid values row, the mask and the simulate config
+NOT_UTF8 = {
+    "index.csv": b"# caf\xe9\n" + GRID_FILES["index.csv"].encode(),
+    "pair.csv": b"x1,x2\n# caf\xe9\n" + "".join(PAIR_ROWS[1:]).encode(),
+    "long.csv": "".join(PAIR_ROWS[:1] + PAIR_ROWS[1:] * 300).encode() + b"# caf\xe9\n"
+    + "".join(PAIR_ROWS[1:]).encode(),
+    "quoted.csv": "".join(PAIR_ROWS[:3] + ['"0.5",0.5\n'] + PAIR_ROWS[3:20]).encode()
+    + b"# caf\xe9\n" + "".join(PAIR_ROWS[20:]).encode(),
+    "vals.csv": "".join(VALS_ROWS[:6]).encode() + b"6.0,\xe9\n" + "".join(VALS_ROWS[7:]).encode(),
+    "mask.csv": b"# caf\xe9\n1,1\n",
+    "sim.cfg": b"# r\xe9glage\nsteps=400\n",
+}
+assert NOT_UTF8["long.csv"].index(0xE9) > 1 << 19
+
+
 ERRORS = [
     # flags are checked before any input is read: the input here is absent
     *(_error(f"analyze_subsample_{n}", [*ABSENT, "--subsample", n], 2,
@@ -479,8 +501,7 @@ ERRORS = [
     _error("simulate_config_directory", [*SIMULATE, "--config", "."], 2,
            "InputError: .: not a regular file"),
     _error("simulate_config_not_utf8", [*SIMULATE, "--config", "sim.cfg"], 2,
-           "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9",
-           {"sim.cfg": b"# r\xe9glage\nsteps=400\n"}),
+           _not_utf8("sim.cfg", NOT_UTF8["sim.cfg"]), {"sim.cfg": NOT_UTF8["sim.cfg"]}),
     _error("simulate_blows_up", ["simulate", "--a=1000,0,0,1000", "--dt", "1", "--steps", "200",
                                  "--out", "out.csv"], 3,
            "NonFiniteState: path left the finite range at step 103"),
@@ -505,8 +526,11 @@ ERRORS = [
     _error("analyze_ragged_row", ANALYZE, 2,
            "LengthMismatch: pair.csv: row 3: expected 2 columns, found 3",
            {"pair.csv": "".join(PAIR_ROWS[:3]) + "0.5,0.5,0.5\n" + "".join(PAIR_ROWS[4:])}),
-    _error("analyze_not_utf8", ANALYZE, 2, "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9",
-           {"pair.csv": b"x1,x2\n# caf\xe9\n" + "".join(PAIR_ROWS[1:]).encode()}),
+    _error("analyze_not_utf8", ANALYZE, 2, _not_utf8("pair.csv", NOT_UTF8["pair.csv"]),
+           {"pair.csv": NOT_UTF8["pair.csv"]}),
+    *(_error(f"analyze_not_utf8_{route}", [*ANALYZE[:2], name, *ANALYZE[3:]], 2,
+             _not_utf8(name, NOT_UTF8[name]), {name: NOT_UTF8[name]})
+      for route, name in (("past_first_chunk", "long.csv"), ("row_scan_after_quote", "quoted.csv"))),
     _error("analyze_subsample_too_coarse", [*ANALYZE, "--subsample", "30"], 2,
            "TooShortAfterSubsample: subsampling by 30 leaves 2 points (need 3)", {"pair.csv": PAIR}),
     _error("analyze_window_outside", [*ANALYZE, "--window", "0:100"], 2,
@@ -632,8 +656,9 @@ ERRORS = [
            {**GRID_FILES, "index.csv": "index\n1.0\nnan\n" + "".join(f"{i}.25\n" for i in range(8))}),
     _error("map_index_length", MAP, 2, "LengthMismatch: series lengths differ: 9 vs 10",
            {**GRID_FILES, "index.csv": "".join(GRID_FILES["index.csv"].splitlines(keepends=True)[:10])}),
-    _error("map_index_not_utf8", MAP, 2, "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9",
-           {**GRID_FILES, "index.csv": b"# caf\xe9\n" + GRID_FILES["index.csv"].encode()}),
+    *(_error(f"map_{name.split('.')[0]}_not_utf8", MAP, 2,
+             _not_utf8("{dir}/" * (name != "index.csv") + name, NOT_UTF8[name]),
+             {**GRID_FILES, name: NOT_UTF8[name]}) for name in ("index.csv", "vals.csv", "mask.csv")),
     # an output that cannot be written is named, as an input that cannot be read is
     _error("analyze_output_unwritable", [*ANALYZE, "--output", "nodir/out.json"], 2,
            "InputError: cannot write nodir/out.json: [Errno 2] No such file or directory: "

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import os
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -88,11 +89,17 @@ class TestLoadCsv:
         with pytest.raises(EmptyFile):
             load_csv(write_csv(tmp_path, "x1,x2\n", name="d2.csv"), "x1", "x2", dt=1.0)
 
-    @pytest.mark.parametrize("header", ["t,x1,x2", "t,x1,x2,x3"])
-    def test_memory_holds_the_blocks_and_one_table(self, tmp_path, header):
+    @pytest.mark.parametrize("header, cpus", [
+        *(pytest.param(header, None, id=header) for header in ("t,x1,x2", "t,x1,x2,x3")),
+        *(pytest.param(header, {0}, id=f"{header}, one CPU") for header in ("t,x1,x2", "t,x1,x2,x3")),
+    ])
+    def test_memory_holds_the_blocks_and_one_table(self, tmp_path, monkeypatch, header, cpus):
         # at the peak, the parsed blocks and the (2, n) table whose rows both
         # series keep: four columns of n, and at most one chunk of text; the
-        # same when the last column is not read and each line's commas are checked
+        # same when the last column is not read and each line's commas are
+        # checked, and when one CPU leaves the whole file to this process
+        if cpus:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         n = 100_000
         path = str(tmp_path / "large.csv")
         with open(path, "w") as fh:
@@ -107,6 +114,15 @@ class TestLoadCsv:
             tracemalloc.stop()
         assert peak <= 4 * n * 8 + series.CHUNK_CHARS
         assert s1.values.base is s2.values.base is not None
+
+    def test_file_shorter_than_its_size_is_an_error(self, tmp_path, monkeypatch):
+        # a file that shrinks while it is read fails at its new end, rather
+        # than reading there forever
+        path = write_csv(tmp_path, "x1,x2\n1,2\n3,4\n5,6\n")
+        fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=fstat(fd).st_size + 9))
+        with pytest.raises(InputError, match=f"^{path}: shorter than when it was opened$"):
+            load_csv(path, "x1", "x2", dt=1.0)
 
 
 def _planted(token, row, column="x2", n_rows=10):
@@ -160,7 +176,7 @@ DIFFERENTIAL_BODIES["-inf in x1 of the first row"] = _planted("-inf", 1, column=
 def _row_scan(path, x1, x2):
     """The retained reference parse: every data row through series._scan_rows."""
     with open(path, newline="", encoding="utf-8") as fh:
-        cols, width, _ = series._header_columns(path, fh, (x1, x2))
+        cols, width = series._header_columns(path, fh, (x1, x2))
         table = series._scan_rows(path, cols, width, True, series._data_lines(fh), 1)
     names = list(cols)
     return table[:, names.index(x1)], table[:, names.index(x2)]
@@ -254,16 +270,47 @@ class TestChunkedIngest:
         monkeypatch.setattr(series, "CHUNK_CHARS", 1)
         path = tmp_path / "utf8.csv"
         path.write_bytes('x1,x2\n1,2\n# café µ\n3,4\n5,6\n"7",8\n9,10\n'.encode("utf-8"))
-        with open(path, newline="", encoding="utf-8") as fh:
-            cols, width, start = series._header_columns(path, fh, ("x1", "x2"))
-            assert len(series._ranges(fh, start)) == 1
+        with open(path, "rb") as raw:
+            cols, width = series._header_columns(path, lines := series._Lines(raw), ("x1", "x2"))
+            start = lines.at
+            assert len(series._ranges(raw, start)) == 1
             got = series._read_rows(
-                fh, start, cols, width, True, "F", lambda pieces: np.concatenate(list(pieces))
+                raw, start, cols, width, True, "F", lambda pieces: np.concatenate(list(pieces))
             )
+        with open(path, newline="", encoding="utf-8") as fh:
             fh.seek(start)
             expected = series._scan_rows(path, cols, width, True, series._data_lines(fh), 1)
         assert got.tobytes() == expected.tobytes()
         assert got[:, 0].tolist() == [1, 3, 5, 7, 9]
+
+
+class TestBadBytes:
+    ROWS = [f"{0.1 * i!r},{-0.3 * i!r}\n".encode() for i in range(1, 13)]
+
+    @pytest.mark.parametrize("bad_cell_first", [True, False], ids=["bad cell first", "bad byte first"])
+    @pytest.mark.parametrize("chars", [*CHUNKINGS, "ranges"])
+    def test_first_problem_in_file_order_is_reported(self, tmp_path, monkeypatch, bad_cell_first, chars):
+        # a bad cell and a comment with a byte that is not UTF-8, four rows
+        # apart: whichever comes first in the file is the error, at every
+        # chunk size and with a range per line
+        bad_cell, bad_byte = b"7.5,n/a\n", b"# caf\xe9\n"
+        first, second = (bad_cell, bad_byte) if bad_cell_first else (bad_byte, bad_cell)
+        body = b"x1,x2\n" + b"".join(self.ROWS[:4]) + first + b"".join(self.ROWS[4:8]) + second
+        path = tmp_path / "data.csv"
+        path.write_bytes(body + b"".join(self.ROWS[8:]))
+        if chars == "ranges":
+            split_before_every_line(monkeypatch, path)
+        else:
+            monkeypatch.setattr(series, "CHUNK_CHARS", chars)
+        with pytest.raises(InputError) as exc:
+            load_csv(str(path), "x1", "x2", dt=1.0)
+        if bad_cell_first:
+            assert type(exc.value) is NonFiniteValue and exc.value.row == 5
+            assert str(exc.value) == f"{path}: row 5, column 'x2': 'n/a'"
+        else:
+            assert type(exc.value) is InputError
+            assert str(exc.value) == f"{path}: byte 0xe9 at offset {body.index(0xE9)} is not UTF-8"
+        assert_no_child_left()
 
 
 class TestSplitIngest:
@@ -369,7 +416,7 @@ class TestSplitIngest:
     def test_memory_with_ranges_forced(self, tmp_path, monkeypatch, header):
         monkeypatch.setattr(series, "SPLIT_BYTES", 1 << 16)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        TestLoadCsv().test_memory_holds_the_blocks_and_one_table(tmp_path, header)
+        TestLoadCsv().test_memory_holds_the_blocks_and_one_table(tmp_path, monkeypatch, header, None)
         assert_no_child_left()
 
 

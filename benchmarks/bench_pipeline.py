@@ -31,10 +31,14 @@ seed-149 reference path, m = 100,000 aligned rows:
     load_csv_500k      load_csv of a 500,001-row path of the same model and
                        seed, 500,000 steps, written the same way; also
                        records peak_mb
-    load_csv_row_scan  load_csv of the path's 100,001 rows written as for
+    load_csv_bare_cr   load_csv of the path's 100,001 rows written as for
                        load_csv but with a bare CR ending every line, which
-                       the chunked parse leaves to the row-by-row parse;
+                       the chunked parse splits by the same line-end rule;
                        also records peak_mb
+    load_csv_crlf      the same with CRLF line ends; also records peak_mb
+    load_csv_quoted    the same with LF line ends and the first data row's
+                       t cell quoted, which sends the whole file to the
+                       row-by-row parse; also records peak_mb
     align              align of the path's two series, which forms their
                        difference series; also records peak_mb
     analyze_core       covariances + fit_mle + fisher_ci, the estimator work
@@ -135,12 +139,14 @@ def reference_stage(pair):
     return {"values": values.size}, lambda: np.sort(values)
 
 
-def load_csv_stage(pair, name="path.csv", newline=None):
+def load_csv_stage(pair, name="path.csv", newline=None, quote_first=False):
     path = os.path.join(work_dir().name, name)
     rows = path_rows(pair)
     with open(path, "w", newline=newline) as out:
         out.write("t,x1,x2\n")
-        _write_rows(out, rows)
+        if quote_first:
+            out.write('"%.17g",%.17g,%.17g\n' % tuple(rows[0]))
+        _write_rows(out, rows[1:] if quote_first else rows)
 
     def run():
         return load_csv(path, "x1", "x2", pair.dt)
@@ -169,8 +175,16 @@ def load_csv_500k_stage(pair):
     return load_csv_stage(align(x1, x2), "path_500k.csv")
 
 
-def load_csv_row_scan_stage(pair):
+def load_csv_bare_cr_stage(pair):
     return load_csv_stage(pair, "path_cr.csv", newline="\r")
+
+
+def load_csv_crlf_stage(pair):
+    return load_csv_stage(pair, "path_crlf.csv", newline="\r\n")
+
+
+def load_csv_quoted_stage(pair):
+    return load_csv_stage(pair, "path_quoted.csv", quote_first=True)
 
 
 def align_stage(pair):
@@ -265,7 +279,9 @@ STAGES = {
     "load_csv": load_csv_stage,
     "load_csv_wide": load_csv_wide_stage,
     "load_csv_500k": load_csv_500k_stage,
-    "load_csv_row_scan": load_csv_row_scan_stage,
+    "load_csv_bare_cr": load_csv_bare_cr_stage,
+    "load_csv_crlf": load_csv_crlf_stage,
+    "load_csv_quoted": load_csv_quoted_stage,
     "align": align_stage,
     "analyze_core": analyze_core_stage,
     "bootstrap_ci": bootstrap_stage,

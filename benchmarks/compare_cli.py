@@ -19,8 +19,10 @@ other routes: a file with a comment line and a quoted cell (the row scan),
 one with a bad cell (exit 2, naming its row), a 2.4 MB simulate output, and
 a 2.4 MB file with comment lines of multi-byte UTF-8 characters throughout
 (both cut into byte ranges parsed in parallel where two CPUs are available).
-Three more drive the reader's line ends and cell checks: a file whose last
-line has no newline, a file with bare-CR line ends (the row scan), and a
+Four more drive the reader's line ends and cell checks: a file whose last
+line has no newline, a file with bare-CR line ends, a 2.4 MB file with
+bare-CR line ends whose data starts with a comment line (cut into byte
+ranges after bare CRs, the comment's chunk split by the same rule), and a
 3.0 MB file in the layout t,x1,station,x2,x3 whose last column is not read
 (cut into byte ranges, each line's commas checked).
 Two more read inputs with non-ASCII names, which their manifests record: a
@@ -79,6 +81,9 @@ COMMANDS = {
         "analyze", "--input", "no_newline.csv", "--x1", "a", "--x2", "b", "--dt", "1",
     ],
     "analyze_bare_cr": ["analyze", "--input", "cr.csv", "--x1", "a", "--x2", "b", "--dt", "1"],
+    "analyze_bare_cr_comment": [
+        "analyze", "--input", "cr_comment.csv", "--x1", "a", "--x2", "b", "--dt", "1",
+    ],
     "analyze_wide_split": [
         "analyze", "--input", "wide.csv", "--x1", "x1", "--x2", "x2", "--dt", "0.001",
         "--output", "wide.json",
@@ -135,6 +140,9 @@ def write_inputs(work: str) -> None:
     rows[50] = "0.5,n/a\n"
     with open(os.path.join(work, "bad.csv"), "w") as fh:
         fh.write("a,b\n" + "".join(rows))
+    walk = np.cumsum(np.random.default_rng(9).standard_normal((60000, 2)), axis=0).tolist()
+    with open(os.path.join(work, "cr_comment.csv"), "w", newline="") as fh:
+        fh.write("a,b\r# every line ends with a bare CR\r" + "".join(f"{a!r},{b!r}\r" for a, b in walk))
     walk = np.cumsum(np.random.default_rng(6).standard_normal((60000, 2)), axis=0).tolist()
     rows = [f"{a!r},{b!r}\n" for a, b in walk]
     for at in range(len(rows) - 1, 0, -25):

@@ -156,8 +156,8 @@ def _read_mask(mask_path, n_lat: int, n_lon: int) -> np.ndarray:
 def _read_manifest(manifest_path) -> dict[str, str]:
     """The key -> value entries of a grid manifest CSV.
 
-    values_file and mask_file (if given) come back as paths resolved against
-    the manifest's directory: the files that load_grid reads.
+    values_file and mask_file (if given) come back joined onto manifest_path's
+    directory as given, relative if it is: the files that load_grid reads.
     """
     entries: dict[str, str] = {}
     for row in _csv_rows(manifest_path):
@@ -167,7 +167,7 @@ def _read_manifest(manifest_path) -> dict[str, str]:
     for key in ("n_lat", "n_lon", "n_time", "dt", "values_file"):
         if key not in entries:
             raise GridFormatError(f"{manifest_path}: manifest is missing key {key!r}")
-    base = os.path.dirname(os.path.abspath(manifest_path))
+    base = os.path.dirname(manifest_path)
     for key in ("values_file", "mask_file"):
         if key in entries:
             entries[key] = os.path.join(base, entries[key])

@@ -259,14 +259,14 @@ def _parse_chunk(fh, at: int, end: int, usecols, width: int, finite: bool):
     if None, or None if the chunk needs the row scan).
 
     A chunk that holds no '#' and no quote goes to np.loadtxt as it is, split
-    on "\n". Numpy skips empty lines and rejects whitespace-only ones, so if
-    such a chunk holds a line that is not data, its result fails the shape
-    check; then, as for every other chunk, its data lines alone are converted.
-    A chunk needs the row scan if it is not UTF-8, or if its data lines hold
-    a quote (csv quoting: a quoted cell may hold a comma or a line break), a
-    bare "\r" line end, a line that numpy rejects, a line that does not hold
-    width - 1 commas (numpy reads usecols from a row with more cells, or
-    fewer that hold them) or (if finite) a non-finite value.
+    on "\n". Numpy skips empty lines, rejects whitespace-only ones and a "\r"
+    within a line, and the result must pass the shape check; if it does not,
+    or for any other chunk, the chunk is split where _chunk ends lines and
+    its data lines alone are converted. A chunk needs the row scan if it is
+    not UTF-8, or if its data lines hold a quote (csv quoting: a quoted cell
+    may hold a comma or a line break), a line that numpy rejects, a line that
+    does not hold width - 1 commas (numpy reads usecols from a row with more
+    cells, or fewer that hold them) or (if finite) a non-finite value.
     """
     ncols = width if usecols is None else len(usecols)
     data = _chunk(fh, at, end)
@@ -277,14 +277,15 @@ def _parse_chunk(fh, at: int, end: int, usecols, width: int, finite: bool):
         text, data = data.decode(), None  # the bytes are dropped before numpy converts
     except UnicodeDecodeError:
         return at, None
-    lines = text.split("\n")[: -1 if text.endswith("\n") else None]
-    block = _loadtxt(lines, usecols, ncols) if plain else None
-    if block is None:
-        lines = list(_data_lines(lines))
+    if plain:
+        block = _loadtxt(text.split("\n")[: -1 if text.endswith("\n") else None], usecols, ncols)
+    if not plain or block is None:
+        lines, text = list(_data_lines(re.split(r"\r\n?|\n", text))), None
         if not lines:
             return at, np.empty((0, ncols))
-        text = "\n".join(lines)
-        good = '"' not in text and (usecols is None or _cells_match(text.encode(), width))
+        joined = "\n".join(lines).encode()
+        good = b'"' not in joined and (usecols is None or _cells_match(joined, width))
+        joined = None  # the text is dropped before numpy converts
         block = _loadtxt(lines, usecols, ncols) if good else None
     return at, None if block is None or (finite and not np.isfinite(block).all()) else block
 
@@ -313,7 +314,7 @@ def _ranges(fh, start: int) -> list[tuple[int, int]]:
     start, to the end of the file.
 
     There is one range per available CPU, none shorter than about
-    SPLIT_BYTES, each cut just after a line break; in UTF-8 no character
+    SPLIT_BYTES, each cut just after a line end; in UTF-8 no character
     spans one. There is one range unless the platform is Linux with os.fork.
     """
     size = os.fstat(fh.fileno()).st_size
@@ -330,12 +331,12 @@ def _ranges(fh, start: int) -> list[tuple[int, int]]:
 
 
 def _line_start(fd: int, at: int, size: int) -> int:
-    """The first byte offset at or after at > 0 that follows a newline byte, or size."""
+    """The first byte offset at or after at > 0 that follows a line end, or size."""
     at -= 1
-    while data := os.pread(fd, 1 << 16, at):
-        if (i := data.find(b"\n")) >= 0:
-            return at + i + 1
-        at += len(data)
+    while len(data := os.pread(fd, 1 << 16, at)) > 1:
+        if found := _LINE_END.search(data):
+            return at + found.end()
+        at += len(data) - 1  # a "\r" read last may start a "\r\n"
     return size
 
 

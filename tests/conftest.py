@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from infoflow import (
+    InputError,
     SimConfig,
     TimeSeries,
     align,
@@ -61,3 +62,21 @@ def split_before_every_line(monkeypatch, path):
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def row_scan(path, x1, x2):
+    """The retained reference parse: every data row through series._scan_rows,
+    the lines read by CPython's text layer."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        cols, width = series._header_columns(path, fh, (x1, x2))
+        table = series._scan_rows(path, cols, width, True, series._data_lines(fh), 1)
+    names = list(cols)
+    return table[:, names.index(x1)], table[:, names.index(x2)]
+
+
+def outcome(load):
+    """Bit patterns of the loaded arrays, or the class, message and row of the error."""
+    try:
+        return [np.asarray(a, dtype=float).tobytes() for a in load()]
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)

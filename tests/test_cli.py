@@ -348,6 +348,27 @@ class TestMap:
         capsys.readouterr()
         assert parsed.count(manifest) == 1
 
+    def test_grid_paths_are_recorded_as_the_manifest_path_gives_them(self, capsys, tmp_path, monkeypatch):
+        # the grid files are joined onto a relative manifest path as given, so
+        # the same command in two directories that hold the same files writes
+        # the same bytes
+        written = []
+        for name in ("a", "b"):
+            (tmp_path / name / "grid").mkdir(parents=True)
+            self._write_single_cell_grid(tmp_path / name / "grid", np.sin(np.arange(50)), 1.0)
+            (tmp_path / name / "index.csv").write_text(
+                "index\n" + "".join(f"{np.cos(i):.17g}\n" for i in range(50))
+            )
+            monkeypatch.chdir(tmp_path / name)
+            manifest = os.path.join("grid", "grid.csv")
+            files = infoflow.load_grid(manifest).files
+            assert files == (manifest, os.path.join("grid", "vals.csv"), os.path.join("grid", "mask.csv"))
+            argv = ["map", "--index", "index.csv", "--grid-manifest", manifest, "--out-dir", "maps"]
+            assert main(argv) == 0
+            capsys.readouterr()
+            written.append({path.name: path.read_bytes() for path in (tmp_path / name / "maps").iterdir()})
+        assert len(written[0]) == 4 and written[0] == written[1]
+
 
 def _rows(values) -> str:
     """One CSV line per row of values, each value as %.17g."""
@@ -397,7 +418,7 @@ MAP = ["map", "--index", "index.csv", "--grid-manifest", "grid.csv", "--out-dir"
 def _error(case_id, argv, code, prefix, files=None, env=None):
     """One row of ERRORS: argv run in a directory holding only files (name ->
     text, or bytes as they are), with env set; the exit code and the start
-    of stderr. '{dir}' in prefix stands for that directory."""
+    of stderr."""
     return pytest.param(argv, files or {}, env or {}, code, prefix, id=case_id)
 
 
@@ -613,15 +634,15 @@ ERRORS = [
            {k: v for k, v in GRID_FILES.items() if k != "grid.csv"}),
     _error("map_grid_manifest_directory", [*MAP[:3], "--grid-manifest", ".", *MAP[5:]], 2,
            "InputError: .: not a regular file", GRID_FILES),
-    _error("map_values_absent", MAP, 2, "InputError: cannot read {dir}/vals.csv: [Errno 2] "
-           "No such file or directory: '{dir}/vals.csv'",
+    _error("map_values_absent", MAP, 2, "InputError: cannot read vals.csv: [Errno 2] "
+           "No such file or directory: 'vals.csv'",
            {k: v for k, v in GRID_FILES.items() if k != "vals.csv"}),
-    _error("map_values_directory", MAP, 2, "InputError: {dir}/.: not a regular file",
+    _error("map_values_directory", MAP, 2, "InputError: .: not a regular file",
            {**GRID_FILES, "grid.csv": GRID_FILES["grid.csv"].replace("vals.csv", ".")}),
-    _error("map_mask_absent", MAP, 2, "InputError: cannot read {dir}/mask.csv: [Errno 2] "
-           "No such file or directory: '{dir}/mask.csv'",
+    _error("map_mask_absent", MAP, 2, "InputError: cannot read mask.csv: [Errno 2] "
+           "No such file or directory: 'mask.csv'",
            {k: v for k, v in GRID_FILES.items() if k != "mask.csv"}),
-    _error("map_mask_directory", MAP, 2, "InputError: {dir}/.: not a regular file",
+    _error("map_mask_directory", MAP, 2, "InputError: .: not a regular file",
            {**GRID_FILES, "grid.csv": GRID_FILES["grid.csv"].replace("mask.csv", ".")}),
     _error("map_index_absent", MAP, 2,
            "InputError: cannot read index.csv: [Errno 2] No such file or directory: 'index.csv'",
@@ -636,17 +657,17 @@ ERRORS = [
     _error("map_manifest_malformed_row", MAP, 2,
            "GridFormatError: grid.csv: malformed manifest row ['n_lat']",
            {**GRID_FILES, "grid.csv": "n_lat\n" + GRID_FILES["grid.csv"]}),
-    _error("map_values_text_cell", MAP, 2, "NonFiniteValue: {dir}/vals.csv: row 7, column 1: 'abc'",
+    _error("map_values_text_cell", MAP, 2, "NonFiniteValue: vals.csv: row 7, column 1: 'abc'",
            {**GRID_FILES, "vals.csv": "".join(VALS_ROWS[:6]) + "6.0,abc\n" + "".join(VALS_ROWS[7:])}),
     _error("map_values_short_row", MAP, 2,
-           "LengthMismatch: {dir}/vals.csv: row 7: expected 2 columns, found 1",
+           "LengthMismatch: vals.csv: row 7: expected 2 columns, found 1",
            {**GRID_FILES, "vals.csv": "".join(VALS_ROWS[:6]) + "6.0\n" + "".join(VALS_ROWS[7:])}),
-    _error("map_values_row_count", MAP, 2, "GridFormatError: {dir}/vals.csv: expected 10 rows, found 9",
+    _error("map_values_row_count", MAP, 2, "GridFormatError: vals.csv: expected 10 rows, found 9",
            {**GRID_FILES, "vals.csv": "".join(VALS_ROWS[:9])}),
-    _error("map_values_unmasked_nan", MAP, 2, "NonFiniteValue: {dir}/vals.csv: row 7, column 1: 'nan'",
+    _error("map_values_unmasked_nan", MAP, 2, "NonFiniteValue: vals.csv: row 7, column 1: 'nan'",
            {**GRID_FILES, "vals.csv": "".join(VALS_ROWS[:6]) + "6.0,nan\n" + "".join(VALS_ROWS[7:])}),
     _error("map_mask_flag", MAP, 2,
-           "GridFormatError: {dir}/mask.csv: mask row 1: flag '2' is not 0 or 1",
+           "GridFormatError: mask.csv: mask row 1: flag '2' is not 0 or 1",
            {**GRID_FILES, "mask.csv": "1,2\n"}),
     _error("map_mask_shape", MAP, 2, "GridFormatError: mask file must be 1 rows of 2 flags",
            {**GRID_FILES, "mask.csv": "1\n"}),
@@ -657,7 +678,7 @@ ERRORS = [
     _error("map_index_length", MAP, 2, "LengthMismatch: series lengths differ: 9 vs 10",
            {**GRID_FILES, "index.csv": "".join(GRID_FILES["index.csv"].splitlines(keepends=True)[:10])}),
     *(_error(f"map_{name.split('.')[0]}_not_utf8", MAP, 2,
-             _not_utf8("{dir}/" * (name != "index.csv") + name, NOT_UTF8[name]),
+             _not_utf8(name, NOT_UTF8[name]),
              {**GRID_FILES, name: NOT_UTF8[name]}) for name in ("index.csv", "vals.csv", "mask.csv")),
     # an output that cannot be written is named, as an input that cannot be read is
     _error("analyze_output_unwritable", [*ANALYZE, "--output", "nodir/out.json"], 2,
@@ -705,7 +726,7 @@ class TestErrors:
             monkeypatch.setenv(key, value)
         assert main(argv) == code
         captured = capsys.readouterr()
-        assert captured.err.startswith(prefix.format(dir=tmp_path)), captured.err
+        assert captured.err.startswith(prefix), captured.err
         assert len(captured.err.splitlines()) == 1, captured.err
         assert captured.out == ""
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files)
@@ -758,10 +779,8 @@ class TestPipedInput:
                 (tmp_path / file_name).write_text(text)
         os.mkfifo(tmp_path / name)
         proc = _cli(argv, tmp_path, text=True, timeout=60)
-        # the grid's values and mask paths are resolved against the manifest's directory
-        shown = tmp_path / name if name in ("vals.csv", "mask.csv") else name
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == f"InputError: {shown}: not a regular file\n"
+        assert proc.stderr == f"InputError: {name}: not a regular file\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == sorted(inputs)
 
     def test_analyze_input(self, capsys, tmp_path):

@@ -301,6 +301,17 @@ class TestGridIO:
         assert loaded.values.tobytes() == with_nan.values.tobytes()
         assert np.isnan(loaded.values[:, ~field.mask]).all()
 
+    def test_bare_cr_values_file_that_starts_with_a_comment(self, tmp_path):
+        # the comment line ends at its bare "\r", not at the chunk's end
+        _, field, _ = coupled_fixture(seed=9)
+        manifest = write_grid(field, tmp_path, "cr")
+        values_file = tmp_path / "cr_values.csv"
+        text = "# a comment\n" + values_file.read_text()
+        values_file.write_text(text)
+        expected = load_grid(manifest).values
+        values_file.write_bytes(text.replace("\n", "\r").encode())
+        assert load_grid(manifest).values.tobytes() == expected.tobytes() == field.values.tobytes()
+
     @staticmethod
     def write_large_grid(tmp_path):
         """A grid of the benchmark's size, 40 x 40 x 2000 (25.6 MB of values),

@@ -28,7 +28,7 @@ from infoflow import (
 from infoflow import series
 from infoflow.series import detrend_values
 
-from conftest import assert_no_child_left, split_before_every_line
+from conftest import assert_no_child_left, outcome, row_scan, split_before_every_line
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -89,22 +89,29 @@ class TestLoadCsv:
         with pytest.raises(EmptyFile):
             load_csv(write_csv(tmp_path, "x1,x2\n", name="d2.csv"), "x1", "x2", dt=1.0)
 
-    @pytest.mark.parametrize("header, cpus", [
-        *(pytest.param(header, None, id=header) for header in ("t,x1,x2", "t,x1,x2,x3")),
-        *(pytest.param(header, {0}, id=f"{header}, one CPU") for header in ("t,x1,x2", "t,x1,x2,x3")),
+    @pytest.mark.parametrize("header, cpus, every", [
+        pytest.param(header, cpus, every,
+                     id=header + (", comments" if every else "") + (", one CPU" if cpus else ""))
+        for every in (None, 3000) for cpus in (None, {0}) for header in ("t,x1,x2", "t,x1,x2,x3")
     ])
-    def test_memory_holds_the_blocks_and_one_table(self, tmp_path, monkeypatch, header, cpus):
+    def test_memory_holds_the_blocks_and_one_table(self, tmp_path, monkeypatch, header, cpus, every):
         # at the peak, the parsed blocks and the (2, n) table whose rows both
         # series keep: four columns of n, and at most one chunk of text; the
         # same when the last column is not read and each line's commas are
-        # checked, and when one CPU leaves the whole file to this process
+        # checked, when one CPU leaves the whole file to this process, and
+        # when a comment line every `every` rows sends each chunk through the
+        # line filter
         if cpus:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         n = 100_000
         path = str(tmp_path / "large.csv")
+        table = np.random.default_rng(37).standard_normal((n, header.count(",") + 1))
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            series._write_rows(fh, np.random.default_rng(37).standard_normal((n, header.count(",") + 1)))
+            for start in range(0, n, every or n):
+                if every:
+                    fh.write(f"# rows from {start + 1}\n")
+                series._write_rows(fh, table[start : start + (every or n)])
         load_csv(path, "x1", "x2", dt=1.0)  # warm-up: lazy imports
         tracemalloc.start()
         try:
@@ -113,7 +120,7 @@ class TestLoadCsv:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * n * 8 + series.CHUNK_CHARS
-        assert s1.values.base is s2.values.base is not None
+        assert s1.values.base is s2.values.base is not None and len(s1) == n
 
     def test_file_shorter_than_its_size_is_an_error(self, tmp_path, monkeypatch):
         # a file that shrinks while it is read fails at its new end, rather
@@ -162,9 +169,13 @@ DIFFERENTIAL_BODIES = {
     "no newline at the end": "x1,x2,x3\n1,2,3\n3,4,9\n5,6,7",
     "no newline at the end, a cell short": "x1,x2,x3\n1,2,3\n3,4,9\n5,6",
     "no newline at the end, a cell long": "x1,x2,x3\n1,2,3\n3,4,9\n5,6,7,8",
-    # line ends the row scan alone reads
+    # lines that end at "\r", "\n" and "\r\n", split by one rule on every route
     "bare-CR line ends": "x1,x2\r1,2\r3,4\r5,6\r7,8\r9,10\r",
     "mixed CR and LF line ends": "x1,x2\n1,2\r3,4\n5,6\r\n7,8\r9,10\n11,12\r",
+    # a comment line and the bare-CR lines after it in its chunk are not one line
+    "bare-CR comment line": "x1,x2\r# note\r1,2\r3,4\r5,6\r7,8\r",
+    "bare-CR comment line among LF lines": "x1,x2\n# note\r1,2\r3,4\n5,6\n7,8\n",
+    "indented bare-CR comment line": "x1,x2\n  # c\r1,2\n3,4\n5,6\n",
 }
 for _token in ("nan", "inf", "n/a"):
     for _where, _row in (("first chunk", 2), ("middle chunk", 5), ("last chunk", 10),
@@ -173,33 +184,16 @@ for _token in ("nan", "inf", "n/a"):
 DIFFERENTIAL_BODIES["-inf in x1 of the first row"] = _planted("-inf", 1, column="x1")
 
 
-def _row_scan(path, x1, x2):
-    """The retained reference parse: every data row through series._scan_rows."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        cols, width = series._header_columns(path, fh, (x1, x2))
-        table = series._scan_rows(path, cols, width, True, series._data_lines(fh), 1)
-    names = list(cols)
-    return table[:, names.index(x1)], table[:, names.index(x2)]
-
-
-def _outcome(load):
-    """Bit patterns of the loaded arrays, or the class, message and row of the error."""
-    try:
-        return [np.asarray(a, dtype=float).tobytes() for a in load()]
-    except InputError as exc:
-        return type(exc), str(exc), getattr(exc, "row", None)
-
-
 class TestChunkedIngest:
     @pytest.mark.parametrize("columns", [("x1", "x2"), ("x1", "x1")], ids=["x1,x2", "x1=x2"])
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_BODIES))
     def test_matches_row_scan(self, tmp_path, monkeypatch, name, columns):
         path = write_csv(tmp_path, DIFFERENTIAL_BODIES[name])
         x1, x2 = columns
-        expected = _outcome(lambda: _row_scan(path, x1, x2))
+        expected = outcome(lambda: row_scan(path, x1, x2))
         for chars in CHUNKINGS:
             monkeypatch.setattr(series, "CHUNK_CHARS", chars)
-            chunked = _outcome(lambda: [s.values for s in load_csv(path, x1, x2, dt=1.0)])
+            chunked = outcome(lambda: [s.values for s in load_csv(path, x1, x2, dt=1.0)])
             assert chunked == expected, chars
 
     def test_planted_errors_name_their_row(self, tmp_path, monkeypatch):
@@ -210,8 +204,8 @@ class TestChunkedIngest:
                 load_csv(path, "x1", "x2", dt=1.0)
             assert exc.value.row == row
 
-    def test_clean_file_never_reaches_row_scan(self, tmp_path, monkeypatch):
-        path = write_csv(tmp_path, DIFFERENTIAL_BODIES["comment lines mid-file"])
+    def test_clean_file_never_reaches_row_scan(self, tmp_path, monkeypatch, line_end="\n"):
+        path = write_csv(tmp_path, DIFFERENTIAL_BODIES["comment lines mid-file"].replace("\n", line_end))
 
         def no_scan(*args):
             pytest.fail("a clean file fell back to the row scan")
@@ -222,11 +216,15 @@ class TestChunkedIngest:
             s1, s2 = load_csv(path, "x1", "x2", dt=1.0)
             assert s1.values.tolist() == [1, 3, 5, 7, 9] and s2.values.tolist() == [2, 4, 6, 8, 10]
 
+    def test_clean_bare_cr_file_never_reaches_row_scan(self, tmp_path, monkeypatch):
+        self.test_clean_file_never_reaches_row_scan(tmp_path, monkeypatch, "\r")
+
     # Every kind of line at every position of a 12-row file, read in chunks
     # of one line or of at most 30 bytes (1-3 lines), so that each kind lands
     # inside a chunk and on both edges of one.
     ODD_LINES = {
         "comment": "# note\n",
+        "comment, bare CR": "# note\r",
         "empty": "\n",
         "whitespace-only": " \t \n",
         "quoted cell": '"7.5",8\n',
@@ -241,8 +239,8 @@ class TestChunkedIngest:
         for at in range(len(rows) + 1):
             text = "x1,x2\n" + "".join(rows[:at]) + self.ODD_LINES[kind] + "".join(rows[at:])
             path = write_csv(tmp_path, text, name=f"{at}.csv")
-            chunked = _outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)])
-            assert chunked == _outcome(lambda: _row_scan(path, "x1", "x2")), at
+            chunked = outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)])
+            assert chunked == outcome(lambda: row_scan(path, "x1", "x2")), at
 
     def test_plain_chunks_skip_the_line_filter(self, tmp_path, monkeypatch):
         # only the header goes through _data_lines when no line is a comment
@@ -318,14 +316,16 @@ class TestSplitIngest:
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_BODIES))
     def test_cut_before_every_line_matches_row_scan(self, tmp_path, monkeypatch, name, columns):
         path = write_csv(tmp_path, DIFFERENTIAL_BODIES[name])
-        expected = _outcome(lambda: _row_scan(path, *columns))
+        expected = outcome(lambda: row_scan(path, *columns))
         forked = split_before_every_line(monkeypatch, path)
-        assert _outcome(lambda: [s.values for s in load_csv(path, *columns, dt=1.0)]) == expected
+        assert outcome(lambda: [s.values for s in load_csv(path, *columns, dt=1.0)]) == expected
         assert_no_child_left()
-        # a worker for each line but the header and the line after it
+        # a worker for each line but the header and the line after it; a line
+        # ends after a "\n", or after a "\r" that no "\n" follows
         with open(path, "rb") as fh:
             data = fh.read()
-        starts = [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")]
+        starts = [i + 1 for i, byte in enumerate(data[:-1])
+                  if byte == ord("\n") or (byte == ord("\r") and data[i + 1] != ord("\n"))]
         assert [start for start, _ in forked] == starts[1:]
 
     @pytest.mark.parametrize("kind", sorted(TestChunkedIngest.ODD_LINES))
@@ -336,10 +336,10 @@ class TestSplitIngest:
         for at in range(len(rows) + 1):
             text = "x1,x2\n" + "".join(rows[:at]) + odd + "".join(rows[at:])
             path = write_csv(tmp_path, text, name=f"{at}.csv")
-            expected = _outcome(lambda: _row_scan(path, "x1", "x2"))
+            expected = outcome(lambda: row_scan(path, "x1", "x2"))
             with monkeypatch.context() as patched:
                 split_before_every_line(patched, path)
-                got = _outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)])
+                got = outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)])
             assert got == expected, at
             assert_no_child_left()
 
@@ -356,7 +356,7 @@ class TestSplitIngest:
     def test_dead_child_gives_the_same_result(self, tmp_path, monkeypatch, token, row):
         text = _planted(token, row, n_rows=12) if token else _planted("0.5", 1, n_rows=12)
         path = write_csv(tmp_path, text)
-        expected = _outcome(lambda: _row_scan(path, "x1", "x2"))
+        expected = outcome(lambda: row_scan(path, "x1", "x2"))
         split_before_every_line(monkeypatch, path)
 
         send = series._send
@@ -379,17 +379,17 @@ class TestSplitIngest:
         monkeypatch.setattr(series, "_fill", lambda pieces, out: fills.append(out) or fill(pieces, out))
         for child in (dies, dies_after(16), dies_after(5)):
             monkeypatch.setattr(series, "_send", child)
-            assert _outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)]) == expected
+            assert outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)]) == expected
             assert_no_child_left()
         if token is None:  # one _fill per load, and one per child that died after its header
             assert len(fills) > 2
 
     def test_without_fork_one_range(self, tmp_path, monkeypatch):
         path = write_csv(tmp_path, DIFFERENTIAL_BODIES["many chunks"])
-        expected = _outcome(lambda: _row_scan(path, "x1", "x2"))
+        expected = outcome(lambda: row_scan(path, "x1", "x2"))
         forked = split_before_every_line(monkeypatch, path)
         monkeypatch.delattr(os, "fork")
-        assert _outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)]) == expected
+        assert outcome(lambda: [s.values for s in load_csv(path, "x1", "x2", dt=1.0)]) == expected
         assert forked == []
 
     def test_ranges_cut_after_line_breaks(self, tmp_path, monkeypatch):
@@ -416,7 +416,7 @@ class TestSplitIngest:
     def test_memory_with_ranges_forced(self, tmp_path, monkeypatch, header):
         monkeypatch.setattr(series, "SPLIT_BYTES", 1 << 16)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        TestLoadCsv().test_memory_holds_the_blocks_and_one_table(tmp_path, monkeypatch, header, None)
+        TestLoadCsv().test_memory_holds_the_blocks_and_one_table(tmp_path, monkeypatch, header, None, None)
         assert_no_child_left()
 
 

@@ -280,7 +280,8 @@ def _parse_chunk(fh, at: int, end: int, usecols, width: int, finite: bool):
     if plain:
         block = _loadtxt(text.split("\n")[: -1 if text.endswith("\n") else None], usecols, ncols)
     if not plain or block is None:
-        lines, text = list(_data_lines(re.split(r"\r\n?|\n", text))), None
+        # a "\r" ends a line too; that of a "\r\n" leaves an empty line, not data
+        lines, text = list(_data_lines(text.replace("\r", "\n").split("\n"))), None
         if not lines:
             return at, np.empty((0, ncols))
         joined = "\n".join(lines).encode()

@@ -38,6 +38,10 @@ Two more read a byte that is not UTF-8 (exit 2): an analyze of a 2.4 MB file
 with one in a comment line of its second byte range (where two CPUs are
 available, a child stops there and the row-by-row parse names the byte), and
 a map whose mask file holds one.
+Three more maps exit 2 on the grid's read order (manifest, mask, values): a
+NaN in an unmasked cell before a non-numeric cell (the NaN is named), a mask
+flag other than 0 or 1 beside the non-numeric values (the mask is named), and
+a manifest that gives dt twice.
 For each command the exit code, stdout and stderr are compared, and at the
 end every file in the working directory. Prints one line per command and one per file that
 differs, each difference followed by up to ten lines of its diff, and exits
@@ -112,6 +116,15 @@ COMMANDS = {
     "map_mask_not_utf8": [
         "map", "--index", "index.csv", "--grid-manifest", "grid_mask_not_utf8.csv", "--out-dir", "mask",
     ],
+    "map_nan_before_bad_cell": [
+        "map", "--index", "index.csv", "--grid-manifest", "grid_nan_first.csv", "--out-dir", "nan_first",
+    ],
+    "map_bad_mask_bad_values": [
+        "map", "--index", "index.csv", "--grid-manifest", "grid_bad_mask.csv", "--out-dir", "bad_mask",
+    ],
+    "map_repeated_key": [
+        "map", "--index", "index.csv", "--grid-manifest", "grid_repeated.csv", "--out-dir", "repeated",
+    ],
     "validate": ["validate"],
 }
 
@@ -169,6 +182,8 @@ def write_inputs(work: str) -> None:
         fh.write("1,1,1,1,1\n1,1,1,1,1\n0,0,1,1,1\n1,1,1,1,1\n")
     with open(os.path.join(work, "mask_not_utf8.csv"), "wb") as fh:
         fh.write(b"1,1,1,1,1\n1,1,1,1,1\n# caf\xe9\n0,0,1,1,1\n1,1,1,1,1\n")
+    with open(os.path.join(work, "mask_bad.csv"), "w") as fh:
+        fh.write("1,1,1,1,1\n1,1,2,1,1\n0,0,1,1,1\n1,1,1,1,1\n")
     rows = [",".join(map(repr, row)) + "\n" for row in values.tolist()]
     quoted, bad, nan = rows.copy(), rows.copy(), rows.copy()
     scaled = values.copy()
@@ -180,16 +195,23 @@ def write_inputs(work: str) -> None:
     cells = rows[300].split(",")
     cells[3] = "nan"  # an unmasked cell
     nan[300] = ",".join(cells)
+    nan_first = bad.copy()
+    nan_first[100] = nan[300]  # an unmasked NaN in row 101, before the bad cell of row 251
     for suffix, body in (("", rows), ("_quoted", quoted), ("_bad", bad), ("_nan", nan),
-                         ("_overflow", overflow)):
+                         ("_nan_first", nan_first), ("_overflow", overflow)):
         with open(os.path.join(work, f"vals{suffix}.csv"), "w") as fh:
             fh.write("".join(body))
         with open(os.path.join(work, f"grid{suffix}.csv"), "w") as fh:
             fh.write(f"n_lat,{n_lat}\nn_lon,{n_lon}\nn_time,{n_time}\ndt,0.5\n")
             fh.write(f"values_file,vals{suffix}.csv\nmask_file,mask.csv\n")
-    with open(os.path.join(work, "grid_mask_not_utf8.csv"), "w") as fh:
-        fh.write(f"n_lat,{n_lat}\nn_lon,{n_lon}\nn_time,{n_time}\ndt,0.5\n")
-        fh.write("values_file,vals.csv\nmask_file,mask_not_utf8.csv\n")
+    for name, values_file, mask_file, more in (
+        ("grid_mask_not_utf8", "vals.csv", "mask_not_utf8.csv", ""),
+        ("grid_bad_mask", "vals_bad.csv", "mask_bad.csv", ""),
+        ("grid_repeated", "vals.csv", "mask.csv", "dt,0.25\n"),
+    ):
+        with open(os.path.join(work, f"{name}.csv"), "w") as fh:
+            fh.write(f"n_lat,{n_lat}\nn_lon,{n_lon}\nn_time,{n_time}\ndt,0.5\n")
+            fh.write(f"values_file,{values_file}\nmask_file,{mask_file}\n{more}")
 
 
 def run_checkout(src: str, work: str) -> tuple[dict, dict]:

@@ -9,20 +9,21 @@ degenerate, or whose covariances are not finite, are reported as missing
 
 Grid storage is a plain-text trio:
 
-  manifest CSV    key,value rows: n_lat, n_lon, n_time, dt, values_file,
-                  mask_file (optional), t0 (optional); paths are relative
-                  to the manifest.
+  manifest CSV    key,value rows, each key once: n_lat, n_lon, n_time, dt,
+                  values_file, mask_file (optional), t0 (optional); paths
+                  are relative to the manifest.
   values CSV      n_time rows, each with n_lat * n_lon cells in row-major
                   (lat, lon) order.
   mask CSV        n_lat rows of n_lon flags, 1 = valid cell, 0 = masked.
 
-'#' comment lines are allowed everywhere. Each file is opened by
-series._open_input: an absent or unreadable one, or one that is not a regular
-file, is an InputError naming its path. Value rows are parsed as every CSV's
-are: a bad row is a LengthMismatch or NonFiniteValue carrying its .row, a bad
-cell named by its column index; a non-finite value in an unmasked cell is a
-NonFiniteValue named so too. Manifest, mask and row-count errors are
-GridFormatError. An output that cannot be written is an InputError naming it.
+'#' comment lines are allowed everywhere. load_grid reads the manifest, the
+mask, then the values, each once, and raises the first problem in that order.
+Each file is opened by series._open_input: an absent or unreadable one, or one
+that is not a regular file, is an InputError naming its path. Value rows are
+parsed as every CSV's are, finite in unmasked cells: a bad row is a
+LengthMismatch or NonFiniteValue carrying its .row, a bad cell named by its
+column index. Manifest, mask and row-count errors are GridFormatError. An
+output that cannot be written is an InputError naming it.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .series import (
     _open_input,
     _open_output,
     _read_rows,
-    _scan_rows,
     _write_rows,
     align,
 )
@@ -154,66 +154,59 @@ def _read_mask(mask_path, n_lat: int, n_lon: int) -> np.ndarray:
 
 
 def _read_manifest(manifest_path) -> dict[str, str]:
-    """The key -> value entries of a grid manifest CSV.
+    """The key -> value entries of a grid manifest CSV: one row per key, each
+    key known, every key that load_grid needs given.
 
     values_file and mask_file (if given) come back joined onto manifest_path's
     directory as given, relative if it is: the files that load_grid reads.
     """
-    entries: dict[str, str] = {}
+    required, entries = ("n_lat", "n_lon", "n_time", "dt", "values_file"), {}
+    base = os.path.dirname(manifest_path)
     for row in _csv_rows(manifest_path):
-        if len(row) < 2:
+        if len(row) != 2:
             raise GridFormatError(f"{manifest_path}: malformed manifest row {row!r}")
-        entries[row[0].strip()] = row[1].strip()
-    for key in ("n_lat", "n_lon", "n_time", "dt", "values_file"):
+        key, value = (cell.strip() for cell in row)
+        if key not in (*required, "t0", "mask_file"):
+            raise GridFormatError(f"{manifest_path}: unknown manifest key {key!r}")
+        if key in entries:
+            raise GridFormatError(f"{manifest_path}: repeated manifest key {key!r}")
+        entries[key] = os.path.join(base, value) if key.endswith("_file") else value
+    for key in required:
         if key not in entries:
             raise GridFormatError(f"{manifest_path}: manifest is missing key {key!r}")
-    base = os.path.dirname(manifest_path)
-    for key in ("values_file", "mask_file"):
-        if key in entries:
-            entries[key] = os.path.join(base, entries[key])
     return entries
 
 
 def load_grid(manifest_path) -> GridField:
-    """Load a GridField from its manifest CSV."""
+    """Load a GridField from its manifest CSV: the manifest, then the mask,
+    then the values, each file read once."""
     entries = _read_manifest(manifest_path)
     try:
-        n_lat = int(entries["n_lat"])
-        n_lon = int(entries["n_lon"])
-        n_time = int(entries["n_time"])
-        dt = float(entries["dt"])
-        t0 = float(entries.get("t0", "0"))
+        n_lat, n_lon, n_time = (int(entries[key]) for key in ("n_lat", "n_lon", "n_time"))
+        dt, t0 = float(entries["dt"]), float(entries.get("t0", "0"))
+        if min(n_lat, n_lon) < 1:
+            raise ValueError(f"n_lat and n_lon must be >= 1, got {n_lat} and {n_lon}")
     except ValueError as exc:
         raise GridFormatError(f"{manifest_path}: bad manifest value: {exc}")
 
+    mask_path = entries.get("mask_file")
+    mask = np.ones((n_lat, n_lon), bool) if mask_path is None else _read_mask(mask_path, n_lat, n_lon)
     values_path = entries["values_file"]
     n_cells = n_lat * n_lon
     with _open_input(values_path) as fh:
         # the file holds at most `fits` rows: one of n_cells values takes at
         # least 2 * n_cells - 1 characters, and a line break ends all but the last
-        fits = (os.fstat(fh.fileno()).st_size + 1) // (2 * n_cells) if n_cells > 0 else 0
-        flat = np.empty((min(max(n_time, 0), fits), max(n_cells, 0)))
-        # rows past it are parsed, for their errors and their count, and dropped
+        fits = (os.fstat(fh.fileno()).st_size + 1) // (2 * n_cells)
+        flat = np.empty((min(max(n_time, 0), fits), n_cells))
+        # rows past it are parsed, for their errors and their count, and
+        # dropped; a value must be finite in an unmasked cell only
         place = functools.partial(_fill, out=flat)
-        found = _read_rows(fh, 0, None, n_cells, False, "C", place)
+        found = _read_rows(fh, 0, None, n_cells, mask.reshape(-1), "C", place)
     if found != n_time:
         raise GridFormatError(f"{values_path}: expected {n_time} rows, found {found}")
     flat.setflags(write=False)  # so that GridField keeps it without a copy
-    values = flat.reshape(n_time, n_lat, n_lon)
-
-    mask_path = entries.get("mask_file")
-    if mask_path is not None:
-        mask = _read_mask(mask_path, n_lat, n_lon)
-    else:
-        mask = np.ones((n_lat, n_lon), dtype=bool)
-    bad = np.flatnonzero(mask.reshape(-1) & ~np.isfinite(flat).all(axis=0)).tolist()
-    # the row scan of the unmasked cells that hold a non-finite value raises
-    # NonFiniteValue for the first in file order
-    if bad:
-        with _open_input(values_path) as fh:
-            _scan_rows(values_path, dict(zip(bad, bad)), n_cells, True, _data_lines(_Lines(fh)), 1)
     files = tuple(os.fspath(p) for p in (manifest_path, values_path, mask_path) if p is not None)
-    return GridField(values=values, dt=dt, mask=mask, t0=t0, files=files)
+    return GridField(values=flat.reshape(n_time, n_lat, n_lon), dt=dt, mask=mask, t0=t0, files=files)
 
 
 def _write_tables(out_dir, tables: dict, header_comment: str = "") -> dict[str, str]:

@@ -13,6 +13,7 @@ import re
 import signal
 import stat
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -253,7 +254,7 @@ def _cells_match(data: bytes, width: int) -> bool:
     return cells == (rows if data.endswith(b"\n") else rows + b"," * (width - 1))
 
 
-def _parse_chunk(fh, at: int, end: int, usecols, width: int, finite: bool):
+def _parse_chunk(fh, at: int, end: int, usecols, width: int, finite):
     """(the offset after the chunk of _chunk at at, the rows of its data
     lines, width cells each, as one float array of the columns usecols, all
     if None, or None if the chunk needs the row scan).
@@ -266,7 +267,8 @@ def _parse_chunk(fh, at: int, end: int, usecols, width: int, finite: bool):
     not UTF-8, or if its data lines hold a quote (csv quoting: a quoted cell
     may hold a comma or a line break), a line that numpy rejects, a line that
     does not hold width - 1 commas (numpy reads usecols from a row with more
-    cells, or fewer that hold them) or (if finite) a non-finite value.
+    cells, or fewer that hold them) or a non-finite value in a column that
+    finite flags: True (every column), False (none) or one flag per column read.
     """
     ncols = width if usecols is None else len(usecols)
     data = _chunk(fh, at, end)
@@ -288,10 +290,10 @@ def _parse_chunk(fh, at: int, end: int, usecols, width: int, finite: bool):
         good = b'"' not in joined and (usecols is None or _cells_match(joined, width))
         joined = None  # the text is dropped before numpy converts
         block = _loadtxt(lines, usecols, ncols) if good else None
-    return at, None if block is None or (finite and not np.isfinite(block).all()) else block
+    return at, block if block is not None and np.isfinite(block).all(where=finite) else None
 
 
-def _read_blocks(fh, start: int, end: int, usecols, width: int, finite: bool):
+def _read_blocks(fh, start: int, end: int, usecols, width: int, finite):
     """Yield the rows of fh from byte offset start to byte offset end, both
     line starts, a block per chunk (see _parse_chunk), up to the first chunk
     that needs the row scan (see _pieces). No chunk's content raises here,
@@ -453,10 +455,11 @@ def _pieces(fh, first, workers, cols, fmt):
         yield _scan_rows(fh.name, cols, width, finite, _data_lines(_Lines(fh, stop)), row)
 
 
-def _read_rows(fh, start: int, cols, width: int, finite: bool, order: str, place):
+def _read_rows(fh, start: int, cols, width: int, finite, order: str, place):
     """Parse the data lines of the regular file fh from byte offset start,
     a line start, to the end of the file, and return place(pieces). Rows
-    have width cells, of which the columns cols are read (see _scan_rows).
+    have width cells, of which the columns cols are read, finite where finite
+    flags them: True (every column), False (none) or one flag per column read.
 
     pieces yields the table's rows in file order (see _pieces): arrays of
     rows, and _Worker pieces whose rows _fill reads from a child straight
@@ -513,14 +516,16 @@ def _header_columns(path, lines, names) -> tuple[dict[str, int], int]:
     return cols, len(header)
 
 
-def _scan_rows(path, cols, width: int, finite: bool, lines, first_row: int) -> np.ndarray:
+def _scan_rows(path, cols, width: int, finite, lines, first_row: int) -> np.ndarray:
     """Row-by-row reference parse of data rows `lines`, numbered from first_row.
 
     Every row must have width cells, and every value read must be a real,
-    finite if finite. Returns a column per entry of cols (name -> index), or
-    per cell if cols is None, a cell then named by its index.
+    finite where finite flags its column: True (every column), False (none)
+    or one flag per column read. Returns a column per entry of cols (name ->
+    index), or per cell if cols is None, a cell then named by its index.
     """
     names, take = (range(width), None) if cols is None else (list(cols), list(cols.values()))
+    flags = np.broadcast_to(finite, len(names)).tolist()
     out: list[float] = []
     for i, row in enumerate(csv.reader(lines), start=first_row):
         if len(row) != width:
@@ -528,13 +533,13 @@ def _scan_rows(path, cols, width: int, finite: bool, lines, first_row: int) -> n
         cells = row if take is None else [row[j] for j in take]
         try:
             values = [float(cell) for cell in cells]
-            good = not finite or all(map(math.isfinite, values))
+            good = all(map(math.isfinite, compress(values, flags)))
         except ValueError:
             good = False
         if not good:  # name the first bad cell
-            for name, cell in zip(names, cells):
+            for name, cell, flag in zip(names, cells, flags):
                 try:
-                    good = math.isfinite(float(cell)) or not finite
+                    good = math.isfinite(float(cell)) or not flag
                 except ValueError:
                     good = False
                 if not good:

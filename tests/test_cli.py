@@ -657,6 +657,21 @@ ERRORS = [
     _error("map_manifest_malformed_row", MAP, 2,
            "GridFormatError: grid.csv: malformed manifest row ['n_lat']",
            {**GRID_FILES, "grid.csv": "n_lat\n" + GRID_FILES["grid.csv"]}),
+    _error("map_manifest_row_too_long", MAP, 2,
+           "GridFormatError: grid.csv: malformed manifest row ['n_lat', '1', 'junk']",
+           {**GRID_FILES, "grid.csv": GRID_FILES["grid.csv"].replace("n_lat,1", "n_lat,1,junk")}),
+    _error("map_manifest_repeated_key", MAP, 2, "GridFormatError: grid.csv: repeated manifest key 'dt'",
+           {**GRID_FILES, "grid.csv": GRID_FILES["grid.csv"] + "dt,2.0\n"}),
+    _error("map_manifest_unknown_key", MAP, 2,
+           "GridFormatError: grid.csv: unknown manifest key 'bogus_key'",
+           {**GRID_FILES, "grid.csv": GRID_FILES["grid.csv"] + "bogus_key,1\n"}),
+    # grid sizes are checked before the mask is built
+    *(_error(f"map_manifest_size_{case_id}", MAP, 2,
+             f"GridFormatError: grid.csv: bad manifest value: n_lat and n_lon must be >= 1, got {got}",
+             {**GRID_FILES, "grid.csv": GRID_FILES["grid.csv"].replace("n_lat,1\nn_lon,2", sizes)})
+      for case_id, sizes, got in (("negative_lat", "n_lat,-1\nn_lon,2", "-1 and 2"),
+                                  ("both_negative", "n_lat,-1\nn_lon,-2", "-1 and -2"),
+                                  ("zero_lon", "n_lat,1\nn_lon,0", "1 and 0"))),
     _error("map_values_text_cell", MAP, 2, "NonFiniteValue: vals.csv: row 7, column 1: 'abc'",
            {**GRID_FILES, "vals.csv": "".join(VALS_ROWS[:6]) + "6.0,abc\n" + "".join(VALS_ROWS[7:])}),
     _error("map_values_short_row", MAP, 2,
@@ -669,6 +684,14 @@ ERRORS = [
     _error("map_mask_flag", MAP, 2,
            "GridFormatError: mask.csv: mask row 1: flag '2' is not 0 or 1",
            {**GRID_FILES, "mask.csv": "1,2\n"}),
+    # the first problem in file order: an unmasked nan in row 3 before a text cell
+    _error("map_values_unmasked_nan_first", MAP, 2, "NonFiniteValue: vals.csv: row 3, column 1: 'nan'",
+           {**GRID_FILES, "vals.csv": "".join(VALS_ROWS[:2]) + "2.0,nan\n" + "".join(VALS_ROWS[3:7])
+            + "7.0,abc\n" + "".join(VALS_ROWS[8:])}),
+    # the mask is read before the values
+    _error("map_mask_flag_before_bad_values", MAP, 2,
+           "GridFormatError: mask.csv: mask row 1: flag '2' is not 0 or 1",
+           {**GRID_FILES, "mask.csv": "1,2\n", "vals.csv": "abc\n"}),
     _error("map_mask_shape", MAP, 2, "GridFormatError: mask file must be 1 rows of 2 flags",
            {**GRID_FILES, "mask.csv": "1\n"}),
     _error("map_index_column", [*MAP, "--index-col", "dmi"], 2,

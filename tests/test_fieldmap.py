@@ -479,6 +479,67 @@ class TestGridIO:
             load_grid(str(path))
         assert exc.value.row == 5
 
+    @pytest.mark.parametrize("chars", [1, 7, 50, series.CHUNK_CHARS, "ranges"])
+    def test_unmasked_nan_is_named_in_file_order(self, tmp_path, monkeypatch, chars):
+        # an unmasked nan in row 3 comes before a text cell in row 8, at every
+        # chunk size and with a range per line; masked, a nan is no error,
+        # also beside the text cell
+        path = tmp_path / "m.csv"
+        path.write_text("n_lat,1\nn_lon,3\nn_time,10\ndt,1.0\nvalues_file,v.csv\n")
+        rows = [f"{i}.0,{i}.5,{i}.25\n" for i in range(10)]
+        rows[2], rows[7] = "2.0,nan,2.25\n", "7.0,-inf,abc\n"
+        (tmp_path / "v.csv").write_text("".join(rows))
+        if chars == "ranges":
+            split_before_every_line(monkeypatch, str(tmp_path / "v.csv"))
+        else:
+            monkeypatch.setattr(series, "CHUNK_CHARS", chars)
+        with pytest.raises(NonFiniteValue, match="v.csv: row 3, column 1: 'nan'$") as exc:
+            load_grid(str(path))
+        assert exc.value.row == 3
+        (tmp_path / "mask.csv").write_text("1,0,1\n")
+        with path.open("a") as fh:
+            fh.write("mask_file,mask.csv\n")
+        with pytest.raises(NonFiniteValue, match="v.csv: row 8, column 2: 'abc'$") as exc:
+            load_grid(str(path))
+        assert exc.value.row == 8
+        assert_no_child_left()
+
+    @staticmethod
+    def record_opens(monkeypatch):
+        """Record the name of every file that the loaders open, in order."""
+        opened, open_input = [], series._open_input
+
+        def recorded(path):
+            opened.append(os.path.basename(path))
+            return open_input(path)
+
+        monkeypatch.setattr(series, "_open_input", recorded)
+        monkeypatch.setattr(fieldmap, "_open_input", recorded)
+        return opened
+
+    def test_values_file_is_read_once(self, tmp_path, monkeypatch):
+        # the manifest, the mask, then the values, each opened once, also
+        # when an unmasked nan raises after a chunk read at a time
+        path = tmp_path / "m.csv"
+        path.write_text("n_lat,1\nn_lon,2\nn_time,9\ndt,1.0\nvalues_file,v.csv\nmask_file,mask.csv\n")
+        (tmp_path / "mask.csv").write_text("1,1\n")
+        (tmp_path / "v.csv").write_text("1,2\n" * 6 + "1,inf\n" + "1,2\n" * 2)
+        monkeypatch.setattr(series, "CHUNK_CHARS", 9)
+        opened = self.record_opens(monkeypatch)
+        with pytest.raises(NonFiniteValue, match="v.csv: row 7, column 1: 'inf'$"):
+            load_grid(str(path))
+        assert opened == ["m.csv", "mask.csv", "v.csv"]
+
+    def test_bad_mask_is_reported_before_the_values_are_opened(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        path.write_text("n_lat,1\nn_lon,2\nn_time,3\ndt,1.0\nvalues_file,v.csv\nmask_file,mask.csv\n")
+        (tmp_path / "mask.csv").write_text("1,2\n")
+        (tmp_path / "v.csv").write_text("abc,1\n1\n")
+        opened = self.record_opens(monkeypatch)
+        with pytest.raises(GridFormatError, match="mask row 1: flag '2' is not 0 or 1$"):
+            load_grid(str(path))
+        assert opened == ["m.csv", "mask.csv"]
+
     def test_parse_with_ranges_forced(self, tmp_path, monkeypatch):
         monkeypatch.setattr(series, "SPLIT_BYTES", 1 << 16)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})

@@ -251,6 +251,7 @@ def cmd_analyze(args) -> int:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    """The key=value lines of a simulate config file, each key known and given once."""
     entries: dict[str, str] = {}
     with _open_input(path) as fh:
         for i, line in enumerate(_Lines(fh), start=1):
@@ -259,8 +260,12 @@ def _read_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise InputError(f"{path}: line {i}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            entries[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _SIM_DEFAULTS and key != "seed":
+                raise InputError(f"{path}: line {i}: unknown config key {key!r}")
+            if key in entries:
+                raise InputError(f"{path}: line {i}: repeated config key {key!r}")
+            entries[key] = value
     return entries
 
 
@@ -277,11 +282,7 @@ _SIM_DEFAULTS = {
 def cmd_simulate(args) -> int:
     config = dict(_SIM_DEFAULTS)
     if args.config:
-        file_cfg = _read_config_file(args.config)
-        unknown = set(file_cfg) - set(_SIM_DEFAULTS) - {"seed"}
-        if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
-        config.update(file_cfg)
+        config.update(_read_config_file(args.config))
     for key in _SIM_DEFAULTS:
         flag = getattr(args, key)
         if flag is not None:

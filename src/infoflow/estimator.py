@@ -28,8 +28,8 @@ cancels when drift dominates noise: q1 carries a rounding error of about
 5 * eps * (m-1) * Cd1d1, and at or below RESIDUAL_FLOOR times that sum q1 is
 taken as exactly zero (SingularFisher in fisher_ci). The pair pipeline, the
 field map and the validation harness go through covariances() and the one
-drift closed form in _drift(), with the floors in _checked(), _varied(),
-_independent() and _residual_sum().
+drift closed form in _checked_drift(), with the floors in _checked(),
+_varied(), _independent() and _residual_sum().
 
 covariances(), fit_mle() and fisher_ci() also take a stacked pair (see _floor):
 each result field then holds one entry per row, with the bits of that row's
@@ -39,7 +39,7 @@ condition that must hold, which a NaN or a covariance that is not finite fails.
 The moving-block bootstrap takes each resample's covariances from prefix sums
 of the centred series and their products, in O(m/L) per resample for block
 length L (see bootstrap_ci); _varied() with the prefix sums' rounding
-floor, _independent() and _drift() then act elementwise on arrays of resamples.
+floor and _checked_drift() then act elementwise on arrays of resamples.
 """
 
 from __future__ import annotations
@@ -245,31 +245,24 @@ def _independent(cov: CovarianceStats):
     return cov.det > DET_FLOOR * cov.c11 * cov.c22
 
 
-def _checked_drift(cov: CovarianceStats) -> tuple[float, float, float, float, float]:
-    """_drift() under the collinearity floor and finite: CollinearSeries or
-    DegenerateSeries, or NaN rows (_floor)."""
+def _checked_drift(cov: CovarianceStats) -> tuple[float, float, float, float]:
+    """(a11, a12, a21, a22): the drift-matrix closed forms, under the
+    collinearity floor and finite: CollinearSeries or DegenerateSeries, or
+    NaN rows (_floor). Elementwise over a batch of covariances.
+
+    flow(), and so the bootstrap, and fit_mle() take the drift from here, and
+    fisher_ci() takes fit_mle()'s, so that t21 == (c12/c11) * a12_hat holds bitwise.
+    """
     keep = _floor(_independent(cov), CollinearSeries,
                   lambda: f"covariance determinant {cov.det} below the collinearity floor")
     with np.errstate(divide="ignore", invalid="ignore"):
-        drift = _drift(cov)
-    keep = keep * _finite("drift", dict(zip(("det", "a11", "a12", "a21", "a22"), drift)))
+        det = cov.det
+        drift = ((cov.c22 * cov.c1d1 - cov.c12 * cov.c2d1) / det,
+                 (-cov.c12 * cov.c1d1 + cov.c11 * cov.c2d1) / det,
+                 (-cov.c12 * cov.c2d2 + cov.c22 * cov.c1d2) / det,
+                 (cov.c11 * cov.c2d2 - cov.c12 * cov.c1d2) / det)
+    keep = keep * _finite("drift", dict(zip(("det", "a11", "a12", "a21", "a22"), (det, *drift))))
     return tuple(v * keep for v in drift)
-
-
-def _drift(cov: CovarianceStats) -> tuple[float, float, float, float, float]:
-    """(det, a11, a12, a21, a22): the drift-matrix closed forms.
-
-    flow(), fit_mle(), fisher_ci() and the bootstrap all take the drift from
-    here, so that t21 == (c12/c11) * a12_hat holds bitwise. It is elementwise
-    over a batch of covariances; collinear entries must be excluded first
-    (_checked_drift for a pair, a mask for bootstrap resamples).
-    """
-    det = cov.det
-    a11 = (cov.c22 * cov.c1d1 - cov.c12 * cov.c2d1) / det
-    a12 = (-cov.c12 * cov.c1d1 + cov.c11 * cov.c2d1) / det
-    a21 = (-cov.c12 * cov.c2d2 + cov.c22 * cov.c1d2) / det
-    a22 = (cov.c11 * cov.c2d2 - cov.c12 * cov.c1d2) / det
-    return det, a11, a12, a21, a22
 
 
 def fit_mle(pair: AlignedPair, cov: CovarianceStats) -> ModelEstimate:
@@ -285,7 +278,7 @@ def fit_mle(pair: AlignedPair, cov: CovarianceStats) -> ModelEstimate:
     where the sum of the float residual series was off by up to 7e-10 at the
     largest offset.
     """
-    _, a11, a12, a21, a22 = _checked_drift(cov)
+    a11, a12, a21, a22 = _checked_drift(cov)
     mean_x1, mean_x2 = pair.x1w.mean(axis=-1), pair.x2w.mean(axis=-1)
     f1 = pair.d1.mean(axis=-1) - a11 * mean_x1 - a12 * mean_x2
     f2 = pair.d2.mean(axis=-1) - a21 * mean_x1 - a22 * mean_x2
@@ -310,7 +303,7 @@ def _residual_sum(c_dd, explained, m):
 
 def flow(cov: CovarianceStats) -> tuple[float, float]:
     """Information-flow rates (t21, t12) in nats per unit time."""
-    _, _, a12, a21, _ = _checked_drift(cov)
+    _, a12, a21, _ = _checked_drift(cov)
     return (cov.c12 / cov.c11) * a12, (cov.c12 / cov.c22) * a21
 
 
@@ -334,6 +327,11 @@ def _star_ratios(
     return cov.c12 / cov.c11, cov.c12 / cov.c22
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def z_quantile(alpha: float) -> float:
     """Two-sided standard-normal quantile (1.959964 at alpha=0.05)."""
     return NormalDist().inv_cdf(1.0 - alpha / 2.0)
@@ -355,7 +353,8 @@ def fisher_ci(
 ) -> FlowEstimate:
     """Flow rates with standard errors from the observed information.
 
-    The standard deviations of the cross-drift coefficients are the Schur
+    model is fit_mle(pair, cov), whose a12_hat and a21_hat are the drift. The
+    standard deviations of the cross-drift coefficients are the Schur
     complement of the observed information in closed form,
 
         sigma_a12 = b1_hat * sqrt(c11 / (dt * (m-1) * det))
@@ -376,11 +375,9 @@ def fisher_ci(
     and the leading ratios in the standard errors come from the slab,
     while the coefficient uncertainty still reflects the full window.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    drift = _checked_drift(cov)
+    _check_alpha(alpha)
     keep = _checked_noise(model.b1_hat) * _checked_noise(model.b2_hat)
-    det, _, a12, a21, _ = (v * keep for v in drift)
+    det, a12, a21 = (v * keep for v in (cov.det, model.a12_hat, model.a21_hat))
     # dt * (m-1) * det can underflow to 0 at the ends of the float range
     denom = pair.dt * (cov.m - 1) * det
     with np.errstate(divide="ignore"):
@@ -456,8 +453,7 @@ def bootstrap_ci(
     Neither the chunk nor the slice size changes a bit of the result. With
     block_len == m every resample is the sample itself.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if n_boot < 100:
         raise ValueError(f"n_boot must be >= 100, got {n_boot}")
     m = pair.m

@@ -11,7 +11,8 @@ Grid storage is a plain-text trio:
 
   manifest CSV    key,value rows, each key once: n_lat, n_lon, n_time, dt,
                   values_file, mask_file (optional), t0 (optional); paths
-                  are relative to the manifest.
+                  are relative to the manifest. n_lat and n_lon are >= 1,
+                  n_time >= 3 and dt a positive finite real.
   values CSV      n_time rows, each with n_lat * n_lon cells in row-major
                   (lat, lon) order.
   mask CSV        n_lat rows of n_lon flags, 1 = valid cell, 0 = masked.
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import math
 import os
 from dataclasses import dataclass
 
@@ -41,6 +41,7 @@ from .estimator import covariances, fisher_ci, fit_mle
 from .series import (
     TimeSeries,
     _Lines,
+    _check_sampling,
     _data_lines,
     _fill,
     _freeze,
@@ -76,10 +77,7 @@ class GridField:
         values = _freeze(self.values)
         if values.ndim != 3:
             raise ValueError(f"field values must be [time][lat][lon], got shape {values.shape}")
-        if values.shape[0] < 3:
-            raise ValueError(f"field needs at least 3 time steps, got {values.shape[0]}")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be a positive finite real, got {self.dt}")
+        _check_sampling(values.shape[0], self.dt, "field", "time steps")
         mask = _freeze(self.mask, bool)
         if mask.shape != values.shape[1:]:
             raise ValueError(f"mask shape {mask.shape} does not match grid {values.shape[1:]}")
@@ -145,7 +143,7 @@ def _csv_rows(path) -> list[list[str]]:
 def _read_mask(mask_path, n_lat: int, n_lon: int) -> np.ndarray:
     rows = [[cell.strip() for cell in row] for row in _csv_rows(mask_path)]
     if len(rows) != n_lat or any(len(r) != n_lon for r in rows):
-        raise GridFormatError(f"mask file must be {n_lat} rows of {n_lon} flags")
+        raise GridFormatError(f"{mask_path}: mask file must be {n_lat} rows of {n_lon} flags")
     for i, row in enumerate(rows, start=1):
         for flag in row:
             if flag not in ("0", "1"):
@@ -186,6 +184,7 @@ def load_grid(manifest_path) -> GridField:
         dt, t0 = float(entries["dt"]), float(entries.get("t0", "0"))
         if min(n_lat, n_lon) < 1:
             raise ValueError(f"n_lat and n_lon must be >= 1, got {n_lat} and {n_lon}")
+        _check_sampling(n_time, dt, "field", "time steps")
     except ValueError as exc:
         raise GridFormatError(f"{manifest_path}: bad manifest value: {exc}")
 
@@ -197,7 +196,7 @@ def load_grid(manifest_path) -> GridField:
         # the file holds at most `fits` rows: one of n_cells values takes at
         # least 2 * n_cells - 1 characters, and a line break ends all but the last
         fits = (os.fstat(fh.fileno()).st_size + 1) // (2 * n_cells)
-        flat = np.empty((min(max(n_time, 0), fits), n_cells))
+        flat = np.empty((min(n_time, fits), n_cells))
         # rows past it are parsed, for their errors and their count, and
         # dropped; a value must be finite in an unmasked cell only
         place = functools.partial(_fill, out=flat)

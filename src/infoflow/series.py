@@ -54,6 +54,19 @@ def _freeze(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_dt(dt: float) -> None:
+    """Raise ValueError unless dt, a sampling step, is a positive finite real."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be a positive finite real, got {dt}")
+
+
+def _check_sampling(n: int, dt: float, what: str = "series", unit: str = "points") -> None:
+    """Raise ValueError unless `what`, n `unit` long, has _MIN_LENGTH or more and dt is valid."""
+    if n < _MIN_LENGTH:
+        raise ValueError(f"{what} needs at least {_MIN_LENGTH} {unit}, got {n}")
+    _check_dt(dt)
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """A uniformly sampled scalar series, or a (k, n) stack of k series.
@@ -72,13 +85,10 @@ class TimeSeries:
         arr = _freeze(self.values)
         if arr.ndim not in (1, 2):
             raise ValueError(f"series values must be 1-D or a 2-D stack, got shape {arr.shape}")
-        if arr.shape[-1] < _MIN_LENGTH:
-            raise ValueError(f"series needs at least {_MIN_LENGTH} points, got {arr.shape[-1]}")
+        _check_sampling(arr.shape[-1], self.dt)
         if not np.isfinite(arr).all():
             bad = int(np.nonzero(~np.isfinite(arr))[-1][0])
             raise NonFiniteValue(f"non-finite value at index {bad}", row=bad)
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be a positive finite real, got {self.dt}")
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -327,20 +337,14 @@ def _ranges(fh, start: int) -> list[tuple[int, int]]:
     n = min(n, len(os.sched_getaffinity(0)))
     cuts = [start]
     for i in range(1, n):
-        cut = _line_start(fh.fileno(), start + (size - start) * i // n, size)
+        # the first line end from the byte before the cut point on: data ends at
+        # one, if it has any, which _LINE_END does not match if it is a "\r"
+        at = start + (size - start) * i // n - 1
+        data = _chunk(fh, at, size)
+        cut = at + (found.end() if (found := _LINE_END.search(data)) else len(data))
         if cuts[-1] < cut < size:
             cuts.append(cut)
     return list(zip(cuts, cuts[1:] + [size]))
-
-
-def _line_start(fd: int, at: int, size: int) -> int:
-    """The first byte offset at or after at > 0 that follows a line end, or size."""
-    at -= 1
-    while len(data := os.pread(fd, 1 << 16, at)) > 1:
-        if found := _LINE_END.search(data):
-            return at + found.end()
-        at += len(data) - 1  # a "\r" read last may start a "\r\n"
-    return size
 
 
 class _Worker:
@@ -607,7 +611,7 @@ def window(series: TimeSeries, t_start: float, t_end: float) -> TimeSeries:
             f"[{series.t0}, {series.t_end}]"
         )
     if i1 - i0 + 1 < _MIN_LENGTH:
-        raise WindowOutOfRange(f"window [{t_start}, {t_end}] covers fewer than 3 samples")
+        raise WindowOutOfRange(f"window [{t_start}, {t_end}] covers fewer than {_MIN_LENGTH} samples")
     return TimeSeries(
         series.values[..., i0 : i1 + 1], series.dt, series.t0 + i0 * series.dt, series.label
     )
@@ -626,7 +630,7 @@ def star_window_from_times(
     end = min(len(series) - 1, last + 1)
     if start < 0 or last > len(series) - 1 or end - start < _MIN_LENGTH:
         raise WindowTooShort(
-            f"star window [{t_start}, {t_end}] does not select >= 3 aligned samples "
+            f"star window [{t_start}, {t_end}] does not select >= {_MIN_LENGTH} aligned samples "
             f"inside the analyzed window [{series.t0}, {series.t_end}]"
         )
     return StationaryWindow(start, end)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NonFiniteState
 from .kernels import euler_path_2d
-from .series import TimeSeries
+from .series import TimeSeries, _check_dt
 from .theory import LinearModel2D
 
 __all__ = ["SimConfig", "simulate"]
@@ -30,8 +30,7 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be a positive finite real, got {self.dt}")
+        _check_dt(self.dt)
         if self.n_steps < 2:
             raise ValueError(f"n_steps must be >= 2, got {self.n_steps}")
         if not all(math.isfinite(v) for v in self.x0):

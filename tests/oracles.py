@@ -40,7 +40,7 @@ def fit_mle_whole_residuals(pair, cov) -> ModelEstimate:
     """fit_mle with b_hat from the sums of squares of both residual series:
     the two-pass reference for the closed-form residual sums of
     estimator.fit_mle, with f_hat and a_hat its bits and no residual floor."""
-    _, a11, a12, a21, a22 = _checked_drift(cov)
+    a11, a12, a21, a22 = _checked_drift(cov)
     mean_x1, mean_x2 = pair.x1w.mean(axis=-1), pair.x2w.mean(axis=-1)
     f1 = pair.d1.mean(axis=-1) - a11 * mean_x1 - a12 * mean_x2
     f2 = pair.d2.mean(axis=-1) - a21 * mean_x1 - a22 * mean_x2

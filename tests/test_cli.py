@@ -466,6 +466,8 @@ ERRORS = [
            "InputError: --window must look like T_START:T_END, got '5-10'"),
     _error("analyze_star_window_malformed", [*ABSENT, "--star-window", "5-10"], 2,
            "InputError: --star-window must look like T_START:T_END, got '5-10'"),
+    _error("analyze_window_not_a_number", [*ABSENT, "--window", "5:ten"], 2,
+           "InputError: --window: cannot parse '5:ten'"),
     _error("map_alpha", [*MAP, "--alpha", "1.5"], 2, "InputError: --alpha must be in (0, 1), got 1.5"),
     # every input is opened the same way: absent, or not a regular file
     _error("analyze_absent_input", ABSENT, 2,
@@ -494,6 +496,8 @@ ERRORS = [
     # simulate: lists of reals name their flag, or their config key
     _error("simulate_a_count", [*SIMULATE, "--a", "1,2,3"], 2,
            "InputError: a needs 4 comma-separated reals"),
+    _error("simulate_x0_not_a_number", [*SIMULATE, "--x0", "1,two"], 2,
+           "InputError: x0: cannot parse '1,two' as reals"),
     _error("simulate_x0_empty_entries", [*SIMULATE, "--x0", "1,,2,"], 2,
            "InputError: x0 has an empty entry in '1,,2,'"),
     _error("simulate_x0_trailing_comma", [*SIMULATE, "--x0", "1,2,"], 2,
@@ -513,7 +517,10 @@ ERRORS = [
            "InputError: bad simulate configuration: invalid literal for int() with base 10: 'many'",
            {"sim.cfg": "steps=many\n"}),
     _error("simulate_config_unknown_key", [*SIMULATE, "--config", "sim.cfg"], 2,
-           "InputError: unknown config keys: ['z']", {"sim.cfg": "z=1\n"}),
+           "InputError: sim.cfg: line 1: unknown config key 'z'", {"sim.cfg": "z=1\n"}),
+    _error("simulate_config_repeated_key", [*SIMULATE, "--config", "sim.cfg"], 2,
+           "InputError: sim.cfg: line 3: repeated config key 'dt'",
+           {"sim.cfg": "dt=0.001\nsteps=10\ndt=0.5\n"}),
     _error("simulate_config_no_equals", [*SIMULATE, "--config", "sim.cfg"], 2,
            "InputError: sim.cfg: line 2: expected key=value, got 'steps 400'",
            {"sim.cfg": "# a comment\nsteps 400\n"}),
@@ -566,6 +573,10 @@ ERRORS = [
            "the analyzed window [10.0, 40.0]", {"pair.csv": PAIR}),
     _error("analyze_star_window_after_window", [*ANALYZE, "--window", "0:20", "--star-window", "20:30"],
            2, "WindowTooShort: star window [20.0, 30.0]", {"pair.csv": PAIR}),
+    _error("analyze_star_window_constant", [*ANALYZE, "--star-window", "20:30"], 3,
+           "DegenerateSeries: star window: degenerate variance: c11=0.0,",
+           {"pair.csv": "".join(PAIR_ROWS[:21]) + "".join("5," + row.split(",")[1] for row in PAIR_ROWS[21:41])
+            + "".join(PAIR_ROWS[41:])}),
     _error("analyze_star_window_past_window", [*ANALYZE, "--window", "10:40", "--star-window", "30:45"],
            2, "WindowTooShort: star window [30.0, 45.0] does not select >= 3 aligned samples inside "
            "the analyzed window [10.0, 40.0]", {"pair.csv": PAIR}),
@@ -665,7 +676,14 @@ ERRORS = [
     _error("map_manifest_unknown_key", MAP, 2,
            "GridFormatError: grid.csv: unknown manifest key 'bogus_key'",
            {**GRID_FILES, "grid.csv": GRID_FILES["grid.csv"] + "bogus_key,1\n"}),
-    # grid sizes are checked before the mask is built
+    # grid sizes, n_time and dt are checked before the mask is read
+    _error("map_manifest_dt_negative", MAP, 2,
+           "GridFormatError: grid.csv: bad manifest value: dt must be a positive finite real, got -1.0",
+           {**GRID_FILES, "grid.csv": GRID_FILES["grid.csv"].replace("dt,1.0", "dt,-1")}),
+    _error("map_manifest_n_time_2", MAP, 2,
+           "GridFormatError: grid.csv: bad manifest value: field needs at least 3 time steps, got 2",
+           {**GRID_FILES, "grid.csv": GRID_FILES["grid.csv"].replace("n_time,10", "n_time,2"),
+            "vals.csv": "".join(VALS_ROWS[:2])}),
     *(_error(f"map_manifest_size_{case_id}", MAP, 2,
              f"GridFormatError: grid.csv: bad manifest value: n_lat and n_lon must be >= 1, got {got}",
              {**GRID_FILES, "grid.csv": GRID_FILES["grid.csv"].replace("n_lat,1\nn_lon,2", sizes)})
@@ -692,7 +710,7 @@ ERRORS = [
     _error("map_mask_flag_before_bad_values", MAP, 2,
            "GridFormatError: mask.csv: mask row 1: flag '2' is not 0 or 1",
            {**GRID_FILES, "mask.csv": "1,2\n", "vals.csv": "abc\n"}),
-    _error("map_mask_shape", MAP, 2, "GridFormatError: mask file must be 1 rows of 2 flags",
+    _error("map_mask_shape", MAP, 2, "GridFormatError: mask.csv: mask file must be 1 rows of 2 flags",
            {**GRID_FILES, "mask.csv": "1\n"}),
     _error("map_index_column", [*MAP, "--index-col", "dmi"], 2,
            "MissingColumn: index.csv: column 'dmi' not in header ['index']", GRID_FILES),

@@ -552,6 +552,9 @@ class TestFisherCi:
         model = fit_mle(pair, cov)
         with pytest.raises(ValueError):
             fisher_ci(pair, model, cov, alpha=1.5)
+        for alpha in (0.0, 1.5):
+            with pytest.raises(ValueError, match=f"alpha must be in \\(0, 1\\), got {alpha}"):
+                bootstrap_ci(pair, cov, alpha=alpha)
 
 
 def direct_bootstrap(pair, alpha=0.05, n_boot=100, block_len=None, seed=0):

@@ -360,23 +360,25 @@ class TestGridIO:
         assert peak < 1.25 * field.values.nbytes
 
     @pytest.mark.parametrize(
-        "n_time, rows, found",
+        "n_time, rows, message",
         [
-            (3, "1,2,3,4\n5,6,7,8\n", 2),
-            (3, "1,2,3,4\n" * 5, 5),
-            (3, '"1",2,3,4\n' * 5, 5),  # the row scan's count
-            (-1, "1,2,3,4\n" * 5, 5),
-            (10**15, "1,2,3,4\n" * 5, 5),  # more rows than the file can hold
+            (3, "1,2,3,4\n5,6,7,8\n", "v.csv: expected 3 rows, found 2"),
+            (3, "1,2,3,4\n" * 5, "v.csv: expected 3 rows, found 5"),
+            (3, '"1",2,3,4\n' * 5, "v.csv: expected 3 rows, found 5"),  # the row scan's count
+            # a manifest check, before the values are read
+            (-1, "1,2,3,4\n" * 5, "m.csv: bad manifest value: field needs at least 3 time steps, got -1"),
+            # more rows than the file can hold
+            (10**15, "1,2,3,4\n" * 5, f"v.csv: expected {10**15} rows, found 5"),
         ],
         ids=["too-few", "too-many", "too-many-scanned", "negative", "beyond-file"],
     )
-    def test_row_count_must_match_manifest(self, tmp_path, monkeypatch, n_time, rows, found):
+    def test_row_count_must_match_manifest(self, tmp_path, monkeypatch, n_time, rows, message):
         path = tmp_path / "m.csv"
         path.write_text(f"n_lat,2\nn_lon,2\nn_time,{n_time}\ndt,1.0\nvalues_file,v.csv\n")
         (tmp_path / "v.csv").write_text(rows)
         # two rows of 8 characters per chunk: rows past n_time in later chunks
         monkeypatch.setattr(series, "CHUNK_CHARS", 9)
-        with pytest.raises(GridFormatError, match=f"expected {n_time} rows, found {found}$"):
+        with pytest.raises(GridFormatError, match=f"/{message}$"):
             load_grid(str(path))
 
     @pytest.mark.parametrize(
@@ -540,6 +542,23 @@ class TestGridIO:
             load_grid(str(path))
         assert opened == ["m.csv", "mask.csv"]
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("n_time", "2", "field needs at least 3 time steps, got 2"),
+         *(("dt", dt, f"dt must be a positive finite real, got {float(dt)}")
+           for dt in ("-1", "0", "nan", "inf"))],
+    )
+    def test_bad_time_axis_is_reported_before_the_mask_is_opened(self, tmp_path, monkeypatch,
+                                                                  key, value, message):
+        path = tmp_path / "m.csv"
+        entries = {"n_lat": "1", "n_lon": "2", "n_time": "3", "dt": "1.0",
+                   "values_file": "v.csv", "mask_file": "mask.csv", key: value}
+        path.write_text("".join(f"{k},{v}\n" for k, v in entries.items()))
+        opened = self.record_opens(monkeypatch)
+        with pytest.raises(GridFormatError, match=f"m.csv: bad manifest value: {message}$"):
+            load_grid(str(path))
+        assert opened == ["m.csv"]
+
     def test_parse_with_ranges_forced(self, tmp_path, monkeypatch):
         monkeypatch.setattr(series, "SPLIT_BYTES", 1 << 16)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
@@ -598,6 +617,21 @@ class TestGridIO:
             load_grid(str(path))
         assert exc.value.row == 6
         assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "shape, dt, mask_shape, message",
+        [
+            ((3, 4), 1.0, (2, 2), "field values must be [time][lat][lon], got shape (3, 4)"),
+            ((2, 2, 2), 1.0, (2, 2), "field needs at least 3 time steps, got 2"),
+            *(((3, 2, 2), dt, (2, 2), f"dt must be a positive finite real, got {dt}")
+              for dt in (0.0, -1.0, np.nan, np.inf)),
+            ((3, 2, 2), 1.0, (2, 3), "mask shape (2, 3) does not match grid (2, 2)"),
+        ],
+    )
+    def test_field_shape_and_dt_are_checked(self, shape, dt, mask_shape, message):
+        with pytest.raises(ValueError) as exc:
+            GridField(values=np.zeros(shape), dt=dt, mask=np.ones(mask_shape, bool))
+        assert str(exc.value) == message
 
     def test_grid_invariants(self):
         with pytest.raises(ValueError):

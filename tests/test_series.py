@@ -14,6 +14,7 @@ from infoflow import (
     LengthMismatch,
     MissingColumn,
     NonFiniteValue,
+    StationaryWindow,
     TimeSeries,
     TooShortAfterSubsample,
     WindowTooShort,
@@ -428,6 +429,16 @@ class TestTimeSeries:
             TimeSeries([1.0, 2.0], dt=1.0)
         with pytest.raises(NonFiniteValue):
             TimeSeries([1.0, np.nan, 3.0], dt=1.0)
+        with pytest.raises(ValueError, match=r"1-D or a 2-D stack, got shape \(1, 2, 3\)"):
+            TimeSeries(np.zeros((1, 2, 3)), dt=1.0)
+
+    @pytest.mark.parametrize("start, end, message", [
+        (-1, 5, "start_index must be >= 0, got -1"),
+        (2, 4, r"window \[2, 4\) has fewer than 3 points"),
+    ])
+    def test_stationary_window_bounds(self, start, end, message):
+        with pytest.raises(ValueError, match=message):
+            StationaryWindow(start, end)
 
     def test_immutability(self):
         s = TimeSeries([1.0, 2.0, 3.0], dt=1.0)
@@ -478,6 +489,12 @@ class TestSubsample:
         s = TimeSeries([0, 1, 2, 3, 4, 5], dt=1.0)
         with pytest.raises(TooShortAfterSubsample):
             subsample(s, 3)
+
+    @pytest.mark.parametrize("delta_n", [0, -1])
+    def test_step_below_one(self, delta_n):
+        s = TimeSeries([0, 1, 2, 3, 4, 5], dt=1.0)
+        with pytest.raises(ValueError, match=f"delta_n must be >= 1, got {delta_n}"):
+            subsample(s, delta_n)
 
     def test_long_series_bookkeeping(self):
         s = TimeSeries(np.arange(100_000, dtype=float), dt=0.001)

@@ -246,6 +246,19 @@ class TestIntegrateMoments:
                 integrate_moments(model, init, t_end=t_end, dt=dt)
 
     @pytest.mark.parametrize(
+        "f, a, b, message",
+        [
+            (np.zeros(3), np.zeros((2, 2)), (0.0, 0.0), "f must be a 2-vector and a 2x2"),
+            (np.zeros(2), np.zeros(4), (0.0, 0.0), "f must be a 2-vector and a 2x2"),
+            (np.zeros(2), np.zeros((2, 2)), (-0.1, 0.0), "diffusion coefficients must be >= 0"),
+            (np.zeros(2), np.zeros((2, 2)), (0.0, -0.1), "diffusion coefficients must be >= 0"),
+        ],
+    )
+    def test_model_must_be_two_dimensional_with_nonnegative_diffusion(self, f, a, b, message):
+        with pytest.raises(ValueError, match=message):
+            LinearModel2D(f=f, a=a, b1=b[0], b2=b[1])
+
+    @pytest.mark.parametrize(
         "mu, sigma",
         [
             ([np.nan, 1.0], np.eye(2)),
@@ -253,6 +266,8 @@ class TestIntegrateMoments:
             ([0.0, 0.0], [[-0.1, 0.0], [0.0, 0.1]]),
             ([0.0, 0.0], [[0.1, 0.5], [0.5, 0.1]]),
             ([0.0, 0.0], [[0.1, 0.01], [0.0, 0.1]]),
+            ([0.0, 0.0, 0.0], np.eye(2)),
+            ([0.0, 0.0], np.eye(3)),
         ],
     )
     def test_initial_state_must_be_a_finite_covariance(self, mu, sigma):

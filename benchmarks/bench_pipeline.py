@@ -2,7 +2,11 @@
 """Time the stages of the infoflow pipeline and write BENCH_pipeline.json.
 
 Usage:
-    PYTHONPATH=src python3 benchmarks/bench_pipeline.py [--out PATH]
+    PYTHONPATH=src python3 benchmarks/bench_pipeline.py [--out PATH] [--base SRC]
+
+--base times every stage on the `src` directory of another checkout (a
+parent commit, say) in a child process run first, and records that run
+under "base".
 
 Every stage runs on fixed sizes and seeds, so two runs time the same work, and
 reports the best and the median wall time of REPEATS = 5 runs, the median CPU
@@ -15,8 +19,8 @@ record also holds the kernel backend, the numpy version, the CPU count, the
 OPENBLAS_NUM_THREADS setting (null when unset) and the git commit (with a
 flag for uncommitted changes).
 
-Stages, all but reference, integrate_moments, map_flows and simulate_* on the
-seed-149 reference path, m = 100,000 aligned rows:
+Stages, all but reference, integrate_moments, map_flows, validate and
+simulate_* on the seed-149 reference path, m = 100,000 aligned rows:
     reference          np.sort of 2^21 standard normals drawn from seed 0
     load_csv           load_csv of the path's 100,001 rows (t, x1, x2),
                        written with `simulate`'s writer into a temporary
@@ -59,6 +63,8 @@ seed-149 reference path, m = 100,000 aligned rows:
                        the temporary directory
     load_grid          load_grid of the files write_grid wrote; also records
                        peak_mb
+    validate           run_validation at the first fixture seed: the
+                       span/resolution matrix and the second system
     simulate_python    `simulate` of that reference path (reference_model(),
     simulate_compiled  100,000 steps, seed 149) on each kernel backend: the
                        pure-Python one always, the compiled one when it is
@@ -77,6 +83,7 @@ import platform
 import resource
 import statistics
 import subprocess
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -99,10 +106,12 @@ from infoflow import (
     load_grid,
     map_flows,
     reference_model,
+    run_validation,
     simulate,
     write_grid,
 )
 from infoflow import simulator
+from infoflow.validate import FIXTURE_SEEDS
 from infoflow.series import _write_rows
 from infoflow.kernels import BACKEND, available_backends
 
@@ -261,6 +270,11 @@ def load_grid_stage(pair):
     return {**params, "peak_mb": traced_peak_mb(run)}, run
 
 
+def validate_stage(pair):
+    seed = FIXTURE_SEEDS[0]
+    return {"seed": seed}, lambda: run_validation(seed)
+
+
 def simulate_stage(kernel):
     def setup(pair):
         cfg = SimConfig(reference_model(), (1.0, 2.0), 1e-3, 100_000, 149)
@@ -290,6 +304,7 @@ STAGES = {
     "map_flows": map_flows_stage,
     "write_grid": write_grid_stage,
     "load_grid": load_grid_stage,
+    "validate": validate_stage,
     **{f"simulate_{name}": simulate_stage(fn) for name, fn in available_backends().items()},
 }
 REPEATS = 5
@@ -316,16 +331,19 @@ def time_stage(run):
 
 
 def git_commit():
-    """(HEAD commit, whether the tree has uncommitted changes), or (None, None)."""
+    """(HEAD commit, whether the tree has uncommitted changes) of the
+    checkout whose infoflow is timed, or (None, None)."""
+    where = os.path.dirname(simulator.__file__)
     try:
         sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=True, cwd=where
         ).stdout.strip()
         status = subprocess.run(
             ["git", "status", "--porcelain", "--untracked-files=no"],
             capture_output=True,
             text=True,
             check=True,
+            cwd=where,
         ).stdout
     except (OSError, subprocess.CalledProcessError):
         return None, None
@@ -335,8 +353,20 @@ def git_commit():
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="BENCH_pipeline.json")
+    parser.add_argument("--base", help="src directory of a checkout to time the same stages on first")
     args = parser.parse_args()
 
+    base = None
+    if args.base:
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "base.json")
+            subprocess.run(
+                [sys.executable, __file__, "--out", out],
+                env={**os.environ, "PYTHONPATH": os.path.abspath(args.base)},
+                check=True,
+            )
+            with open(out) as fh:
+                base = json.load(fh)
     pair = reference_pair()
     stages = {}
     for name, setup in STAGES.items():
@@ -363,6 +393,8 @@ def main():
         "git_sha": sha,
         "git_dirty": dirty,
     }
+    if base:
+        record["base"] = base
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -42,6 +42,10 @@ Three more maps exit 2 on the grid's read order (manifest, mask, values): a
 NaN in an unmasked cell before a non-numeric cell (the NaN is named), a mask
 flag other than 0 or 1 beside the non-numeric values (the mask is named), and
 a manifest that gives dt twice.
+Two more write tables large enough to be cut into a range of rows per CPU,
+formatted in forked children where two CPUs are available: a 20,000-step
+simulate to stdout (1.2 MB) and a 10,001-row theory trajectory (1.7 MB).
+`validate` runs its second system in a forked child there too.
 For each command the exit code, stdout and stderr are compared, and at the
 end every file in the working directory. Prints one line per command and one per file that
 differs, each difference followed by up to ten lines of its diff, and exits
@@ -126,6 +130,8 @@ COMMANDS = {
         "map", "--index", "index.csv", "--grid-manifest", "grid_repeated.csv", "--out-dir", "repeated",
     ],
     "validate": ["validate"],
+    "simulate_stdout_split": ["simulate", "--steps", "20000", "--seed", "12"],
+    "theory_split": ["theory", "--t-end", "10", "--dt", "0.001", "--out", "traj_split.csv"],
 }
 
 

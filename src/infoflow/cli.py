@@ -206,6 +206,10 @@ def cmd_analyze(args) -> int:
         raise InputError(f"--subsample must be >= 1, got {args.subsample}")
     if not 0 < args.dt < np.inf:
         raise InputError(f"--dt must be a positive finite real, got {args.dt}")
+    if args.dt * args.subsample == np.inf:
+        raise InputError(
+            f"--dt times --subsample overflowed: {args.dt} * {args.subsample} is not a finite real"
+        )
     span = _parse_window(args.window, "--window") if args.window else None
     star_span = _parse_window(args.star_window, "--star-window") if args.star_window else None
     x1, x2 = load_csv(args.input, args.x1, args.x2, args.dt)

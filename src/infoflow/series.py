@@ -322,19 +322,26 @@ def _read_blocks(fh, start: int, end: int, usecols, width: int, finite):
     return None, row
 
 
+def _cpus() -> int:
+    """How many processes can run here at once: the CPUs this process may
+    run on, on Linux with os.fork; else 1, and nothing is forked."""
+    if hasattr(os, "fork") and os.uname().sysname == "Linux":
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
 def _ranges(fh, start: int) -> list[tuple[int, int]]:
     """Byte ranges [start, end) that cover fh from byte offset start, a line
     start, to the end of the file.
 
-    There is one range per available CPU, none shorter than about
+    There is one range per CPU that _cpus counts, none shorter than about
     SPLIT_BYTES, each cut just after a line end; in UTF-8 no character
-    spans one. There is one range unless the platform is Linux with os.fork.
+    spans one.
     """
     size = os.fstat(fh.fileno()).st_size
-    n = (size - start) // SPLIT_BYTES
-    if n < 2 or not (hasattr(os, "fork") and os.uname().sysname == "Linux"):
+    n = min((size - start) // SPLIT_BYTES, _cpus())
+    if n < 2:
         return [(start, size)]
-    n = min(n, len(os.sched_getaffinity(0)))
     cuts = [start]
     for i in range(1, n):
         # the first line end from the byte before the cut point on: data ends at
@@ -347,9 +354,65 @@ def _ranges(fh, start: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:] + [size]))
 
 
-class _Worker:
+class _Child:
+    """A forked child that runs send(fd), fd the write end of a pipe read
+    here as the buffered file pipe, and then exits at once: no exit handler
+    runs and no buffer of this process is flushed a second time.
+
+    A child that raises or dies ends the pipe early, and one that cannot be
+    forked leaves it empty, so whoever reads the pipe can tell a whole reply
+    from a short one and do the child's work itself.
+    """
+
+    def __init__(self, send):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            self.pid = None
+        if self.pid == 0:
+            try:
+                os.close(read)
+                send(write)
+            finally:
+                os._exit(0)  # no exit handlers, no flush of the parent's buffers
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def message(self):
+        """Yield the bytes the child sent with _send_message, in pieces of at
+        most CHUNK_CHARS bytes; raise EOFError where the pipe ends before
+        their 8-byte length or before their last byte."""
+        head = self.pipe.read(8)
+        if len(head) < 8:
+            raise EOFError
+        left = int.from_bytes(head, "little")
+        while left:
+            if not (piece := self.pipe.read(min(left, CHUNK_CHARS))):
+                raise EOFError
+            left -= len(piece)
+            yield piece
+
+    def close(self) -> None:
+        """End the child if it still runs, and reap it."""
+        self.pipe.close()
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _send_message(fd: int, parts) -> None:
+    """In a forked child: write the byte strings parts to fd as one message
+    of _Child.message, their total length as 8 bytes and then each of them."""
+    with open(fd, "wb") as out:
+        out.write(sum(map(len, parts)).to_bytes(8, "little"))
+        out.writelines(parts)
+
+
+class _Worker(_Child):
     """A forked child that parses the byte range [start, end) of fh and
-    sends its rows back through a pipe, read here as a buffered file.
+    sends its rows back through its pipe.
 
     The child writes two int64 values, the number of rows it parsed and the
     byte offset at which its read stopped (see _read_blocks; -1 if it read the
@@ -361,19 +424,7 @@ class _Worker:
 
     def __init__(self, fh, start: int, end: int, fmt, order: str):
         self.fh, self.start, self.end, self.fmt, self.order = fh, start, end, fmt, order
-        read, write = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            self.pid = None
-        if self.pid == 0:
-            try:
-                os.close(read)
-                _send(write, fh, start, end, fmt, order)
-            finally:
-                os._exit(0)  # no exit handlers, no flush of the parent's buffers
-        os.close(write)
-        self.pipe = open(read, "rb")
+        super().__init__(lambda fd: _send(fd, fh, start, end, fmt, order))
 
     def __len__(self) -> int:
         return self.rows
@@ -395,14 +446,6 @@ class _Worker:
         if not all(self.pipe.readinto(view) == view.size for view in views):
             # the child ended before it sent every row: parse them here
             _fill(_read_blocks(self.fh, self.start, self.end, *self.fmt), dest)
-
-    def close(self) -> None:
-        """End the child if it still runs, and reap it."""
-        self.pipe.close()
-        if self.pid:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
 
 
 def _send(fd: int, fh, start: int, end: int, fmt, order: str) -> None:
@@ -488,21 +531,66 @@ def _read_rows(fh, start: int, cols, width: int, finite, order: str, place):
             worker.close()
 
 
+def _text(table, row: str, per_chunk: int):
+    """The rows of table formatted by row, per_chunk rows to a string."""
+    for start in range(0, len(table), per_chunk):
+        chunk = table[start : start + per_chunk]
+        yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
+def _write_text(out, texts, skip: int = 0) -> None:
+    """Write the strings texts to out, bar their first skip characters."""
+    for text in texts:
+        if skip < len(text):
+            out.write(text[skip:] if skip else text)
+        skip = max(0, skip - len(text))
+
+
 def _write_rows(out, table) -> None:
     """Write a 2-D table as one CSV row of "%.17g" values per table row.
 
     "%.17g" % v and f"{v:.17g}" are the same conversion, so the bytes are the
     per-value format's; a boolean goes out as 1.0 or 0.0, that is "1" or "0".
-    Each write holds at most CHUNK_CHARS characters (or one longer row), so
-    the file is never held in memory as one string.
+    Each write holds at most CHUNK_CHARS characters (or one longer row).
+
+    A table is cut into one range of rows per CPU that _cpus counts, each
+    of at least SPLIT_BYTES / 4 characters at 25 a value, at most what a
+    value and its separator take. This process formats and writes the first
+    range while a forked child formats each other range whole and sends its
+    text back (see _Child); the text is then copied to out in row order. So
+    a child holds its whole range's text, and this process one chunk. The
+    range of a child that raises, dies or cannot be forked is formatted
+    here, from its first character not yet written. The bytes are those of
+    one range, and every child has ended when this returns or raises.
     """
     table = np.asarray(table, dtype=float)
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     # a value takes at most 24 characters (-1.7976931348623157e+308) and a separator
     per_chunk = max(1, CHUNK_CHARS // (25 * max(1, table.shape[1])))
-    for start in range(0, len(table), per_chunk):
-        chunk = table[start : start + per_chunk]
-        out.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+    # a quarter of the reader's range: on two vCPUs two ranges took 0.87-1.16
+    # times as long as one at 0.12 MB of text, 0.75-0.78 at 0.25 MB and
+    # 0.56-0.71 from 0.5 MB (benchmarks/split_crossover.py, two runs), where
+    # a file needs 1-2 MB
+    n = max(1, min(4 * 25 * table.size // SPLIT_BYTES, _cpus(), len(table)))
+    cuts = [len(table) * i // n for i in range(n + 1)]
+    (_, first), *rest = zip(cuts, cuts[1:])
+    children = []
+    try:
+        for start, end in rest:
+            children.append(_Child(lambda fd: _send_message(
+                fd, [text.encode() for text in _text(table[start:end], row, per_chunk)])))
+        _write_text(out, _text(table[:first], row, per_chunk))
+        for child, (start, end) in zip(children, rest):
+            written = 0
+            try:
+                for piece in child.message():
+                    out.write(piece.decode())
+                    written += len(piece)
+            except EOFError:
+                _write_text(out, _text(table[start:end], row, per_chunk), written)
+    finally:
+        for child in children:
+            child.close()
 
 
 def _header_columns(path, lines, names) -> tuple[dict[str, int], int]:

@@ -16,12 +16,23 @@ time spans and sampling intervals, and checks them against reference bands.
 
 from __future__ import annotations
 
+import contextlib
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimator import FlowEstimate, covariances, fisher_ci, fit_mle, flow
-from .series import TimeSeries, align, star_window_from_times, subsample, window
+from .series import (
+    TimeSeries,
+    _Child,
+    _cpus,
+    _send_message,
+    align,
+    star_window_from_times,
+    subsample,
+    window,
+)
 from .simulator import SimConfig, simulate
 from .theory import LinearModel2D, analytic_flows, stationary_covariance
 
@@ -167,5 +178,23 @@ def run_second_system(seed: int) -> list[CheckRow]:
 
 
 def run_validation(seed: int) -> list[CheckRow]:
-    """Full harness: the span/resolution matrix plus the second system."""
-    return run_table1(seed) + run_second_system(seed)
+    """Full harness: the span/resolution matrix plus the second system.
+
+    Where series._cpus counts two or more CPUs, the second system runs in a
+    forked child (series._Child) that sends its rows back pickled while this
+    process runs the matrix. It runs here instead, after the matrix, on one
+    CPU, without os.fork, or when the child cannot be forked, raises or dies,
+    so any error it hits is raised here. The rows are the same either way;
+    what a profiler or tracer records inside the child is lost with it.
+    Every child has ended when this returns or raises.
+    """
+    if _cpus() < 2:
+        return run_table1(seed) + run_second_system(seed)
+    child = _Child(lambda fd: _send_message(fd, [pickle.dumps(run_second_system(seed))]))
+    try:
+        rows = run_table1(seed)
+        with contextlib.suppress(EOFError):
+            return rows + pickle.loads(b"".join(child.message()))
+    finally:
+        child.close()
+    return rows + run_second_system(seed)

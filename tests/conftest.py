@@ -59,6 +59,22 @@ def split_before_every_line(monkeypatch, path):
     return forked
 
 
+def forked_writes(monkeypatch, split_bytes=1, cpus=3):
+    """Make _write_rows cut its tables by SPLIT_BYTES = split_bytes on cpus
+    CPUs; returns the list that records each child the writer forks."""
+    monkeypatch.setattr(series, "SPLIT_BYTES", split_bytes)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forked = []
+
+    class Recorded(series._Child):
+        def __init__(self, send):
+            forked.append(send)
+            super().__init__(send)
+
+    monkeypatch.setattr(series, "_Child", Recorded)
+    return forked
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -25,11 +25,13 @@ from infoflow import (
     load_csv,
     reference_model,
     simulate,
+    validate,
 )
 from infoflow.cli import main
-from infoflow.validate import CheckRow
+from infoflow.errors import NonFiniteState
+from infoflow.validate import FIXTURE_SEEDS, CheckRow
 
-from conftest import assert_no_child_left
+from conftest import assert_no_child_left, forked_writes
 
 REF_ARGS = ["--x1", "x1", "--x2", "x2", "--dt", "0.001"]
 
@@ -212,6 +214,27 @@ class TestSimulate:
         expected = "".join(f"{i * dt:.17g},{x1[i]:.17g},{x2[i]:.17g}\n" for i in range(501))
         body = out.read_text().split("\n", 2)[2]
         assert body == expected
+
+
+class TestSplitWrite:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--steps", "3000", "--seed", "8"],
+        ["theory", "--t-end", "3", "--dt", "0.01"],
+    ], ids=["simulate", "theory"])
+    @pytest.mark.parametrize("to", ["stdout", "file"])
+    def test_forced_split_gives_the_same_bytes(self, capsys, tmp_path, monkeypatch, argv, to):
+        # a table cut into a range per CPU, on three CPUs, written to stdout
+        # or to a file: the bytes of one range
+        def output():
+            out = tmp_path / "out.csv"
+            assert main([*argv, "--out", str(out) if to == "file" else "-"]) == 0
+            return out.read_text() if to == "file" else capsys.readouterr().out
+
+        one_range = output()
+        forked = forked_writes(monkeypatch)
+        assert output() == one_range
+        assert len(forked) == 2
+        assert_no_child_left()
 
 
 class TestTheory:
@@ -454,6 +477,8 @@ ERRORS = [
     *(_error(f"analyze_dt_{dt}", [*ABSENT, f"--dt={dt}"], 2,
              f"InputError: --dt must be a positive finite real, got {float(dt)}")
       for dt in ("0", "-1", "nan", "inf")),
+    _error("analyze_dt_times_subsample_overflows", [*ABSENT, "--dt", "1e308", "--subsample", "10"], 2,
+           "InputError: --dt times --subsample overflowed: 1e+308 * 10 is not a finite real"),
     _error("analyze_n_boot", [*ABSENT, "--ci", "bootstrap", "--n-boot", "99"], 2,
            "InputError: --n-boot must be >= 100, got 99"),
     _error("analyze_block_len_0", [*ABSENT, "--ci", "bootstrap", "--block-len", "0"], 2,
@@ -946,6 +971,56 @@ class TestValidate:
         rc = main(["validate", "--seed", "248"])
         capsys.readouterr()
         assert rc == 0
+
+    def test_rows_do_not_depend_on_the_fork(self, monkeypatch):
+        # the second system in a forked child, here on one CPU, here without
+        # os.fork, here when the fork fails, and here when the child dies
+        # before or while it sends: the same rows, of the same types
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        seed = FIXTURE_SEEDS[1]
+        expected = repr(validate.run_table1(seed) + validate.run_second_system(seed))
+        assert repr(validate.run_validation(seed)) == expected
+        send = validate._send_message
+
+        def dies_while_sending(fd, parts):
+            read, write = os.pipe()
+            send(write, parts)  # a few hundred bytes: they fit in the pipe's buffer
+            os.write(fd, os.read(read, 20))
+            os._exit(1)
+
+        def fork_fails():
+            raise OSError("no fork")
+
+        for patch in (
+            lambda p: p.setattr(os, "sched_getaffinity", lambda pid: {0}),
+            lambda p: p.delattr(os, "fork"),
+            lambda p: p.setattr(os, "fork", fork_fails),
+            lambda p: p.setattr(validate, "_send_message", lambda fd, parts: os._exit(1)),
+            lambda p: p.setattr(validate, "_send_message", dies_while_sending),
+        ):
+            with monkeypatch.context() as patched:
+                patch(patched)
+                assert repr(validate.run_validation(seed)) == expected
+            assert_no_child_left()
+
+    def test_error_of_the_second_system_is_raised_here(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        pids = []
+
+        def second_system(seed):
+            pids.append(os.getpid())
+            raise NonFiniteState("path left the finite range at step 7", step=7)
+
+        monkeypatch.setattr(validate, "run_second_system", second_system)
+        with pytest.raises(NonFiniteState, match="step 7"):
+            validate.run_validation(FIXTURE_SEEDS[0])
+        assert pids == [os.getpid()]  # the child's call is not seen here
+        assert_no_child_left()
+        # a matrix that raises ends the child as well
+        monkeypatch.setattr(validate, "run_table1", second_system)
+        with pytest.raises(NonFiniteState):
+            validate.run_validation(FIXTURE_SEEDS[0])
+        assert_no_child_left()
 
 
 def subcommands() -> dict[str, argparse.ArgumentParser]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import itertools
 import os
 import tracemalloc
@@ -29,7 +30,7 @@ from infoflow import (
 from infoflow import series
 from infoflow.series import detrend_values
 
-from conftest import assert_no_child_left, outcome, row_scan, split_before_every_line
+from conftest import assert_no_child_left, forked_writes, outcome, row_scan, split_before_every_line
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -419,6 +420,111 @@ class TestSplitIngest:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         TestLoadCsv().test_memory_holds_the_blocks_and_one_table(tmp_path, monkeypatch, header, None, None)
         assert_no_child_left()
+
+
+def per_value_text(table) -> str:
+    """The reference text of _write_rows: each value of each row through
+    the per-value format, as floats."""
+    return "".join(",".join(f"{float(v):.17g}" for v in row) + "\n" for row in np.asarray(table).tolist())
+
+
+WRITTEN_TABLES = {
+    "1 row": np.array([[0.1, -2.5e-300, 7.0]]),
+    "1 column": np.arange(40.0)[:, None] * 0.1,
+    "booleans": np.random.default_rng(3).random((30, 7)) > 0.5,
+    "nan and inf": np.array([[np.nan, np.inf, -np.inf, -0.0]] * 9 + [[1e308, -1.7976931348623157e308, 5e-324, 1]]),
+    "random walk": np.cumsum(np.random.default_rng(4).standard_normal((500, 3)), axis=0),
+}
+
+
+class TestSplitWrite:
+    @pytest.mark.parametrize("to_file", [False, True], ids=["StringIO", "file"])
+    @pytest.mark.parametrize("name", sorted(WRITTEN_TABLES))
+    def test_forced_split_gives_the_one_range_bytes(self, tmp_path, monkeypatch, name, to_file):
+        table = WRITTEN_TABLES[name]
+
+        def written():
+            if not to_file:
+                out = io.StringIO()
+                series._write_rows(out, table)
+                return out.getvalue()
+            path = tmp_path / "table.csv"
+            with series._open_output(path) as out:
+                out.write("# a header line\n")
+                series._write_rows(out, table)
+            return path.read_text().removeprefix("# a header line\n")
+
+        one_range = written()
+        assert one_range == per_value_text(table)
+        forked = forked_writes(monkeypatch)
+        assert written() == one_range
+        assert len(forked) == min(2, len(table) - 1)
+        assert_no_child_left()
+
+    def test_sizes_next_to_the_threshold(self, monkeypatch):
+        # two ranges of at least SPLIT_BYTES / 4 = 3000 characters at 25 a
+        # value hold 240 values: 80 rows of 3 columns reach them, 79 do not
+        table = np.cumsum(np.random.default_rng(5).standard_normal((161, 3)), axis=0)
+        forked = forked_writes(monkeypatch, split_bytes=4 * 25 * 3 * 80 // 2, cpus=2)
+        for rows, children in ((79, 0), (80, 1), (161, 1)):
+            forked.clear()
+            out = io.StringIO()
+            series._write_rows(out, table[:rows])
+            assert out.getvalue() == per_value_text(table[:rows])
+            assert len(forked) == children, rows
+        assert_no_child_left()
+
+    def test_failed_or_dead_children_give_the_same_bytes(self, monkeypatch):
+        table = WRITTEN_TABLES["random walk"]
+        expected = per_value_text(table)
+        forked_writes(monkeypatch)
+        send = series._send_message
+
+        def dies_after(n):
+            def child(fd, parts):  # sends the first n bytes of its message
+                read, write = os.pipe()
+                send(write, parts)  # a third of the table fits in the pipe's buffer
+                os.write(fd, os.read(read, n))
+                os._exit(1)
+            return child
+
+        def raises(fd, parts):
+            raise RuntimeError("a child that raises")
+
+        def fork_fails():
+            raise OSError("no fork")
+
+        cases = [("fork", fork_fails), ("_send_message", raises)]
+        cases += [("_send_message", dies_after(n)) for n in (0, 5, 8, 9, 2000)]
+        for name, replacement in cases:
+            with monkeypatch.context() as patched:
+                patched.setattr(os if name == "fork" else series, name, replacement)
+                out = io.StringIO()
+                series._write_rows(out, table)
+            assert out.getvalue() == expected, replacement
+            assert_no_child_left()
+
+    def test_no_child_is_left_after_a_raise(self, monkeypatch):
+        forked = forked_writes(monkeypatch)
+
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError("no space left")
+
+        with pytest.raises(OSError, match="no space left"):
+            series._write_rows(Full(), WRITTEN_TABLES["random walk"])
+        assert len(forked) == 2
+        assert_no_child_left()
+
+    def test_one_cpu_or_no_fork_forks_nothing(self, monkeypatch):
+        table = WRITTEN_TABLES["random walk"]
+        forked = forked_writes(monkeypatch, cpus=1)
+        out = io.StringIO()
+        series._write_rows(out, table)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(os, "fork")
+        series._write_rows(out, table)
+        assert out.getvalue() == 2 * per_value_text(table) and forked == []
 
 
 class TestTimeSeries:
